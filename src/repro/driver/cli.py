@@ -165,12 +165,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-fexec",
         choices=("interp", "closures"),
-        default="interp",
+        default="closures",
         dest="exec_engine",
         metavar="ENGINE",
-        help="with --run: execution engine — 'interp' (reference "
-        "tree-walking interpreter, default) or 'closures' "
-        "(closure-compiled engine, identical observable semantics)",
+        help="with --run: execution engine — 'closures' "
+        "(closure-compiled engine, default) or 'interp' (reference "
+        "tree-walking interpreter, identical observable semantics)",
     )
     parser.add_argument(
         "--num-threads",

@@ -4,12 +4,14 @@ Two engines share one machine definition (memory model, natives,
 simulated OpenMP runtime, profiles, guardrails) and differ only in
 instruction dispatch:
 
-* ``interp`` — the reference tree-walking interpreter
-  (:class:`repro.interp.interpreter.Interpreter`);
-* ``closures`` — the closure-compiling engine
+* ``closures`` — the production engine and the default
   (:class:`repro.exec.engine.ClosureInterpreter`), which lowers each
   function to pre-compiled Python closures with operands resolved to
-  dense register slots.
+  dense register slots;
+* ``interp`` — the reference tree-walking interpreter
+  (:class:`repro.interp.interpreter.Interpreter`), run only when asked
+  for: as the differential oracle's reference and behind
+  ``-fexec=interp``.
 
 :func:`create_interpreter` is the single selection point used by the
 pipeline, the differential oracle and the benchmark harness.
@@ -27,9 +29,10 @@ ENGINES = ("interp", "closures")
 
 
 def create_interpreter(
-    module: Module, engine: str = "interp", **kwargs: Any
+    module: Module, engine: str = "closures", **kwargs: Any
 ) -> Interpreter:
-    """Instantiate the requested execution engine over *module*.
+    """Instantiate the requested execution engine over *module*
+    (``"closures"`` unless the reference ``"interp"`` is asked for).
 
     Both engines accept the same constructor keywords
     (``profile_detail``, ``memory_limit``, ``max_call_depth``, ...) and

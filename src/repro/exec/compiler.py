@@ -139,6 +139,7 @@ class CompiledFunction:
         "arg_slots",
         "n_values",
         "consts",
+        "const_index",
         "regs_template",
         "blocks",
         "entry",
@@ -151,6 +152,9 @@ class CompiledFunction:
         self.arg_slots: list[int] = []
         self.n_values = 0
         self.consts: list[Any] = []
+        #: (type, value) -> pooled slot; per function because compiling
+        #: a call compiles the callee in the middle of the caller
+        self.const_index: dict[tuple, int] = {}
         self.regs_template: list[Any] = []
         self.blocks: dict[int, BlockCode] = {}
         self.entry: BlockCode | None = None
@@ -199,7 +203,6 @@ class ClosureCompiler:
                 n += 1
         code.n_values = n
         code.entry = code.blocks[id(fn.entry_block)]
-        self._const_index: dict[tuple, int] = {}
         for block in fn.blocks:
             self._compile_block(code, block)
         code.regs_template = [None] * code.n_values + code.consts
@@ -210,7 +213,7 @@ class ClosureCompiler:
     def _const_slot(self, code: CompiledFunction, value: Any) -> int:
         key = (value.__class__, value)
         try:
-            slot = self._const_index.get(key)
+            slot = code.const_index.get(key)
         except TypeError:  # unhashable (never for int/float) — append
             slot = None
             key = None
@@ -218,7 +221,7 @@ class ClosureCompiler:
             slot = code.n_values + len(code.consts)
             code.consts.append(value)
             if key is not None:
-                self._const_index[key] = slot
+                code.const_index[key] = slot
         return slot
 
     def _slot(self, code: CompiledFunction, v) -> int:

@@ -76,6 +76,13 @@ class Memory:
         """Pop stack allocations (frame unwind)."""
         self._brk = mark
 
+    def release(self) -> None:
+        """Free the whole guest heap once its run is over.  Cleared in
+        place: compiled closures hold the bytearray itself, and the
+        interpreter's reference cycles would otherwise keep it alive
+        until a full garbage collection."""
+        self.data.clear()
+
     # ------------------------------------------------------------------
     # Function pseudo-addresses
     # ------------------------------------------------------------------

@@ -651,7 +651,7 @@ def run_source(
     memory_limit: int | None = None,
     max_call_depth: int = 256,
     strip_omp_transforms: bool = False,
-    exec_engine: str = "interp",
+    exec_engine: str = "closures",
 ) -> RunResult:
     """Compile and execute *source*; returns exit code and captured
     stdout.  ``optimize=True`` additionally runs the mid-end pass
@@ -667,9 +667,10 @@ def run_source(
     ``max_call_depth`` caps guest recursion.
 
     ``exec_engine`` selects the execution engine (``-fexec=``):
-    ``"interp"`` is the reference tree-walking interpreter,
-    ``"closures"`` the closure-compiled engine with identical observable
-    semantics (see :mod:`repro.exec`)."""
+    ``"closures"`` (the default) is the closure-compiled engine,
+    ``"interp"`` the reference tree-walking interpreter with identical
+    observable semantics (see :mod:`repro.exec`).  When execution
+    raises, the guest heap is freed before the exception propagates."""
     from repro.exec import create_interpreter
     from repro.interp.interpreter import InterpreterError, Trap
     from repro.runtime.team import TeamError
@@ -707,13 +708,20 @@ def run_source(
         interp.omp.num_threads = num_threads
         # Guest-visible failures (traps, guardrails, runtime errors)
         # pass through as themselves; anything else is an ICE.
-        with recovery_scope(
-            "interpret",
-            passthrough=(InterpreterError, Trap, MemoryError_, TeamError),
-        ), pretty_stack_entry(f"interpreting '{filename}'"):
-            exit_code = interp.run(
-                entry, args or [], fuel=fuel, timeout_s=timeout_s
-            )
+        try:
+            with recovery_scope(
+                "interpret",
+                passthrough=(
+                    InterpreterError, Trap, MemoryError_, TeamError
+                ),
+            ), pretty_stack_entry(f"interpreting '{filename}'"):
+                exit_code = interp.run(
+                    entry, args or [], fuel=fuel, timeout_s=timeout_s
+                )
+        except BaseException:
+            # No caller can reach this interpreter any more.
+            interp.memory.release()
+            raise
     return RunResult(
         exit_code=exit_code,
         stdout=interp.output(),
@@ -769,7 +777,7 @@ def execute_request(
     fuel: int | None = None,
     timeout_s: float | None = None,
     strip_omp_transforms: bool = False,
-    exec_engine: str = "interp",
+    exec_engine: str = "closures",
     cache=None,
 ) -> RequestOutcome:
     """Request-scoped pipeline entry point for the compile service.
@@ -779,6 +787,10 @@ def execute_request(
     coexisting implementations) and maps every exception class the
     pipeline can produce onto a :class:`RequestOutcome` kind — the
     caller gets a terminal classification, never an exception.
+
+    ``run`` requests execute on *exec_engine* — the closure engine
+    unless the reference ``"interp"`` is asked for — and free their
+    guest heap before the outcome is returned, whatever its kind.
 
     *cache* (a :class:`repro.cache.CompilationCache`) routes ``compile``
     actions through :func:`compile_source_cached`; output stays
@@ -813,6 +825,8 @@ def execute_request(
                 exec_engine=exec_engine,
             )
             code = rr.exit_code if isinstance(rr.exit_code, int) else 0
+            # The RunResult dies here: free its guest heap now.
+            rr.interpreter.memory.release()
             return finish("ok", output=rr.stdout, exit_code=code)
         if cache is not None:
             cc = compile_source_cached(

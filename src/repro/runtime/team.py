@@ -57,16 +57,26 @@ class Team:
 
     # ------------------------------------------------------------------
     def run(self, fuel: int) -> None:
-        """Step the team to completion (deterministic interleaving)."""
+        """Step the team to completion (deterministic interleaving).
+
+        One ``step()`` per runnable member per round, in thread order.
+        A member's step changes only its own state, so whether every
+        member still runnable after the round spins on a lock is known
+        by the round's end without a second scan."""
         interp = self.runtime.interp
+        RUNNABLE = ThreadState.RUNNABLE
+        DONE = ThreadState.DONE
+        members = [(ctx, ctx.step) for ctx in self.contexts]
         budget = fuel
         while True:
             all_done = True
             any_runnable = False
-            for ctx in self.contexts:
-                if ctx.state == ThreadState.RUNNABLE:
+            all_spin = True
+            for ctx, step in members:
+                state = ctx.state
+                if state is RUNNABLE:
                     any_runnable = True
-                    ctx.step()
+                    step()
                     budget -= 1
                     if budget <= 0:
                         raise ExecutionTimeout(
@@ -75,13 +85,16 @@ class Team:
                         )
                     if (budget & 0xFFF) == 0:
                         interp.check_deadline()
-                if not ctx.done:
+                    state = ctx.state
+                    if state is RUNNABLE and ctx.waiting_on_lock is None:
+                        all_spin = False
+                if state is not DONE:
                     all_done = False
             if all_done:
                 return
             if not any_runnable:
                 self._release_barrier_or_deadlock(interp)
-            else:
+            elif all_spin:
                 self._check_lock_deadlock(interp)
 
     def _release_barrier_or_deadlock(self, interp) -> None:
@@ -121,16 +134,15 @@ class Team:
         interp.profile.barrier_episodes += 1
 
     def _check_lock_deadlock(self, interp) -> None:
-        """Spinning threads stay RUNNABLE; detect the round where every
-        runnable thread spins on a lock nobody left can release."""
+        """Spinning threads stay RUNNABLE; called after a round in which
+        every thread still runnable spins on a lock, it decides whether
+        anyone left can release one."""
         runnable = [
             ctx
             for ctx in self.contexts
             if ctx.state == ThreadState.RUNNABLE
         ]
-        if not runnable or any(
-            ctx.waiting_on_lock is None for ctx in runnable
-        ):
+        if not runnable:
             return
         # Every runnable thread spins.  Progress is only possible if
         # some spinner already owns the lock it waits on (re-entry) or

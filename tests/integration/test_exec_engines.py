@@ -170,6 +170,34 @@ class TestGuardrailParity:
             )
         assert messages["closures"] == messages["interp"]
 
+    def test_lock_deadlock_detection_identical(self):
+        """Thread 0 finishes holding the critical-section lock; the
+        team scheduler must prove thread 1's spin hopeless in the same
+        round, after the same retired instructions, on both engines."""
+        source = r"""
+        void __kmpc_critical(void *loc, int gtid, int *lock);
+        int lock_word[8];
+        int main() {
+          #pragma omp parallel num_threads(2)
+          {
+            __kmpc_critical(0, 0, lock_word);
+          }
+          return 0;
+        }
+        """
+        messages = {}
+        for engine in ("interp", "closures"):
+            with pytest.raises(DeadlockError) as exc_info:
+                run_source(source, exec_engine=engine)
+            messages[engine] = (
+                str(exc_info.value),
+                exc_info.value.snapshot.total_instructions,
+            )
+        assert messages["closures"] == messages["interp"]
+        message, retired = messages["interp"]
+        assert "spins on a critical-section lock" in message
+        assert retired == 7
+
     def test_cli_deadlock_exit_code(self, tmp_path, capsys):
         path = tmp_path / "deadlock.c"
         path.write_text(
@@ -205,6 +233,173 @@ class TestGuardrailParity:
             InterpreterError, match="guest call depth exceeded"
         ):
             run_source(source, exec_engine=exec_engine, max_call_depth=64)
+
+
+class TestGuestCalls:
+    """Guest-to-guest calls on each engine, checked against literal
+    output.  Compiling a call compiles its callee in the middle of the
+    caller, so a callee's constant pool must never leak into the
+    caller's: a leaked slot reads a wrong value or indexes past the
+    caller's register file."""
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["O0", "O1"])
+    def test_global_written_in_callee(self, exec_engine, optimize):
+        source = r"""
+        int g = 0;
+        void bump(int v) { g = g + v; }
+        int main(void) {
+          int x = 5;
+          bump(1);
+          printf("%d %d\n", x, g);
+          return 0;
+        }
+        """
+        result = run_source(
+            source, exec_engine=exec_engine, optimize=optimize
+        )
+        assert result.stdout == "5 1\n"
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["O0", "O1"])
+    def test_direct_recursion(self, exec_engine, optimize):
+        source = r"""
+        int gcd(int a, int b) { if (b == 0) return a; return gcd(b, a % b); }
+        long fact(long n) { return n <= 1 ? 1 : n * fact(n - 1); }
+        int main(void) {
+          long f = fact(15);
+          int g = gcd(84, 36);
+          printf("%d %ld\n", g, f);
+          return 0;
+        }
+        """
+        result = run_source(
+            source, exec_engine=exec_engine, optimize=optimize
+        )
+        assert result.stdout == "12 1307674368000\n"
+        assert result.exit_code == 0
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["O0", "O1"])
+    def test_mutual_recursion(self, exec_engine, optimize):
+        source = r"""
+        int is_odd(int n);
+        int is_even(int n) { if (n == 0) return 1; return is_odd(n - 1); }
+        int is_odd(int n) { if (n == 0) return 0; return is_even(n - 1); }
+        int main(void) {
+          printf("%d %d %d\n", is_even(10), is_odd(7), is_even(9));
+          return 0;
+        }
+        """
+        result = run_source(
+            source, exec_engine=exec_engine, optimize=optimize
+        )
+        assert result.stdout == "1 1 0\n"
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["O0", "O1"])
+    def test_void_callee_and_callee_allocas(self, exec_engine, optimize):
+        source = r"""
+        int calls = 0;
+        void tick(void) { calls += 1; }
+        void fill(int *p, int n, int s) {
+          int tmp[3];
+          for (int i = 0; i < 3; i += 1) tmp[i] = s * (i + 1);
+          for (int i = 0; i < n; i += 1) p[i] = tmp[i % 3] + i;
+          tick();
+        }
+        int sum(int *p, int n) {
+          int s = 0;
+          for (int i = 0; i < n; i += 1) s += p[i];
+          tick();
+          return s;
+        }
+        int main(void) {
+          int a[5];
+          tick();
+          fill(a, 5, 10);
+          int s = sum(a, 5);
+          printf("%d %d\n", s, calls);
+          return 0;
+        }
+        """
+        # a = {10, 21, 32, 13, 24}
+        result = run_source(
+            source, exec_engine=exec_engine, optimize=optimize
+        )
+        assert result.stdout == "100 3\n"
+
+
+class TestGuestHeapRelease:
+    """``execute_request`` frees each run's guest heap before it
+    returns, whatever the outcome: the interpreter's reference cycles
+    would otherwise keep every dead 4 MiB heap alive until a full
+    garbage collection."""
+
+    KERNEL = r"""
+    int main(void) {
+      long sum = 0;
+      #pragma omp parallel for reduction(+: sum)
+      for (int i = 0; i < 64; i += 1)
+        sum += i;
+      printf("%ld\n", sum);
+      return 0;
+    }
+    """
+
+    @pytest.mark.parametrize(
+        "source, fuel, kind",
+        [
+            (KERNEL, None, "ok"),
+            ("int main() { int x = 0; return 1 / x; }", None, "guest-error"),
+            ("int main() { while (1) {} return 0; }", 5000, "timeout"),
+        ],
+        ids=["ok", "guest-error", "timeout"],
+    )
+    def test_heap_released_on_every_outcome(
+        self, monkeypatch, exec_engine, source, fuel, kind
+    ):
+        import repro.interp.interpreter as interpreter_module
+        from repro.interp.memory import Memory
+        from repro.pipeline import execute_request
+
+        heaps: list[Memory] = []
+
+        class RecordingMemory(Memory):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                heaps.append(self)
+
+        monkeypatch.setattr(interpreter_module, "Memory", RecordingMemory)
+        outcome = execute_request(
+            source, action="run", fuel=fuel, exec_engine=exec_engine
+        )
+        assert outcome.kind == kind
+        assert len(heaps) == 1
+        assert len(heaps[0].data) == 0
+
+    def test_traced_memory_bounded_over_back_to_back_runs(self):
+        import gc
+        import tracemalloc
+
+        from repro.pipeline import execute_request
+
+        def run() -> None:
+            outcome = execute_request(
+                self.KERNEL, action="run", optimize=True
+            )
+            assert outcome.output == "2016\n"
+
+        run()
+        gc.collect()
+        heap = 1 << 22
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(50):
+                run()
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One live heap at a time; none survives its request.
+        assert peak - base < 2 * heap
+        assert current - base < heap
 
 
 class TestEngineInternals:

@@ -4,17 +4,21 @@ Each test compiles, (optionally) optimizes, and executes a small but
 non-trivial program, checking output against a Python reference.  These
 exercise codegen paths the directive-focused tests don't: recursion,
 function pointers, structs by pointer, switch, strings, floating point,
-and OpenMP used the way application code uses it.
+and OpenMP used the way application code uses it.  Every test runs on
+both execution engines (the ``exec_engine`` fixture), so the reference
+interpreter stays covered alongside the default closure engine.
 """
 
 import pytest
 
 from tests.conftest import run_both, run_c
 
+pytestmark = pytest.mark.exec_differential
+
 
 class TestSerialAlgorithms:
     @pytest.mark.parametrize("optimize", [False, True])
-    def test_insertion_sort(self, optimize):
+    def test_insertion_sort(self, optimize, exec_engine):
         src = r"""
         int main(void) {
           int a[10] = {9, 3, 7, 1, 8, 2, 6, 0, 5, 4};
@@ -32,9 +36,10 @@ class TestSerialAlgorithms:
           return 0;
         }
         """
-        assert run_c(src, optimize=optimize).stdout == "0123456789\n"
+        result = run_c(src, exec_engine=exec_engine, optimize=optimize)
+        assert result.stdout == "0123456789\n"
 
-    def test_sieve_of_eratosthenes(self):
+    def test_sieve_of_eratosthenes(self, exec_engine):
         src = r"""
         int main(void) {
           int is_composite[50];
@@ -54,9 +59,10 @@ class TestSerialAlgorithms:
             for p in range(2, 50)
             if all(p % d for d in range(2, p))
         ]
-        assert run_c(src).stdout.split() == [str(p) for p in primes]
+        result = run_c(src, exec_engine=exec_engine)
+        assert result.stdout.split() == [str(p) for p in primes]
 
-    def test_recursive_gcd_and_ackermann_ish(self):
+    def test_recursive_gcd_and_ackermann_ish(self, exec_engine):
         src = r"""
         int gcd(int a, int b) {
           if (b == 0) return a;
@@ -67,9 +73,9 @@ class TestSerialAlgorithms:
           return 0;
         }
         """
-        assert run_c(src).stdout == "12 1 9\n"
+        assert run_c(src, exec_engine=exec_engine).stdout == "12 1 9\n"
 
-    def test_function_pointer_dispatch(self):
+    def test_function_pointer_dispatch(self, exec_engine):
         src = r"""
         int add(int a, int b) { return a + b; }
         int mul(int a, int b) { return a * b; }
@@ -87,9 +93,10 @@ class TestSerialAlgorithms:
           return 0;
         }
         """
-        assert run_c(src, openmp=False).stdout == "7 12 30\n"
+        result = run_c(src, exec_engine=exec_engine, openmp=False)
+        assert result.stdout == "7 12 30\n"
 
-    def test_struct_linked_computation(self):
+    def test_struct_linked_computation(self, exec_engine):
         src = r"""
         struct vec { double x; double y; double z; };
         double dot(struct vec *a, struct vec *b) {
@@ -107,9 +114,10 @@ class TestSerialAlgorithms:
           return 0;
         }
         """
-        assert run_c(src, openmp=False).stdout == "64\n"
+        result = run_c(src, exec_engine=exec_engine, openmp=False)
+        assert result.stdout == "64\n"
 
-    def test_string_reversal(self):
+    def test_string_reversal(self, exec_engine):
         src = r"""
         int main(void) {
           char buf[16];
@@ -123,9 +131,10 @@ class TestSerialAlgorithms:
           return 0;
         }
         """
-        assert run_c(src, openmp=False).stdout == "gfedcba\n"
+        result = run_c(src, exec_engine=exec_engine, openmp=False)
+        assert result.stdout == "gfedcba\n"
 
-    def test_switch_state_machine(self):
+    def test_switch_state_machine(self, exec_engine):
         src = r"""
         int main(void) {
           /* count digits/letters/others in a string via switch */
@@ -147,9 +156,10 @@ class TestSerialAlgorithms:
           return 0;
         }
         """
-        assert run_c(src, openmp=False).stdout == "3 3 2\n"
+        result = run_c(src, exec_engine=exec_engine, openmp=False)
+        assert result.stdout == "3 3 2\n"
 
-    def test_newton_sqrt(self):
+    def test_newton_sqrt(self, exec_engine):
         src = r"""
         int main(void) {
           double x = 2.0;
@@ -162,9 +172,10 @@ class TestSerialAlgorithms:
           return 0;
         }
         """
-        assert run_c(src, openmp=False).stdout == "1\n"
+        result = run_c(src, exec_engine=exec_engine, openmp=False)
+        assert result.stdout == "1\n"
 
-    def test_do_while_and_goto_free_collatz(self):
+    def test_do_while_and_goto_free_collatz(self, exec_engine):
         src = r"""
         int main(void) {
           int n = 27;
@@ -178,11 +189,12 @@ class TestSerialAlgorithms:
           return 0;
         }
         """
-        assert run_c(src, openmp=False).stdout == "111\n"
+        result = run_c(src, exec_engine=exec_engine, openmp=False)
+        assert result.stdout == "111\n"
 
 
 class TestParallelApplications:
-    def test_parallel_matmul(self):
+    def test_parallel_matmul(self, exec_engine):
         n = 8
         src = rf"""
         int main(void) {{
@@ -216,10 +228,10 @@ class TestParallelApplications:
             for j in range(n)
         ]
         expected = sum(v * (k % 7) for k, v in enumerate(c))
-        legacy, irb = run_both(src)
+        legacy, irb = run_both(src, exec_engine=exec_engine)
         assert float(legacy.stdout) == pytest.approx(expected)
 
-    def test_parallel_histogram_with_critical(self):
+    def test_parallel_histogram_with_critical(self, exec_engine):
         src = r"""
         int main(void) {
           int bins[4] = {0, 0, 0, 0};
@@ -236,12 +248,12 @@ class TestParallelApplications:
         from collections import Counter
 
         counts = Counter((i * 7) % 4 for i in range(64))
-        legacy, _ = run_both(src)
+        legacy, _ = run_both(src, exec_engine=exec_engine)
         assert [int(x) for x in legacy.stdout.split()] == [
             counts[b] for b in range(4)
         ]
 
-    def test_parallel_pi_estimate(self):
+    def test_parallel_pi_estimate(self, exec_engine):
         src = r"""
         int main(void) {
           double pi = 0.0;
@@ -256,10 +268,10 @@ class TestParallelApplications:
           return 0;
         }
         """
-        legacy, _ = run_both(src)
+        legacy, _ = run_both(src, exec_engine=exec_engine)
         assert legacy.stdout == "3.1416\n"
 
-    def test_tiled_parallel_transpose_matches_serial(self):
+    def test_tiled_parallel_transpose_matches_serial(self, exec_engine):
         src_tmpl = r"""
         int main(void) {
           int a[64]; int b[64];
@@ -274,14 +286,15 @@ class TestParallelApplications:
           return 0;
         }
         """
-        serial = run_c(src_tmpl % "")
+        serial = run_c(src_tmpl % "", exec_engine=exec_engine)
         tiled = run_c(
             src_tmpl
-            % "#pragma omp parallel for\n#pragma omp tile sizes(4, 4)"
+            % "#pragma omp parallel for\n#pragma omp tile sizes(4, 4)",
+            exec_engine=exec_engine,
         )
         assert serial.stdout == tiled.stdout
 
-    def test_unrolled_parallel_daxpy(self):
+    def test_unrolled_parallel_daxpy(self, exec_engine):
         src = r"""
         int main(void) {
           double x[100]; double y[100];
@@ -300,10 +313,10 @@ class TestParallelApplications:
         }
         """
         expected = sum((100 - k) + 2.5 * k for k in range(100))
-        legacy, irb = run_both(src)
+        legacy, irb = run_both(src, exec_engine=exec_engine)
         assert float(legacy.stdout) == pytest.approx(expected)
 
-    def test_stencil_with_barrier_phases(self):
+    def test_stencil_with_barrier_phases(self, exec_engine):
         src = r"""
         int main(void) {
           double cur[32]; double nxt[32];
@@ -334,10 +347,10 @@ class TestParallelApplications:
                 nxt[i] = 0.5 * cur[i] + 0.25 * (cur[i - 1] + cur[i + 1])
             cur = nxt
         expected = sum(cur[1:31])
-        legacy, _ = run_both(src)
+        legacy, _ = run_both(src, exec_engine=exec_engine)
         assert float(legacy.stdout) == pytest.approx(expected)
 
-    def test_reverse_time_loop_application(self):
+    def test_reverse_time_loop_application(self, exec_engine):
         """Suffix sums need the reverse iteration order (OpenMP 6.0
         `reverse` used for a real dependency pattern, serially)."""
         src = r"""
@@ -360,5 +373,5 @@ class TestParallelApplications:
         for i in reversed(range(10)):
             suffix += data[i]
             out[i] = suffix
-        legacy, _ = run_both(src)
+        legacy, _ = run_both(src, exec_engine=exec_engine)
         assert legacy.stdout.split() == [str(v) for v in out]

@@ -1,9 +1,12 @@
 """Unit tests: CodeGen details — conversions, operators, aggregates,
-short-circuit evaluation, bool semantics — checked by execution."""
+short-circuit evaluation, bool semantics — checked by execution on
+both engines (the ``exec_engine`` fixture)."""
 
 import pytest
 
 from tests.conftest import run_c
+
+pytestmark = pytest.mark.exec_differential
 
 
 def out_of(src: str, **kw) -> str:
@@ -12,7 +15,7 @@ def out_of(src: str, **kw) -> str:
 
 
 class TestIntegerSemantics:
-    def test_truncation_and_extension(self):
+    def test_truncation_and_extension(self, exec_engine):
         src = r"""
         int main(void) {
           char c = 300;          /* truncates to 44 */
@@ -23,18 +26,18 @@ class TestIntegerSemantics:
           return 0;
         }
         """
-        assert out_of(src) == "44 200"
+        assert out_of(src, exec_engine=exec_engine) == "44 200"
 
-    def test_signed_division_and_modulo(self):
+    def test_signed_division_and_modulo(self, exec_engine):
         src = r"""
         int main(void) {
           printf("%d %d %d %d\n", -7 / 2, -7 % 2, 7 / -2, 7 % -2);
           return 0;
         }
         """
-        assert out_of(src) == "-3 -1 -3 1"
+        assert out_of(src, exec_engine=exec_engine) == "-3 -1 -3 1"
 
-    def test_unsigned_comparison(self):
+    def test_unsigned_comparison(self, exec_engine):
         src = r"""
         int main(void) {
           unsigned int big = 3000000000u;
@@ -43,9 +46,9 @@ class TestIntegerSemantics:
           return 0;
         }
         """
-        assert out_of(src) == "1"
+        assert out_of(src, exec_engine=exec_engine) == "1"
 
-    def test_shift_semantics(self):
+    def test_shift_semantics(self, exec_engine):
         src = r"""
         int main(void) {
           int neg = -16;
@@ -54,9 +57,9 @@ class TestIntegerSemantics:
           return 0;
         }
         """
-        assert out_of(src) == "-4 8"
+        assert out_of(src, exec_engine=exec_engine) == "-4 8"
 
-    def test_mixed_signed_unsigned_arithmetic(self):
+    def test_mixed_signed_unsigned_arithmetic(self, exec_engine):
         src = r"""
         int main(void) {
           unsigned int u = 10;
@@ -66,9 +69,10 @@ class TestIntegerSemantics:
           return 0;
         }
         """
-        assert out_of(src) == "0"  # 10 + (-3 as unsigned) wraps to 7
+        # 10 + (-3 as unsigned) wraps to 7
+        assert out_of(src, exec_engine=exec_engine) == "0"
 
-    def test_long_arithmetic_width(self):
+    def test_long_arithmetic_width(self, exec_engine):
         src = r"""
         int main(void) {
           long big = 3000000000;
@@ -77,11 +81,11 @@ class TestIntegerSemantics:
           return 0;
         }
         """
-        assert out_of(src) == "1"
+        assert out_of(src, exec_engine=exec_engine) == "1"
 
 
 class TestFloatSemantics:
-    def test_float_vs_double_precision(self):
+    def test_float_vs_double_precision(self, exec_engine):
         src = r"""
         int main(void) {
           float f = 0.1f;
@@ -90,9 +94,9 @@ class TestFloatSemantics:
           return 0;
         }
         """
-        assert out_of(src) == "0"
+        assert out_of(src, exec_engine=exec_engine) == "0"
 
-    def test_int_float_conversions(self):
+    def test_int_float_conversions(self, exec_engine):
         src = r"""
         int main(void) {
           double x = 7;         /* int -> double */
@@ -102,9 +106,9 @@ class TestFloatSemantics:
           return 0;
         }
         """
-        assert out_of(src) == "7 7 -7"
+        assert out_of(src, exec_engine=exec_engine) == "7 7 -7"
 
-    def test_compound_assign_mixed_types(self):
+    def test_compound_assign_mixed_types(self, exec_engine):
         src = r"""
         int main(void) {
           int i = 7;
@@ -115,11 +119,11 @@ class TestFloatSemantics:
           return 0;
         }
         """
-        assert out_of(src) == "9 3"
+        assert out_of(src, exec_engine=exec_engine) == "9 3"
 
 
 class TestShortCircuit:
-    def test_and_skips_rhs(self):
+    def test_and_skips_rhs(self, exec_engine):
         src = r"""
         int hits = 0;
         int touch(void) { hits += 1; return 1; }
@@ -129,9 +133,9 @@ class TestShortCircuit:
           return 0;
         }
         """
-        assert out_of(src) == "0 0"
+        assert out_of(src, exec_engine=exec_engine) == "0 0"
 
-    def test_or_skips_rhs(self):
+    def test_or_skips_rhs(self, exec_engine):
         src = r"""
         int hits = 0;
         int touch(void) { hits += 1; return 0; }
@@ -141,9 +145,9 @@ class TestShortCircuit:
           return 0;
         }
         """
-        assert out_of(src) == "1 0"
+        assert out_of(src, exec_engine=exec_engine) == "1 0"
 
-    def test_ternary_evaluates_one_side(self):
+    def test_ternary_evaluates_one_side(self, exec_engine):
         src = r"""
         int hits_a = 0; int hits_b = 0;
         int a(void) { hits_a += 1; return 10; }
@@ -154,9 +158,9 @@ class TestShortCircuit:
           return 0;
         }
         """
-        assert out_of(src) == "10 1 0"
+        assert out_of(src, exec_engine=exec_engine) == "10 1 0"
 
-    def test_comma_evaluates_both(self):
+    def test_comma_evaluates_both(self, exec_engine):
         src = r"""
         int hits = 0;
         int touch(void) { hits += 1; return 5; }
@@ -166,11 +170,11 @@ class TestShortCircuit:
           return 0;
         }
         """
-        assert out_of(src) == "9 2"
+        assert out_of(src, exec_engine=exec_engine) == "9 2"
 
 
 class TestPointersAndAggregates:
-    def test_pointer_arithmetic_scaling(self):
+    def test_pointer_arithmetic_scaling(self, exec_engine):
         src = r"""
         int main(void) {
           double arr[4] = {1.5, 2.5, 3.5, 4.5};
@@ -181,9 +185,9 @@ class TestPointersAndAggregates:
           return 0;
         }
         """
-        assert out_of(src) == "3.5 4.5 1"
+        assert out_of(src, exec_engine=exec_engine) == "3.5 4.5 1"
 
-    def test_pointer_decrement_and_compare(self):
+    def test_pointer_decrement_and_compare(self, exec_engine):
         src = r"""
         int main(void) {
           int arr[5] = {10, 20, 30, 40, 50};
@@ -197,9 +201,9 @@ class TestPointersAndAggregates:
           return 0;
         }
         """
-        assert out_of(src) == "150"
+        assert out_of(src, exec_engine=exec_engine) == "150"
 
-    def test_address_of_and_swap(self):
+    def test_address_of_and_swap(self, exec_engine):
         src = r"""
         void swap(int *a, int *b) { int t = *a; *a = *b; *b = t; }
         int main(void) {
@@ -209,9 +213,9 @@ class TestPointersAndAggregates:
           return 0;
         }
         """
-        assert out_of(src) == "2 1"
+        assert out_of(src, exec_engine=exec_engine) == "2 1"
 
-    def test_struct_by_value_field_access(self):
+    def test_struct_by_value_field_access(self, exec_engine):
         src = r"""
         struct pair { int a; int b; };
         int main(void) {
@@ -223,9 +227,9 @@ class TestPointersAndAggregates:
           return 0;
         }
         """
-        assert out_of(src) == "3 40"
+        assert out_of(src, exec_engine=exec_engine) == "3 40"
 
-    def test_nested_struct_layout(self):
+    def test_nested_struct_layout(self, exec_engine):
         src = r"""
         struct inner { char tag; double value; };
         struct outer { int id; struct inner payload; };
@@ -239,9 +243,9 @@ class TestPointersAndAggregates:
           return 0;
         }
         """
-        assert out_of(src) == "7 x 2.5 24"
+        assert out_of(src, exec_engine=exec_engine) == "7 x 2.5 24"
 
-    def test_global_array_initializer(self):
+    def test_global_array_initializer(self, exec_engine):
         src = r"""
         int table[5] = {2, 4, 6, 8};
         double weights[3] = {0.5, 1.5, 2.5};
@@ -252,9 +256,9 @@ class TestPointersAndAggregates:
           return 0;
         }
         """
-        assert out_of(src) == "20 1.5"
+        assert out_of(src, exec_engine=exec_engine) == "20 1.5"
 
-    def test_2d_array_indexing(self):
+    def test_2d_array_indexing(self, exec_engine):
         src = r"""
         int main(void) {
           int m[3][4];
@@ -265,11 +269,11 @@ class TestPointersAndAggregates:
           return 0;
         }
         """
-        assert out_of(src) == "0 13 22"
+        assert out_of(src, exec_engine=exec_engine) == "0 13 22"
 
 
 class TestBoolSemantics:
-    def test_bool_normalizes_to_01(self):
+    def test_bool_normalizes_to_01(self, exec_engine):
         src = r"""
         int main(void) {
           bool flag = 42;   /* any nonzero -> 1 */
@@ -278,20 +282,20 @@ class TestBoolSemantics:
           return 0;
         }
         """
-        assert out_of(src) == "1 0 1"
+        assert out_of(src, exec_engine=exec_engine) == "1 0 1"
 
-    def test_not_operator_result(self):
+    def test_not_operator_result(self, exec_engine):
         src = r"""
         int main(void) {
           printf("%d %d %d\n", !5, !0, !!7);
           return 0;
         }
         """
-        assert out_of(src) == "0 1 1"
+        assert out_of(src, exec_engine=exec_engine) == "0 1 1"
 
 
 class TestEnumsAndTypedefs:
-    def test_enum_values_in_arithmetic(self):
+    def test_enum_values_in_arithmetic(self, exec_engine):
         src = r"""
         enum level { LOW = 1, MID = 5, HIGH = 10 };
         int main(void) {
@@ -300,9 +304,9 @@ class TestEnumsAndTypedefs:
           return 0;
         }
         """
-        assert out_of(src) == "51"
+        assert out_of(src, exec_engine=exec_engine) == "51"
 
-    def test_typedef_chain(self):
+    def test_typedef_chain(self, exec_engine):
         src = r"""
         typedef unsigned int uint;
         typedef uint word;
@@ -313,9 +317,9 @@ class TestEnumsAndTypedefs:
           return 0;
         }
         """
-        assert out_of(src) == "0"
+        assert out_of(src, exec_engine=exec_engine) == "0"
 
-    def test_size_t_from_sizeof(self):
+    def test_size_t_from_sizeof(self, exec_engine):
         src = r"""
         int main(void) {
           size_t n = sizeof(double[10]);
@@ -323,4 +327,4 @@ class TestEnumsAndTypedefs:
           return 0;
         }
         """
-        assert out_of(src) == "80"
+        assert out_of(src, exec_engine=exec_engine) == "80"
