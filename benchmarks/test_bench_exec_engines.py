@@ -15,7 +15,6 @@ from benchmarks.conftest import (
     profiled_instruction_count,
 )
 from repro.exec import create_interpreter
-from repro.midend import default_pass_pipeline
 from repro.pipeline import compile_source, run_source
 
 pytestmark = pytest.mark.exec_differential
@@ -34,11 +33,7 @@ int main(void) {
 
 
 def _compiled_module(source: str):
-    result = compile_source(source)
-    default_pass_pipeline(remarks=result.diagnostics.remarks).run(
-        result.module
-    )
-    return result.module
+    return compile_source(source, optimize=True).module
 
 
 class TestEngineDispatchOverhead:

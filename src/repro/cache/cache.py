@@ -64,11 +64,6 @@ MODULE_REUSES = get_statistic(
     "module-reuses",
     "Mid-end runs fed from a memoized unoptimized module",
 )
-FUNCTION_HITS = get_statistic(
-    "cache",
-    "codegen-function-hits",
-    "Per-function codegen results found unchanged across compiles",
-)
 RESPONSE_HITS = get_statistic(
     "cache", "response-hits", "Service responses served from the cache"
 )
@@ -101,6 +96,9 @@ class CachedCompile:
     compile skip upstream work (``"exact"`` — byte-identical request,
     ``"tokens"`` — identical post-preprocess stream, ``"module"`` —
     memoized unoptimized module fed the mid-end, ``None`` — cold).
+    ``key`` is the final artifact's key (the request fingerprint when
+    the compile was not cacheable) and ``stage_keys`` the chained key of
+    every stage the compile reached.
     """
 
     ir_text: str
@@ -229,9 +227,7 @@ class CompilationCache:
     def put_module(self, key: str, module: Any) -> None:
         self.modules.put(f"module:{key}", module)
 
-    def has_function(self, key: str) -> bool:
-        return f"fn:{key}" in self.memory
-
+    # No pipeline caller; kept because perfbench's layer_spans wraps it.
     def put_function(self, key: str, ir_text: str) -> None:
         EVICTIONS.inc(
             self.memory.put(f"fn:{key}", {"ir": ir_text}, len(ir_text))

@@ -807,6 +807,8 @@ def _drive_one(
         crash_reproducer_dir=args.crash_reproducer_dir,
         invocation=invocation,
         strip_omp_transforms=args.strip_omp_transforms,
+        optimize=args.optimize,
+        instrument=instrument,
     )
 
     warnings = result.diagnostics.render_all()
@@ -820,20 +822,6 @@ def _drive_one(
             dump_shadow=args.ast_dump_shadow,
         )
     elif not args.syntax_only:
-        if args.optimize and result.module is not None:
-            from repro.core.crash_recovery import crash_context
-            from repro.midend import default_pass_pipeline
-
-            with crash_context(
-                source,
-                filename,
-                invocation,
-                args.crash_reproducer_dir,
-            ):
-                default_pass_pipeline(
-                    remarks=result.diagnostics.remarks,
-                    instrument=instrument,
-                ).run(result.module)
         output_text = result.ir_text()
     _emit_remarks(args, result)
 

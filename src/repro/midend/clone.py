@@ -126,10 +126,12 @@ def clone_blocks(
 ) -> list[BasicBlock]:
     """Clone *blocks* into *fn*.
 
-    Two-phase: allocate all blocks (so branch targets remap), then clone
-    instructions.  Phis in blocks listed in *skip_phis_in* are NOT cloned
-    — the caller must have seeded ``value_map`` with their replacement
-    values.
+    Three-phase: allocate all blocks (so branch targets remap), clone
+    instructions, then remap the cloned phis' incoming values — a phi
+    may take a value (e.g. a nested loop's backedge) from a block that
+    is cloned after it, like LLVM's ``remapInstructionsInBlocks``.
+    Phis in blocks listed in *skip_phis_in* are NOT cloned — the caller
+    must have seeded ``value_map`` with their replacement values.
     """
     skip_phis_in = skip_phis_in or set()
     clones: list[BasicBlock] = []
@@ -137,6 +139,7 @@ def clone_blocks(
         new_block = fn.append_block(f"{block.name}{suffix}")
         block_map[id(block)] = new_block
         clones.append(new_block)
+    phis: list[tuple[PhiInst, PhiInst]] = []
     for block, new_block in zip(blocks, clones):
         for inst in block.instructions:
             if isinstance(inst, PhiInst) and id(block) in skip_phis_in:
@@ -144,7 +147,13 @@ def clone_blocks(
                     "phi in skipped block must be pre-seeded"
                 )
                 continue
-            new_block.append(
-                clone_instruction(inst, value_map, block_map)
-            )
+            clone = clone_instruction(inst, value_map, block_map)
+            if isinstance(inst, PhiInst):
+                phis.append((inst, clone))
+            new_block.append(clone)
+    for phi, clone in phis:
+        clone.incoming = [
+            (remap(value, value_map), remap_block(block, block_map))
+            for value, block in phi.incoming
+        ]
     return clones

@@ -1,9 +1,12 @@
 """High-level compilation pipeline (the public library API).
 
 Chains the layers of paper Fig. 1 — FileManager, SourceManager, Lexer,
-Preprocessor, Parser, Sema, CodeGen — into one call.  This is what the
-examples, tests and benchmarks use; the CLI driver
-(:mod:`repro.driver.cli`) is a thin argument-parsing wrapper around it.
+Preprocessor, Parser, Sema, CodeGen — and the mid-end into one staged
+driver: :func:`compile_source` runs the stages straight through,
+:func:`compile_source_cached` runs the same stages with cache hooks
+between them.  This is what the examples, tests and benchmarks use; the
+CLI driver (:mod:`repro.driver.cli`) is a thin argument-parsing wrapper
+around it.
 
 Typical use::
 
@@ -19,6 +22,7 @@ Typical use::
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -138,28 +142,55 @@ class RunResult:
         return self.interpreter.profile
 
 
-def _front_end(
+# ----------------------------------------------------------------------
+# The staged driver.  Paper Fig. 1 as four stages, each a plain function
+# over the previous stage's product:
+#
+#   preprocess -> parse+Sema (builds the shadow AST) -> CodeGen+verify
+#              -> mid-end+verify (only with optimize)
+#
+# compile_source runs them straight through; compile_source_cached runs
+# the same stages with cache probes and stores at their boundaries.
+# ----------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _fatal_ends_stage(diags: DiagnosticsEngine):
+    """A fatal error ends the running stage; the diagnostics say why."""
+    try:
+        yield
+    except FatalErrorOccurred:
+        pass
+    except TooManyErrors:
+        # Clang: "fatal error: too many errors emitted, stopping now".
+        # Appended directly — report() would re-raise on FATAL.
+        diags.diagnostics.append(
+            Diagnostic(
+                Severity.FATAL,
+                "too many errors emitted, stopping now "
+                f"[-ferror-limit={diags.error_limit}]",
+            )
+        )
+
+
+def _preprocess(
     source: str,
     filename: str,
     openmp: bool,
-    enable_irbuilder: bool,
     defines: dict[str, str] | None,
     include_paths: list[str] | None,
     virtual_files: dict[str, str] | None,
-    error_limit: int = 0,
-    strip_omp_transforms: bool = False,
-) -> CompileResult:
+    error_limit: int,
+    strip_omp_transforms: bool,
+) -> tuple[DiagnosticsEngine, Optional[list]]:
+    """Stage 1: returns ``(diags, tokens)``; ``tokens`` is None when a
+    fatal error stopped preprocessing."""
     sm = SourceManager()
     fm = FileManager(include_paths or [])
-    if virtual_files:
-        for name, text in virtual_files.items():
-            fm.register_virtual_file(name, text)
+    for name, text in (virtual_files or {}).items():
+        fm.register_virtual_file(name, text)
     diags = DiagnosticsEngine(sm, error_limit=error_limit)
-    ctx = ASTContext()
-    sema = Sema(ctx, diags)
-    sema.openmp.use_irbuilder = enable_irbuilder
-    try:
-        tokens: list = []
+    with _fatal_ends_stage(diags):
         # Constructing the preprocessor already lexes (builtin macros,
         # -D values), so it sits inside the recovery scope too.
         with recovery_scope("preprocess", diags), pretty_stack_entry(
@@ -176,31 +207,91 @@ def _front_end(
                 ),
             )
             pp.enter_source(source, filename)
-            tokens = pp.lex_all()
-        with recovery_scope("parse", diags), pretty_stack_entry(
-            f"parsing '{filename}'"
-        ):
-            parser = Parser(tokens, sema, diags)
-            parser.parse_translation_unit()
-    except FatalErrorOccurred:
-        pass
-    except TooManyErrors:
-        # Clang: "fatal error: too many errors emitted, stopping now".
-        # Appended directly — report() would re-raise on FATAL.
-        diags.diagnostics.append(
-            Diagnostic(
-                Severity.FATAL,
-                "too many errors emitted, stopping now "
-                f"[-ferror-limit={error_limit}]",
-            )
-        )
+            return diags, pp.lex_all()
+    return diags, None
+
+
+def _parse(
+    diags: DiagnosticsEngine,
+    tokens: Optional[list],
+    filename: str,
+    enable_irbuilder: bool,
+) -> CompileResult:
+    """Stage 2: Parser + Sema, which builds the shadow AST."""
+    ctx = ASTContext()
+    sema = Sema(ctx, diags)
+    sema.openmp.use_irbuilder = enable_irbuilder
+    if tokens is not None:
+        with _fatal_ends_stage(diags), recovery_scope(
+            "parse", diags
+        ), pretty_stack_entry(f"parsing '{filename}'"):
+            Parser(tokens, sema, diags).parse_translation_unit()
     return CompileResult(
-        source_manager=sm,
+        source_manager=diags.source_manager,
         diagnostics=diags,
         ast_context=ctx,
         translation_unit=ctx.translation_unit,
         sema=sema,
     )
+
+
+def _proceed(result: CompileResult, strict: bool) -> bool:
+    """Stage boundary: may *result* go on?  Under *strict* an error
+    raises :class:`CompilationError` instead."""
+    if not result.diagnostics.has_errors():
+        return True
+    if strict:
+        raise CompilationError(
+            result.diagnostics_text(),
+            ice=result.diagnostics.has_internal_errors(),
+        )
+    return False
+
+
+def _verify(module: Module, filename: str) -> None:
+    with time_trace_scope("Verify", filename):
+        verify_module(module)
+
+
+def _codegen(
+    result: CompileResult,
+    filename: str,
+    enable_irbuilder: bool,
+    verify: bool,
+    strict: bool,
+) -> bool:
+    """Stage 3: CodeGen, then the verifier on an error-free module.
+    Returns whether the module may go on to the mid-end."""
+    result.module = CodeGenModule(
+        result.ast_context,
+        result.diagnostics,
+        CodeGenOptions(
+            enable_irbuilder=enable_irbuilder, module_name=filename
+        ),
+    ).emit_translation_unit(result.translation_unit)
+    if not _proceed(result, strict):
+        return False
+    if verify:
+        _verify(result.module, filename)
+    return True
+
+
+def _midend(
+    module: Module,
+    remarks: Optional[RemarkEmitter],
+    instrument: Optional[PassInstrumentation],
+    filename: str,
+    verify: bool = True,
+) -> None:
+    """Stage 4: the mid-end pass pipeline (whose LoopUnroll does the
+    paper's partial-unroll duplication), then the verifier."""
+    from repro.midend import default_pass_pipeline
+
+    default_pass_pipeline(remarks=remarks, instrument=instrument).run(
+        module, instrument
+    )
+    if verify:
+        _verify(module, filename)
 
 
 def compile_source(
@@ -218,6 +309,8 @@ def compile_source(
     crash_reproducer_dir: str | None = None,
     invocation: str | None = None,
     strip_omp_transforms: bool = False,
+    optimize: bool = False,
+    instrument: PassInstrumentation | None = None,
 ) -> CompileResult:
     """Compile C source to IR.
 
@@ -229,96 +322,56 @@ def compile_source(
     ``strip_omp_transforms`` = ``--strip-omp-transforms`` (discard
     unroll/tile/reverse/interchange/fuse directives — the
     differential-testing reference configuration).
+    ``optimize`` = ``-O``: the module additionally runs the mid-end
+    pass pipeline (incl. the LoopUnroll pass that consumes the
+    ``llvm.loop.unroll.*`` metadata emitted for the paper's unroll
+    directive); ``instrument`` threads a
+    :class:`~repro.instrument.PassInstrumentation` through it.
+    ``verify`` runs the IR verifier after CodeGen and after the
+    mid-end.
+
     With ``strict=True`` a :class:`CompilationError` is raised when any
     error diagnostic was produced.  Every phase runs under a crash
     recovery scope: an unexpected exception either becomes an error
     diagnostic of category ``"ice"`` (per-directive Sema, per-function
     CodeGen) or an :class:`~repro.core.crash_recovery.
     InternalCompilerError` — never a raw Python traceback.
+
+    The result's ``stats`` are the statistics deltas of every stage
+    that ran, mid-end passes included.
     """
     before = STATS.snapshot()
     with crash_context(
         source, filename, invocation, crash_reproducer_dir
     ):
-        result = _front_end(
+        diags, tokens = _preprocess(
             source,
             filename,
             openmp,
-            enable_irbuilder,
             defines,
             include_paths,
             virtual_files,
-            error_limit=error_limit,
-            strip_omp_transforms=strip_omp_transforms,
+            error_limit,
+            strip_omp_transforms,
         )
-        if result.diagnostics.has_errors():
-            result.stats = STATS.delta_since(before)
-            if strict:
-                raise CompilationError(
-                    result.diagnostics_text(),
-                    ice=result.diagnostics.has_internal_errors(),
-                )
-            return result
-        if syntax_only:
-            result.stats = STATS.delta_since(before)
-            return result
-        cgm = CodeGenModule(
-            result.ast_context,
-            result.diagnostics,
-            CodeGenOptions(
-                enable_irbuilder=enable_irbuilder,
-                module_name=filename,
-            ),
-        )
-        result.module = cgm.emit_translation_unit(
-            result.translation_unit
-        )
-        if result.diagnostics.has_errors() and strict:
-            result.stats = STATS.delta_since(before)
-            raise CompilationError(
-                result.diagnostics_text(),
-                ice=result.diagnostics.has_internal_errors(),
-            )
+        result = _parse(diags, tokens, filename, enable_irbuilder)
         if (
-            verify
-            and result.module is not None
-            and not result.diagnostics.has_errors()
+            _proceed(result, strict)
+            and not syntax_only
+            and _codegen(
+                result, filename, enable_irbuilder, verify, strict
+            )
+            and optimize
         ):
-            with time_trace_scope("Verify", filename):
-                verify_module(result.module)
-        result.stats = STATS.delta_since(before)
-        return result
-
-
-def _lex_for_cache(
-    source: str,
-    filename: str,
-    openmp: bool,
-    defines: dict[str, str],
-    include_paths: list[str],
-    strip_omp_transforms: bool,
-):
-    """Preprocess *source* in isolation (the cache's stage-1 probe).
-
-    Returns ``(tokens, diags)``; the token stream is what the
-    preprocess-stage cache key hashes, so an include-file edit changes
-    the key (the stream reflects post-#include content) while a comment
-    or whitespace edit does not."""
-    sm = SourceManager()
-    fm = FileManager(include_paths or [])
-    diags = DiagnosticsEngine(sm)
-    pp = Preprocessor(
-        sm,
-        fm,
-        diags,
-        PreprocessorOptions(
-            defines=dict(defines),
-            openmp=openmp,
-            strip_omp_transforms=strip_omp_transforms,
-        ),
-    )
-    pp.enter_source(source, filename)
-    return pp.lex_all(), diags
+            _midend(
+                result.module,
+                result.diagnostics.remarks,
+                instrument,
+                filename,
+                verify,
+            )
+    result.stats = STATS.delta_since(before)
+    return result
 
 
 def compile_source_cached(
@@ -336,41 +389,40 @@ def compile_source_cached(
     crash_reproducer_dir: str | None = None,
     invocation: str | None = None,
 ):
-    """:func:`compile_source` with per-stage memoization.
+    """:func:`compile_source` with the cache hooked in between stages.
 
-    *cache* is a :class:`repro.cache.CompilationCache`.  The memoization
-    hooks sit at the pipeline's stage boundaries, each keyed by a chain
-    of content hashes (see :mod:`repro.cache.key`), so recompilation
-    resumes downstream of the first divergent input:
+    *cache* is a :class:`repro.cache.CompilationCache`.  The stages are
+    the ones :func:`compile_source` runs; the hooks between them probe
+    and store artifacts keyed by a chain of content hashes (see
+    :mod:`repro.cache.key`), so recompilation resumes downstream of the
+    first divergent input:
 
-    1. **exact** — the raw request (source + flags) matches an alias:
-       replay the final artifact, run nothing;
+    1. **exact** — before any stage, the raw request (source + flags)
+       matches an alias: replay the final artifact, run nothing;
     2. **tokens** — after preprocessing, the token stream matches: the
-       final artifact is replayed and parse/sema/codegen/mid-end are
+       final artifact is replayed and parse/Sema/CodeGen/mid-end are
        skipped (comment and whitespace edits land here);
-    3. **module** — only the ``optimize`` flag diverged: the memoized
-       unoptimized module (deep-copied) feeds the mid-end directly;
-    4. **cold** — full compile; every stage artifact is recorded on the
-       way out, including per-function codegen hashes.
+    3. **module** — only the ``optimize`` flag diverged: the module an
+       earlier unoptimized compile memoized (deep-copied out) feeds the
+       mid-end stage directly;
+    4. **cold** — the remaining stages run on the tokens preprocessing
+       already produced; the codegen artifact (and, without
+       ``optimize``, the module) and the final artifact are stored.
 
     Only *successful* compiles are cached (diagnostic-error and ICE
     outcomes raise, exactly like ``compile_source(strict=True)``, and
-    leave no cache entry).  Cached diagnostics (warnings) embed source
-    locations, so they are only replayed when the raw source text is
-    byte-identical — a token-level hit on a comment-shifted file falls
-    back to a cold compile rather than replaying stale line numbers.
-    Returns a :class:`repro.cache.CachedCompile`; cached and cold
-    compiles are byte-identical in ``ir_text`` and
-    ``diagnostics_text`` (the differential fuzzer's cache oracle
-    enforces this).
+    leave no cache entry); neither is a source whose preprocessing
+    reported anything, because directives such as ``#warning`` leave no
+    trace in the token stream the keys hash.  Cached diagnostics
+    (warnings) embed source locations, so they are only replayed when
+    the raw source text is byte-identical — a token-level hit on a
+    comment-shifted file falls back to a cold compile rather than
+    replaying stale line numbers.  Returns a
+    :class:`repro.cache.CachedCompile`; cached and cold compiles are
+    byte-identical in ``ir_text`` and ``diagnostics_text`` (the
+    differential fuzzer's cache oracle enforces this).
     """
-    import copy as _copy
-
-    from repro.cache.cache import (
-        FUNCTION_HITS,
-        STAGE_RESUMES,
-        CachedCompile,
-    )
+    from repro.cache.cache import STAGE_RESUMES, CachedCompile
     from repro.cache.key import (
         define_items,
         request_fingerprint,
@@ -378,14 +430,11 @@ def compile_source_cached(
         stage_key,
         token_stream_text,
     )
-    from repro.ir.printer import print_function
     from repro.midend import default_pass_pipeline
 
     defines = dict(defines or {})
     include_paths = list(include_paths or [])
-    mode = "irbuilder" if enable_irbuilder else "shadow"
     src_id = source_id(source)
-
     raw_key = request_fingerprint(
         source,
         filename=filename,
@@ -403,12 +452,7 @@ def compile_source_cached(
     # replay a stale artifact after a header edit, so skip it.
     allow_alias = not include_paths
 
-    def _tier_of(key: str) -> str:
-        return (
-            "memory" if f"artifact:{key}" in cache.memory else "disk"
-        )
-
-    def _diags_ok(artifact: dict) -> bool:
+    def diags_ok(artifact: dict) -> bool:
         # Rendered diagnostics embed line/column numbers, so they are
         # only valid verbatim against the exact source that produced
         # them.  Clean compiles replay anywhere.
@@ -417,218 +461,132 @@ def compile_source_cached(
             or artifact.get("source_id") == src_id
         )
 
+    def replay(key: str, resumed_from: str, stage_keys: dict):
+        # Tier must be sampled before the lookup: a disk hit is
+        # promoted into the memory tier on the way out.
+        tier = "memory" if f"artifact:{key}" in cache.memory else "disk"
+        artifact = cache.get_artifact(key)
+        if artifact is None or not diags_ok(artifact):
+            return None
+        if resumed_from != "exact":
+            STAGE_RESUMES.inc()
+            if allow_alias:
+                cache.put_alias(raw_key, key)
+        return CachedCompile(
+            ir_text=artifact["ir"],
+            diagnostics_text=artifact.get("diagnostics", ""),
+            key=key,
+            hit=True,
+            resumed_from=resumed_from,
+            origin=tier,
+            stage_keys=stage_keys,
+        )
+
+    def store(key, stage: str, ir: str, diag_text: str):
+        if key is not None:
+            cache.put_artifact(
+                key,
+                {
+                    "stage": stage,
+                    "ir": ir,
+                    "diagnostics": diag_text,
+                    "source_id": src_id,
+                },
+            )
+
+    def compiled(key, ir: str, diag_text: str, resumed_from=None):
+        if key is not None and allow_alias:
+            cache.put_alias(raw_key, key)
+        return CachedCompile(
+            ir_text=ir,
+            diagnostics_text=diag_text,
+            key=key if key is not None else raw_key,
+            hit=False,
+            resumed_from=resumed_from,
+            origin="compiled",
+            stage_keys=stage_keys,
+        )
+
+    stage_keys: dict[str, str] = {}
     if allow_alias:
         target = cache.get_alias(raw_key)
         if target is not None:
-            # Tier must be sampled before the lookup: a disk hit is
-            # promoted into the memory tier on the way out.
-            tier = _tier_of(target)
-            artifact = cache.get_artifact(target)
-            if artifact is not None and _diags_ok(artifact):
-                return CachedCompile(
-                    ir_text=artifact["ir"],
-                    diagnostics_text=artifact.get("diagnostics", ""),
-                    key=target,
-                    hit=True,
-                    resumed_from="exact",
-                    origin=tier,
-                    stage_keys={"final": target},
-                )
+            hit = replay(target, "exact", {"final": target})
+            if hit is not None:
+                return hit
 
-    # Stage 1 probe: preprocess in isolation to derive the chained
-    # stage keys.  Any lex-level failure (error diagnostics, fatal
-    # include errors) falls through to the uncached pipeline, which
-    # owns error rendering and crash recovery — nothing is cached.
-    tokens = None
-    try:
-        tokens, pre_diags = _lex_for_cache(
+    with crash_context(
+        source, filename, invocation, crash_reproducer_dir
+    ):
+        diags, tokens = _preprocess(
             source,
             filename,
             openmp,
             defines,
             include_paths,
+            None,
+            error_limit,
             strip_omp_transforms,
         )
-        if pre_diags.has_errors():
-            tokens = None
-    except Exception:
-        tokens = None
-
-    stage_keys: dict[str, str] = {}
-    k_cg = k_opt = final_key = None
-    if tokens is not None:
-        k_pp = stage_key(
-            "preprocess",
-            None,
-            [
-                token_stream_text(tokens),
-                filename,
-                openmp,
-                list(define_items(defines)),
-                strip_omp_transforms,
-            ],
-        )
-        k_fe = stage_key("frontend", k_pp, [mode, error_limit])
-        k_cg = stage_key("codegen", k_fe, [])
-        stage_keys = {
-            "preprocess": k_pp,
-            "frontend": k_fe,
-            "codegen": k_cg,
-        }
-        if optimize:
-            k_opt = stage_key(
-                "opt", k_cg, default_pass_pipeline().pass_names()
-            )
-            stage_keys["opt"] = k_opt
-        final_key = k_opt if optimize else k_cg
-
-        tier = _tier_of(final_key)  # sample before the promoting get
-        artifact = cache.get_artifact(final_key)
-        if artifact is not None and _diags_ok(artifact):
-            STAGE_RESUMES.inc()
-            if allow_alias:
-                cache.put_alias(raw_key, final_key)
-            return CachedCompile(
-                ir_text=artifact["ir"],
-                diagnostics_text=artifact.get("diagnostics", ""),
-                key=final_key,
-                hit=True,
-                resumed_from="tokens",
-                origin=tier,
-                stage_keys=stage_keys,
-            )
-
-        if optimize:
-            # Module resume: the unoptimized module for this token
-            # stream is memoized in-process — rerun only the mid-end.
-            cg_art = cache.get_artifact(k_cg)
-            if cg_art is not None and _diags_ok(cg_art):
-                module = cache.get_module(k_cg)
-                if module is not None:
-                    STAGE_RESUMES.inc()
-                    with crash_context(
-                        source,
-                        filename,
-                        invocation,
-                        crash_reproducer_dir,
-                    ):
-                        default_pass_pipeline().run(module)
-                        with time_trace_scope("Verify", filename):
-                            verify_module(module)
-                    diag_text = cg_art.get("diagnostics", "")
-                    artifact = {
-                        "stage": "opt",
-                        "ir": print_module(module),
-                        "diagnostics": diag_text,
-                        "source_id": cg_art.get("source_id", src_id),
-                    }
-                    cache.put_artifact(k_opt, artifact)
-                    if allow_alias:
-                        cache.put_alias(raw_key, k_opt)
-                    return CachedCompile(
-                        ir_text=artifact["ir"],
-                        diagnostics_text=diag_text,
-                        key=k_opt,
-                        hit=False,
-                        resumed_from="module",
-                        origin="compiled",
-                        stage_keys=stage_keys,
-                    )
-
-    # Cold: the full pipeline.  strict=True means errors and ICEs
-    # raise before any store below, so failures are never cached.
-    result = compile_source(
-        source,
-        filename=filename,
-        openmp=openmp,
-        enable_irbuilder=enable_irbuilder,
-        syntax_only=False,
-        defines=defines,
-        include_paths=include_paths,
-        verify=True,
-        strict=True,
-        error_limit=error_limit,
-        crash_reproducer_dir=crash_reproducer_dir,
-        invocation=invocation,
-        strip_omp_transforms=strip_omp_transforms,
-    )
-    assert result.module is not None
-    diag_text = result.diagnostics_text()
-    unopt_ir = result.ir_text()
-
-    if k_cg is not None:
-        cache.put_artifact(
-            k_cg,
-            {
-                "stage": "codegen",
-                "ir": unopt_ir,
-                "diagnostics": diag_text,
-                "source_id": src_id,
-            },
-        )
-        # Per-function codegen memo: keyed by the function body's AST
-        # dump, so an edit to one function registers every *other*
-        # function as a codegen-level hit.  (Splicing cached function
-        # text into a fresh module is unsound — module-level metadata
-        # numbering is global — so this memo only feeds accounting
-        # and the stored per-function IR snapshots.)
-        for fn in result.translation_unit.functions():
-            if fn.body is None:
-                continue
-            fn_key = stage_key(
-                "fn-codegen",
+        k_cg = final_key = None
+        if tokens is not None and not diags.diagnostics:
+            k_pp = stage_key(
+                "preprocess",
                 None,
-                [mode, fn.name, dump_ast(fn.body, dump_shadow=True)],
+                [
+                    token_stream_text(tokens),
+                    filename,
+                    openmp,
+                    list(define_items(defines)),
+                    strip_omp_transforms,
+                ],
             )
-            if cache.has_function(fn_key):
-                FUNCTION_HITS.inc()
-            else:
-                ir_fn = result.module.functions.get(fn.name)
-                cache.put_function(
-                    fn_key,
-                    print_function(ir_fn) if ir_fn is not None else "",
+            mode = "irbuilder" if enable_irbuilder else "shadow"
+            k_fe = stage_key("frontend", k_pp, [mode, error_limit])
+            k_cg = final_key = stage_key("codegen", k_fe, [])
+            stage_keys = {
+                "preprocess": k_pp,
+                "frontend": k_fe,
+                "codegen": k_cg,
+            }
+            if optimize:
+                final_key = stage_keys["opt"] = stage_key(
+                    "opt", k_cg, default_pass_pipeline().pass_names()
                 )
-        # Memoize the unoptimized module for O0 -> O1 resume.  When
-        # the mid-end is about to mutate it, memoize a private copy.
-        cache.put_module(
-            k_cg,
-            _copy.deepcopy(result.module) if optimize else result.module,
-        )
-
-    if optimize:
-        with crash_context(
-            source, filename, invocation, crash_reproducer_dir
-        ):
-            default_pass_pipeline(
-                remarks=result.diagnostics.remarks
-            ).run(result.module)
-            with time_trace_scope("Verify", filename):
-                verify_module(result.module)
-        final_ir = result.ir_text()
-        if k_opt is not None:
-            cache.put_artifact(
-                k_opt,
-                {
-                    "stage": "opt",
-                    "ir": final_ir,
-                    "diagnostics": diag_text,
-                    "source_id": src_id,
-                },
+            hit = replay(final_key, "tokens", stage_keys)
+            if hit is not None:
+                return hit
+            cg_art = cache.get_artifact(k_cg) if optimize else None
+            module = (
+                cache.get_module(k_cg)
+                if cg_art is not None and diags_ok(cg_art)
+                else None
             )
-    else:
-        final_ir = unopt_ir
+            if module is not None:
+                STAGE_RESUMES.inc()
+                _midend(module, diags.remarks, None, filename)
+                ir = print_module(module)
+                diag_text = cg_art.get("diagnostics", "")
+                store(final_key, "opt", ir, diag_text)
+                return compiled(final_key, ir, diag_text, "module")
 
-    if final_key is not None and allow_alias:
-        cache.put_alias(raw_key, final_key)
-    return CachedCompile(
-        ir_text=final_ir,
-        diagnostics_text=diag_text,
-        key=final_key if final_key is not None else raw_key,
-        hit=False,
-        resumed_from=None,
-        origin="compiled",
-        stage_keys=stage_keys,
-    )
+        # Cold: strict=True means errors and ICEs raise before any
+        # store below, so failures are never cached.
+        result = _parse(diags, tokens, filename, enable_irbuilder)
+        _proceed(result, strict=True)
+        _codegen(result, filename, enable_irbuilder, True, strict=True)
+        diag_text = result.diagnostics_text()
+        ir = result.ir_text()
+        store(k_cg, "codegen", ir, diag_text)
+        if optimize:
+            _midend(result.module, diags.remarks, None, filename)
+            ir = result.ir_text()
+            store(final_key, "opt", ir, diag_text)
+        elif k_cg is not None:
+            # Memoize the unoptimized module for an O0 -> O1 resume;
+            # nothing mutates it after this point.
+            cache.put_module(k_cg, result.module)
+    return compiled(final_key, ir, diag_text)
 
 
 def run_source(
@@ -654,11 +612,8 @@ def run_source(
     exec_engine: str = "closures",
 ) -> RunResult:
     """Compile and execute *source*; returns exit code and captured
-    stdout.  ``optimize=True`` additionally runs the mid-end pass
-    pipeline (incl. the LoopUnroll pass that consumes the
-    ``llvm.loop.unroll.*`` metadata emitted for the paper's unroll
-    directive); ``instrument`` threads a
-    :class:`~repro.instrument.PassInstrumentation` through it.
+    stdout.  ``optimize`` and ``instrument`` are
+    :func:`compile_source`'s.
 
     Interpreter guardrails: ``fuel`` bounds retired instructions,
     ``timeout_s`` is a wall-clock deadline (both raise
@@ -685,19 +640,13 @@ def run_source(
         crash_reproducer_dir=crash_reproducer_dir,
         invocation=invocation,
         strip_omp_transforms=strip_omp_transforms,
+        optimize=optimize,
+        instrument=instrument,
     )
     assert result.module is not None
     with crash_context(
         source, filename, invocation, crash_reproducer_dir
     ):
-        if optimize:
-            from repro.midend import default_pass_pipeline
-
-            default_pass_pipeline(
-                remarks=result.diagnostics.remarks,
-                instrument=instrument,
-            ).run(result.module, instrument)
-            verify_module(result.module)
         interp = create_interpreter(
             result.module,
             engine=exec_engine,
@@ -845,14 +794,8 @@ def execute_request(
             enable_irbuilder=enable_irbuilder,
             defines=defines,
             strip_omp_transforms=strip_omp_transforms,
+            optimize=optimize,
         )
-        if optimize and result.module is not None:
-            from repro.midend import default_pass_pipeline
-
-            default_pass_pipeline(
-                remarks=result.diagnostics.remarks
-            ).run(result.module)
-            verify_module(result.module)
         return finish("ok", output=result.ir_text(), exit_code=0)
     except CompilationError as exc:
         kind = "ice" if exc.ice else "compile-error"

@@ -85,6 +85,7 @@ DEFAULT_CONFIGS: tuple[Config, ...] = (
     Config("shadow"),
     Config("irbuilder", enable_irbuilder=True),
     Config("midend-O1", optimize=True),
+    Config("irbuilder-O1", enable_irbuilder=True, optimize=True),
     Config("stripped", strip_omp_transforms=True),
 )
 
@@ -278,8 +279,6 @@ def _cache_identity_mismatch(
 
     global _ORACLE_CACHE
     from repro.cache import CompilationCache
-    from repro.ir.verifier import verify_module
-    from repro.midend import default_pass_pipeline
     from repro.pipeline import compile_source, compile_source_cached
 
     if _ORACLE_CACHE is None:
@@ -300,13 +299,8 @@ def _cache_identity_mismatch(
             source,
             enable_irbuilder=config.enable_irbuilder,
             strip_omp_transforms=config.strip_omp_transforms,
-            strict=True,
+            optimize=optimize,
         )
-        if optimize:
-            default_pass_pipeline(
-                remarks=result.diagnostics.remarks
-            ).run(result.module)
-            verify_module(result.module)
         return result.ir_text(), result.diagnostics_text()
 
     for optimize in (False, True):

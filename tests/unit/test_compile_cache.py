@@ -8,8 +8,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cache import CompilationCache
-from repro.ir.verifier import verify_module
-from repro.midend import default_pass_pipeline
 from repro.pipeline import (
     CompilationError,
     compile_source,
@@ -38,14 +36,8 @@ int main() {
 """
 
 
-def cold_ir(source: str, optimize: bool = False, **kwargs) -> str:
-    result = compile_source(source, strict=True, **kwargs)
-    if optimize:
-        default_pass_pipeline(
-            remarks=result.diagnostics.remarks
-        ).run(result.module)
-        verify_module(result.module)
-    return result.ir_text()
+def cold_ir(source: str, **kwargs) -> str:
+    return compile_source(source, **kwargs).ir_text()
 
 
 class TestResumeLevels:

@@ -39,7 +39,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.exec import create_interpreter  # noqa: E402
-from repro.midend import default_pass_pipeline  # noqa: E402
 from repro.pipeline import compile_source  # noqa: E402
 
 #: (name, num_threads, source template) — %(n)d is the problem size
@@ -171,11 +170,7 @@ def _percentiles(values: list[float]) -> dict:
 
 
 def _compile_kernel(source: str):
-    result = compile_source(source)
-    default_pass_pipeline(remarks=result.diagnostics.remarks).run(
-        result.module
-    )
-    return result.module
+    return compile_source(source, optimize=True).module
 
 
 def _sample(module, engine: str, num_threads: int):
