@@ -44,7 +44,6 @@ from repro.interp.interpreter import (
     ThreadState,
     Trap,
 )
-from repro.interp.memory import MemoryError_
 from repro.ir.instructions import (
     AllocaInst,
     BinaryInst,
@@ -734,6 +733,7 @@ class ClosureCompiler:
         ty = inst.type
         mem = self.interp.memory
         data = mem.data
+        fault = mem.fault
         desc = f"r{d} = load {ty}, r{p}"
         if isinstance(ty, IntType) and ty.bits in _INT_STRUCTS:
             codec = _INT_STRUCTS[ty.bits]
@@ -741,30 +741,24 @@ class ClosureCompiler:
             unpack_from = codec.unpack_from
             if ty.bits == 1:
                 def op(
-                    ctx, frame, d=d, p=p, data=data,
+                    ctx, frame, d=d, p=p, data=data, fault=fault,
                     unpack_from=unpack_from, size=size, nxt=nxt,
                 ):
                     regs = frame.regs
                     addr = regs[p]
                     if addr <= 0 or addr + size > len(data):
-                        raise MemoryError_(
-                            f"out-of-range access: {size} bytes "
-                            f"at {addr:#x}"
-                        )
+                        fault(addr, size)
                     regs[d] = unpack_from(data, addr)[0] & 1
                     frame.index = nxt
             else:
                 def op(
-                    ctx, frame, d=d, p=p, data=data,
+                    ctx, frame, d=d, p=p, data=data, fault=fault,
                     unpack_from=unpack_from, size=size, nxt=nxt,
                 ):
                     regs = frame.regs
                     addr = regs[p]
                     if addr <= 0 or addr + size > len(data):
-                        raise MemoryError_(
-                            f"out-of-range access: {size} bytes "
-                            f"at {addr:#x}"
-                        )
+                        fault(addr, size)
                     regs[d] = unpack_from(data, addr)[0]
                     frame.index = nxt
             return op, desc
@@ -780,15 +774,13 @@ class ClosureCompiler:
             unpack_from = codec.unpack_from
 
             def op(
-                ctx, frame, d=d, p=p, data=data,
+                ctx, frame, d=d, p=p, data=data, fault=fault,
                 unpack_from=unpack_from, size=size, nxt=nxt,
             ):
                 regs = frame.regs
                 addr = regs[p]
                 if addr <= 0 or addr + size > len(data):
-                    raise MemoryError_(
-                        f"out-of-range access: {size} bytes at {addr:#x}"
-                    )
+                    fault(addr, size)
                 regs[d] = unpack_from(data, addr)[0]
                 frame.index = nxt
 
@@ -810,6 +802,7 @@ class ClosureCompiler:
         ty = inst.value.type
         mem = self.interp.memory
         data = mem.data
+        fault = mem.fault
         desc = f"store {ty} r{v} -> r{p}"
         if isinstance(ty, IntType) and ty.bits in _INT_STRUCTS:
             codec = _INT_STRUCTS[ty.bits]
@@ -818,15 +811,13 @@ class ClosureCompiler:
             pack_into = codec.pack_into
 
             def op(
-                ctx, frame, v=v, p=p, data=data,
+                ctx, frame, v=v, p=p, data=data, fault=fault,
                 pack_into=pack_into, size=size, mask=mask, nxt=nxt,
             ):
                 regs = frame.regs
                 addr = regs[p]
                 if addr <= 0 or addr + size > len(data):
-                    raise MemoryError_(
-                        f"out-of-range access: {size} bytes at {addr:#x}"
-                    )
+                    fault(addr, size)
                 pack_into(data, addr, int(regs[v]) & mask)
                 frame.index = nxt
 
@@ -837,15 +828,13 @@ class ClosureCompiler:
             pack_into = codec.pack_into
 
             def op(
-                ctx, frame, v=v, p=p, data=data,
+                ctx, frame, v=v, p=p, data=data, fault=fault,
                 pack_into=pack_into, size=size, nxt=nxt,
             ):
                 regs = frame.regs
                 addr = regs[p]
                 if addr <= 0 or addr + size > len(data):
-                    raise MemoryError_(
-                        f"out-of-range access: {size} bytes at {addr:#x}"
-                    )
+                    fault(addr, size)
                 pack_into(data, addr, float(regs[v]))
                 frame.index = nxt
 
@@ -856,15 +845,13 @@ class ClosureCompiler:
             mask64 = (1 << 64) - 1
 
             def op(
-                ctx, frame, v=v, p=p, data=data,
+                ctx, frame, v=v, p=p, data=data, fault=fault,
                 pack_into=pack_into, mask64=mask64, nxt=nxt,
             ):
                 regs = frame.regs
                 addr = regs[p]
                 if addr <= 0 or addr + 8 > len(data):
-                    raise MemoryError_(
-                        f"out-of-range access: 8 bytes at {addr:#x}"
-                    )
+                    fault(addr, 8)
                 pack_into(data, addr, int(regs[v]) & mask64)
                 frame.index = nxt
 

@@ -1,9 +1,16 @@
 """Flat byte-addressable memory for the interpreter.
 
-Layout: one bytearray; address 0 is reserved (null).  Globals are
-allocated at startup, stack frames bump-allocate and release on return,
-and a tiny heap serves ``malloc``.  Function "addresses" live in a
-reserved high range so function pointers round-trip through memory.
+Layout: one flat address space of ``size`` bytes; address 0 is
+reserved (null).  Globals are allocated at startup, stack frames
+bump-allocate and release on return, and a tiny heap serves ``malloc``.
+Function "addresses" live in a reserved high range so function pointers
+round-trip through memory.
+
+Every address in ``(0, size)`` is valid and reads as zero until
+written, but only a prefix of it is backed: ``data`` covers addresses
+``[0, len(data))`` and grows in place, in 64 KiB zero chunks, when an
+access first touches an address past it (:meth:`Memory.fault`).  A run
+that touches 512 KiB never allocates the rest of its 4 MiB.
 """
 
 from __future__ import annotations
@@ -35,14 +42,23 @@ class MemoryLimitExceeded(MemoryError_):
 #: Function pseudo-addresses start here (way above any data address).
 FUNCTION_ADDRESS_BASE = 1 << 48
 
+#: growth unit of the backing store
+_CHUNK = 1 << 16
+_ZERO_CHUNK = bytes(_CHUNK)
+
 
 class Memory:
     def __init__(
         self, size: int = 1 << 22, limit: int | None = None
     ) -> None:
-        self.data = bytearray(size)
+        #: logical size: addresses in ``(0, size)`` are valid
+        self.size = size
+        #: backing store of addresses ``[0, len(data))``.  Never rebound:
+        #: compiled closures hold this bytearray and check ``len(data)``
+        #: before calling :meth:`fault`.
+        self.data = bytearray(min(size, _CHUNK))
         #: hard ceiling on total guest memory (None = unlimited); the
-        #: backing bytearray otherwise grows geometrically on demand
+        #: logical size otherwise grows geometrically on demand
         self.limit = limit
         #: bump pointer; 16 keeps null + some red zone free
         self._brk = 16
@@ -61,11 +77,9 @@ class Memory:
                 f"guest memory ceiling exceeded: allocating {size} bytes "
                 f"needs {new_brk} bytes total (limit {self.limit})"
             )
-        if new_brk > len(self.data):
+        if new_brk > self.size:
             # Grow geometrically; the interpreter is bounded by tests.
-            self.data.extend(
-                bytearray(max(len(self.data), new_brk - len(self.data)))
-            )
+            self.size += max(self.size, new_brk - self.size)
         self._brk = new_brk
         return addr
 
@@ -80,8 +94,9 @@ class Memory:
         """Free the whole guest heap once its run is over.  Cleared in
         place: compiled closures hold the bytearray itself, and the
         interpreter's reference cycles would otherwise keep it alive
-        until a full garbage collection."""
+        until a full garbage collection.  No address stays valid."""
         self.data.clear()
+        self.size = 0
 
     # ------------------------------------------------------------------
     # Function pseudo-addresses
@@ -103,9 +118,23 @@ class Memory:
     # ------------------------------------------------------------------
     def _check(self, addr: int, size: int) -> None:
         if addr <= 0 or addr + size > len(self.data):
+            self.fault(addr, size)
+
+    def fault(self, addr: int, size: int) -> None:
+        """Slow path of every access check (the closure engine's too):
+        back ``[addr, addr + size)`` with zero bytes, or raise if it is
+        not inside the logical range."""
+        end = addr + size
+        if addr <= 0 or end > self.size:
             raise MemoryError_(
                 f"out-of-range access: {size} bytes at {addr:#x}"
             )
+        data = self.data
+        end = min(-(-end // _CHUNK) * _CHUNK, self.size)
+        while len(data) + _CHUNK <= end:
+            data.extend(_ZERO_CHUNK)
+        if len(data) < end:
+            data.extend(bytes(end - len(data)))
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         self._check(addr, size)
@@ -116,9 +145,21 @@ class Memory:
         self.data[addr : addr + len(payload)] = payload
 
     def read_cstring(self, addr: int, limit: int = 1 << 16) -> str:
+        """The NUL-terminated string at *addr* (at most *limit* bytes)."""
+        data, size = self.data, self.size
         out = bytearray()
         for i in range(limit):
-            b = self.data[addr + i]
+            index = addr + i
+            if not 0 <= index < len(data):
+                # Index the logical range as one bytearray of `size`
+                # bytes would be indexed: from the end when negative,
+                # and with the same IndexError outside it.
+                if not -size <= index < size:
+                    bytearray()[index]
+                index %= size
+                if index >= len(data):
+                    break  # never written: reads as NUL
+            b = data[index]
             if b == 0:
                 break
             out.append(b)

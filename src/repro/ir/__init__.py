@@ -44,7 +44,7 @@ from repro.ir.values import (
     UndefValue,
     Value,
 )
-from repro.ir.module import BasicBlock, Function, Module
+from repro.ir.module import BasicBlock, Function, Module, predecessor_map
 from repro.ir.metadata import MDNode, MDString, loop_metadata
 from repro.ir.irbuilder import IRBuilder
 from repro.ir.printer import print_module
@@ -83,6 +83,7 @@ __all__ = [
     "i64",
     "i8",
     "loop_metadata",
+    "predecessor_map",
     "print_module",
     "ptr",
     "verify_module",

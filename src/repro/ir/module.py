@@ -39,12 +39,11 @@ class BasicBlock(Value):
         return term.successors() if term is not None else []
 
     def predecessors(self) -> list["BasicBlock"]:
+        """Blocks branching here, once each, in function order.  Scans
+        the whole function: callers asking for every block's
+        predecessors use :func:`predecessor_map` instead."""
         assert self.parent is not None
-        return [
-            block
-            for block in self.parent.blocks
-            if self in block.successors()
-        ]
+        return predecessor_map(self.parent)[id(self)]
 
     def phis(self) -> list[PhiInst]:
         return [
@@ -67,6 +66,26 @@ class BasicBlock(Value):
 
     def __repr__(self) -> str:
         return f"<BasicBlock {self.name}>"
+
+
+def predecessor_map(fn: "Function") -> dict[int, list[BasicBlock]]:
+    """block id -> :meth:`BasicBlock.predecessors`, for every block of
+    *fn* in one pass over its edges.
+
+    Lists match ``predecessors()`` exactly: each predecessor appears
+    once (a ``condbr`` or ``switch`` repeating a target lists its block
+    once), in ``fn.blocks`` order.  Edges to blocks outside *fn* are
+    ignored.  The map is a snapshot; passes that rewrite edges update
+    it themselves."""
+    preds: dict[int, list[BasicBlock]] = {id(b): [] for b in fn.blocks}
+    for block in fn.blocks:
+        for succ in block.successors():
+            into = preds.get(id(succ))
+            # One block's edges are appended consecutively, so a repeat
+            # target is always the list's last entry.
+            if into is not None and (not into or into[-1] is not block):
+                into.append(block)
+    return preds
 
 
 class Function(GlobalValue):

@@ -32,7 +32,7 @@ from repro.ir.instructions import (
     UnreachableInst,
 )
 from repro.ir.metadata import MDNode
-from repro.ir.module import BasicBlock, Function, Module
+from repro.ir.module import BasicBlock, Function, Module, predecessor_map
 
 
 class ModulePrinter:
@@ -88,10 +88,9 @@ class ModulePrinter:
             f"{arg.type} %{arg.name}" for arg in fn.args
         )
         lines = [f"define {fn.return_type} @{fn.name}({params}) {{"]
+        pred_map = predecessor_map(fn)
         for block in fn.blocks:
-            preds = ", ".join(
-                f"%{p.name}" for p in block.predecessors()
-            )
+            preds = ", ".join(f"%{p.name}" for p in pred_map[id(block)])
             header = f"{block.name}:"
             if preds:
                 header = f"{header:50s}; preds = {preds}"

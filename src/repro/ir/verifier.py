@@ -15,9 +15,9 @@ from repro.ir.instructions import (
     PhiInst,
     StoreInst,
 )
-from repro.ir.module import BasicBlock, Function, Module
+from repro.ir.module import BasicBlock, Function, Module, predecessor_map
 from repro.ir.types import IntType
-from repro.ir.values import Argument, Constant, Value
+from repro.ir.values import Argument, Constant, GlobalValue, Value
 
 
 class VerificationError(Exception):
@@ -72,10 +72,12 @@ def verify_function(fn: Function) -> None:
 
     # Pass 2: operands are constants, arguments, blocks or instructions
     # of this function; phis agree with predecessors.
+    pred_map = predecessor_map(fn)
     for block in fn.blocks:
-        preds = block.predecessors()
+        preds = pred_map[id(block)]
         pred_ids = set(id(p) for p in preds)
-        for inst in block.instructions:
+        phi_end = block.non_phi_begin()
+        for index, inst in enumerate(block.instructions):
             for op in inst.operands():
                 if op is None:
                     raise VerificationError(
@@ -83,10 +85,6 @@ def verify_function(fn: Function) -> None:
                     )
                 if isinstance(op, (Constant, Argument, BasicBlock)):
                     continue
-                if isinstance(op, Function):
-                    continue
-                from repro.ir.values import GlobalValue
-
                 if isinstance(op, GlobalValue):
                     continue
                 if isinstance(op, Instruction):
@@ -101,7 +99,7 @@ def verify_function(fn: Function) -> None:
                     f"{op!r}"
                 )
             if isinstance(inst, PhiInst):
-                if block.instructions.index(inst) > block.non_phi_begin():
+                if index > phi_end:
                     raise VerificationError(
                         f"{fn.name}: phi after non-phi in {block.name}"
                     )
@@ -133,7 +131,7 @@ def verify_function(fn: Function) -> None:
                     )
 
     # Pass 3: entry block has no predecessors.
-    if fn.entry_block.predecessors():
+    if pred_map[id(fn.entry_block)]:
         raise VerificationError(
             f"{fn.name}: entry block has predecessors"
         )

@@ -2,25 +2,13 @@
 
 from __future__ import annotations
 
-from repro.ir.module import BasicBlock, Function
+from repro.ir.module import BasicBlock, Function, predecessor_map
+
+__all__ = ["postorder", "predecessor_map", "reverse_postorder", "successors"]
 
 
 def successors(block: BasicBlock) -> list[BasicBlock]:
     return block.successors()
-
-
-def predecessor_map(
-    fn: Function,
-) -> dict[int, list[BasicBlock]]:
-    """block id -> predecessors, in one pass (cheaper than per-block
-    ``BasicBlock.predecessors`` when used repeatedly)."""
-    preds: dict[int, list[BasicBlock]] = {
-        id(b): [] for b in fn.blocks
-    }
-    for block in fn.blocks:
-        for succ in block.successors():
-            preds[id(succ)].append(block)
-    return preds
 
 
 def postorder(fn: Function) -> list[BasicBlock]:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from repro.ir.module import BasicBlock, Function
-from repro.midend.cfg import postorder, predecessor_map
+from repro.ir.module import BasicBlock, Function, predecessor_map
+from repro.midend.cfg import postorder
 
 
 class DominatorTree:
@@ -95,8 +95,6 @@ class DominatorTree:
     def dominance_frontiers(self) -> dict[int, list[BasicBlock]]:
         """Cytron et al.: DF[runner] gains each join block reached while
         walking each predecessor up to the join's immediate dominator."""
-        from repro.midend.cfg import predecessor_map
-
         frontiers: dict[int, list[BasicBlock]] = {
             id(b): [] for b in self.fn.blocks
         }

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.module import BasicBlock, Function
-from repro.midend.cfg import predecessor_map
+from repro.ir.module import BasicBlock, Function, predecessor_map
 from repro.midend.dominators import DominatorTree
 
 
@@ -17,9 +16,24 @@ class Loop:
     header: BasicBlock
     blocks: list[BasicBlock] = field(default_factory=list)
     latches: list[BasicBlock] = field(default_factory=list)
+    #: ids of ``blocks`` (grow both through :meth:`add`)
+    block_ids: set[int] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
+    #: the function's predecessor map as :class:`LoopInfo` saw it
+    preds: dict[int, list[BasicBlock]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self.block_ids = {id(b) for b in self.blocks}
+
+    def add(self, block: BasicBlock) -> None:
+        self.blocks.append(block)
+        self.block_ids.add(id(block))
 
     def contains(self, block: BasicBlock) -> bool:
-        return any(b is block for b in self.blocks)
+        return id(block) in self.block_ids
 
     @property
     def single_latch(self) -> BasicBlock | None:
@@ -28,9 +42,7 @@ class Loop:
     def preheader(self) -> BasicBlock | None:
         """The unique out-of-loop predecessor of the header, if any."""
         outside = [
-            p
-            for p in self.header.predecessors()
-            if not self.contains(p)
+            p for p in self.preds[id(self.header)] if not self.contains(p)
         ]
         return outside[0] if len(outside) == 1 else None
 
@@ -90,7 +102,9 @@ class LoopInfo:
                     # back edge block -> succ (succ is the header)
                     loop = by_header.get(id(succ))
                     if loop is None:
-                        loop = Loop(header=succ, blocks=[succ])
+                        loop = Loop(
+                            header=succ, blocks=[succ], preds=preds
+                        )
                         by_header[id(succ)] = loop
                         self.loops.append(loop)
                     loop.latches.append(block)
@@ -99,14 +113,12 @@ class LoopInfo:
     @staticmethod
     def _grow(loop: Loop, latch: BasicBlock, preds) -> None:
         """Add all blocks that reach *latch* without passing the header."""
-        if loop.contains(latch):
-            pass
         stack = [latch]
         while stack:
             block = stack.pop()
             if loop.contains(block):
                 continue
-            loop.blocks.append(block)
+            loop.add(block)
             for pred in preds[id(block)]:
                 if not loop.contains(pred):
                     stack.append(pred)

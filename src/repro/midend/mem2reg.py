@@ -25,6 +25,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import BasicBlock, Function
 from repro.ir.types import IRType
+from repro.ir.utils import remove_unreachable_blocks, replace_all_uses_map
 from repro.ir.values import UndefValue, Value
 from repro.midend.dominators import DominatorTree
 from repro.midend.pass_manager import FunctionPass
@@ -49,8 +50,6 @@ class Mem2RegPass(FunctionPass):
     def run_on_function(self, fn: Function) -> bool:
         if not fn.blocks:
             return False
-        from repro.ir.utils import remove_unreachable_blocks
-
         # Phi insertion assumes every predecessor is reachable (the
         # renaming walk only visits the dominator tree).
         remove_unreachable_blocks(fn)
@@ -67,11 +66,18 @@ class Mem2RegPass(FunctionPass):
         frontiers = domtree.dominance_frontiers()
         children = domtree.children()
 
+        promoted = {id(a) for a in promotable}
         #: inserted phi -> its alloca
         phi_owner: dict[int, AllocaInst] = {}
+        defining_blocks = self._defining_blocks(fn, promoted)
         for alloca, ty in promotable.items():
             self._insert_phis(
-                fn, alloca, ty, frontiers, phi_owner
+                fn,
+                alloca,
+                ty,
+                defining_blocks.get(id(alloca), []),
+                frontiers,
+                phi_owner,
             )
         self._rename(
             fn, domtree, children, promotable, phi_owner
@@ -79,22 +85,20 @@ class Mem2RegPass(FunctionPass):
         # Delete the now-dead allocas, stores and loads.
         removed = False
         for block in fn.blocks:
-            for inst in list(block.instructions):
-                if isinstance(inst, AllocaInst) and id(inst) in {
-                    id(a) for a in promotable
-                }:
-                    inst.erase()
-                    removed = True
-                elif isinstance(inst, StoreInst) and any(
-                    inst.pointer is a for a in promotable
+            kept: list[Instruction] = []
+            for inst in block.instructions:
+                if (
+                    isinstance(inst, AllocaInst)
+                    and id(inst) in promoted
+                ) or (
+                    isinstance(inst, (LoadInst, StoreInst))
+                    and id(inst.pointer) in promoted
                 ):
-                    inst.erase()
+                    inst.parent = None
                     removed = True
-                elif isinstance(inst, LoadInst) and any(
-                    inst.pointer is a for a in promotable
-                ):
-                    inst.erase()
-                    removed = True
+                else:
+                    kept.append(inst)
+            block.instructions[:] = kept
         return removed or bool(promotable)
 
     # ------------------------------------------------------------------
@@ -136,23 +140,33 @@ class Mem2RegPass(FunctionPass):
         return result
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _defining_blocks(
+        fn: Function, promoted: set[int]
+    ) -> dict[int, list[BasicBlock]]:
+        """alloca id (of *promoted*) -> blocks storing to it, once each,
+        in function order."""
+        blocks: dict[int, list[BasicBlock]] = {}
+        for block in fn.blocks:
+            for inst in block.instructions:
+                if (
+                    isinstance(inst, StoreInst)
+                    and id(inst.pointer) in promoted
+                ):
+                    stores = blocks.setdefault(id(inst.pointer), [])
+                    if not stores or stores[-1] is not block:
+                        stores.append(block)
+        return blocks
+
     def _insert_phis(
         self,
         fn: Function,
         alloca: AllocaInst,
         ty: IRType,
+        defining_blocks: list[BasicBlock],
         frontiers: dict[int, list[BasicBlock]],
         phi_owner: dict[int, AllocaInst],
     ) -> None:
-        defining_blocks: list[BasicBlock] = []
-        for block in fn.blocks:
-            for inst in block.instructions:
-                if (
-                    isinstance(inst, StoreInst)
-                    and inst.pointer is alloca
-                ):
-                    defining_blocks.append(block)
-                    break
         worklist = list(defining_blocks)
         has_phi: set[int] = set()
         while worklist:
@@ -177,8 +191,6 @@ class Mem2RegPass(FunctionPass):
         promotable: dict[AllocaInst, IRType],
         phi_owner: dict[int, AllocaInst],
     ) -> None:
-        from repro.ir.utils import replace_all_uses
-
         stacks: dict[int, list[Value]] = {
             id(a): [] for a in promotable
         }
@@ -256,8 +268,12 @@ class Mem2RegPass(FunctionPass):
                 value = load_replacements[id(value)][1]
             return value
 
-        for load_id, (load, _) in load_replacements.items():
-            replace_all_uses(fn, load, resolve(load))
-        # Phi incomings added before a replacement existed are handled by
-        # the resolve-chasing above via replace_all_uses (phis are
-        # instructions too).
+        # Phi incomings added before a replacement existed are rewritten
+        # too (phis are instructions).
+        replace_all_uses_map(
+            fn,
+            {
+                load_id: resolve(load)
+                for load_id, (load, _) in load_replacements.items()
+            },
+        )

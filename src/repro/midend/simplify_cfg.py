@@ -3,9 +3,15 @@ merge straight-line block pairs."""
 
 from __future__ import annotations
 
-from repro.ir.instructions import BranchInst, PhiInst
-from repro.ir.module import BasicBlock, Function
-from repro.ir.utils import remove_unreachable_blocks
+from bisect import bisect_left
+
+from repro.ir.instructions import BranchInst
+from repro.ir.module import BasicBlock, Function, predecessor_map
+from repro.ir.utils import (
+    redirect_branch,
+    remove_unreachable_blocks,
+    replace_all_uses,
+)
 from repro.midend.pass_manager import FunctionPass
 
 
@@ -47,6 +53,8 @@ class SimplifyCFGPass(FunctionPass):
     def _merge_straight_line(self, fn: Function) -> bool:
         """Merge B into A when A ends `br B` and B has only A as pred."""
         changed = False
+        preds = predecessor_map(fn)
+        order = _block_order(fn)
         for block in list(fn.blocks):
             term = block.terminator
             if not isinstance(term, BranchInst):
@@ -54,15 +62,13 @@ class SimplifyCFGPass(FunctionPass):
             succ = term.target
             if succ is block or succ is fn.entry_block:
                 continue
-            preds = succ.predecessors()
-            if len(preds) != 1 or preds[0] is not block:
+            succ_preds = preds[id(succ)]
+            if len(succ_preds) != 1 or succ_preds[0] is not block:
                 continue
             if not _SIMPLIFY_SITE.should_execute():
                 continue
             if succ.phis():
                 # Single-pred phis are resolvable: replace with the value.
-                from repro.ir.utils import replace_all_uses
-
                 for phi in list(succ.phis()):
                     incoming = phi.incoming_for(block)
                     if incoming is None:
@@ -72,14 +78,19 @@ class SimplifyCFGPass(FunctionPass):
                 if succ.phis():
                     continue
             term.erase()
-            for inst in list(succ.instructions):
-                succ.instructions.remove(inst)
-                block.append(inst)
+            for inst in succ.instructions:
+                inst.parent = block
+            block.instructions.extend(succ.instructions)
+            succ.instructions.clear()
             # Phis in the successors of the merged block must point at
-            # the merged-into block now.
-            for nxt in block.successors():
+            # the merged-into block now.  `block` reached them only
+            # through `succ`, so it takes `succ`'s place among their
+            # predecessors.
+            for nxt in dict.fromkeys(block.successors()):
                 for phi in nxt.phis():
                     phi.replace_incoming_block(succ, block)
+                preds[id(nxt)].remove(succ)
+                _add_pred(preds, order, nxt, block)
             fn.remove_block(succ)
             changed = True
         return changed
@@ -88,6 +99,8 @@ class SimplifyCFGPass(FunctionPass):
         """Retarget edges through blocks containing only `br X` (when the
         final target has no phis referencing them)."""
         changed = False
+        preds = predecessor_map(fn)
+        order = _block_order(fn)
         for block in list(fn.blocks):
             if block is fn.entry_block:
                 continue
@@ -101,9 +114,32 @@ class SimplifyCFGPass(FunctionPass):
                 continue
             if not _SIMPLIFY_SITE.should_execute():
                 continue
-            from repro.ir.utils import redirect_branch
-
-            for pred in block.predecessors():
+            block_preds = preds[id(block)]
+            for pred in list(block_preds):
                 if redirect_branch(pred, block, target):
                     changed = True
+                    block_preds.remove(pred)
+                    _add_pred(preds, order, target, pred)
         return changed
+
+
+def _block_order(fn: Function) -> dict[int, int]:
+    """block id -> position in ``fn.blocks`` (removing blocks keeps the
+    relative order of the rest)."""
+    return {id(b): i for i, b in enumerate(fn.blocks)}
+
+
+def _add_pred(
+    preds: dict[int, list[BasicBlock]],
+    order: dict[int, int],
+    block: BasicBlock,
+    pred: BasicBlock,
+) -> None:
+    """Record the edge *pred* -> *block*, keeping *block*'s predecessor
+    list duplicate-free and in function order, as
+    :func:`predecessor_map` builds it."""
+    into = preds[id(block)]
+    key = order[id(pred)]
+    at = bisect_left(into, key, key=lambda b: order[id(b)])
+    if at == len(into) or into[at] is not pred:
+        into.insert(at, pred)
