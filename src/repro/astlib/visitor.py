@@ -166,5 +166,5 @@ def collect_stmts(root: Stmt, predicate=None, include_shadow=False):
 
 def count_nodes(root: Stmt, include_shadow: bool = False) -> int:
     """Number of statement nodes under *root* (used by the AST-size
-    benchmarks comparing the two representations, paper §3/E14)."""
+    tests comparing the two representations, paper §3/E14)."""
     return len(collect_stmts(root, include_shadow=include_shadow))

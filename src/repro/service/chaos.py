@@ -254,35 +254,10 @@ def run_chaos(args) -> int:
     # the latency histogram exactly once — kills, hangs, and breaker
     # rejects included.  "requests in == sum of terminal statuses" is
     # the accounting identity the metrics export is trusted for.
-    submissions = args.count + n_poison
-    lat = metrics_snapshot["service_request_duration_seconds"]
-    observed = sum(row["count"] for row in lat["series"])
-    check(
-        observed == submissions,
-        f"latency histogram lost observations: "
-        f"{observed} != {submissions}",
-    )
-    for row in lat["series"]:
-        check(
-            sum(row["buckets"]) == row["count"],
-            "latency bucket counts disagree with series total for "
-            f"outcome {row['labels'].get('outcome')}",
+    failures.extend(
+        CompileService.ledger_problems(
+            metrics_snapshot, args.count + n_poison
         )
-    requests_in = metrics_snapshot["service_requests_total"][
-        "series"
-    ][0]["value"]
-    responses_out = sum(
-        row["value"]
-        for row in metrics_snapshot["service_responses_total"]["series"]
-    )
-    check(
-        requests_in == submissions,
-        f"service_requests_total={requests_in} != {submissions}",
-    )
-    check(
-        responses_out == submissions,
-        "requests in != sum of terminal statuses: "
-        f"{requests_in} vs {responses_out}",
     )
     breaker_opens = sum(
         row["value"]
@@ -297,7 +272,8 @@ def run_chaos(args) -> int:
         f"{n_poison}",
     )
     for row in sorted(
-        lat["series"], key=lambda r: r["labels"].get("outcome", "")
+        metrics_snapshot["service_request_duration_seconds"]["series"],
+        key=lambda r: r["labels"].get("outcome", ""),
     ):
         print(
             f"chaos: latency[{row['labels'].get('outcome')}]: "
@@ -683,28 +659,8 @@ def run_storage_chaos(args) -> int:
         f"service.responses={stats.get('service.responses')} != "
         f"{submissions}",
     )
-    lat = metrics_snapshot["service_request_duration_seconds"]
-    observed = sum(row["count"] for row in lat["series"])
-    check(
-        observed == submissions,
-        "shared latency histogram lost observations across the "
-        f"restart: {observed} != {submissions}",
-    )
-    requests_in = metrics_snapshot["service_requests_total"]["series"][
-        0
-    ]["value"]
-    responses_out = sum(
-        row["value"]
-        for row in metrics_snapshot["service_responses_total"]["series"]
-    )
-    check(
-        requests_in == submissions,
-        f"service_requests_total={requests_in} != {submissions}",
-    )
-    check(
-        responses_out == submissions,
-        "requests in != sum of terminal statuses: "
-        f"{requests_in} vs {responses_out}",
+    failures.extend(
+        CompileService.ledger_problems(metrics_snapshot, submissions)
     )
 
     if args.metrics_json:
@@ -1163,20 +1119,7 @@ def run_net_chaos(args) -> int:
         f"wire ledger leak: {admitted} admitted != "
         f"{sent} sent + {orphaned} orphaned",
     )
-    requests_in = merged["service_requests_total"]["series"][0]["value"]
-    responses_out = sum(
-        row["value"]
-        for row in merged["service_responses_total"]["series"]
-    )
-    check(
-        requests_in == admitted,
-        f"service_requests_total={requests_in} != admitted {admitted}",
-    )
-    check(
-        responses_out == admitted,
-        "requests in != sum of terminal statuses: "
-        f"{admitted} vs {responses_out}",
-    )
+    failures.extend(CompileService.ledger_problems(merged, admitted))
     routed = sum(
         row["value"] for row in merged["router_requests_total"]["series"]
     )

@@ -579,6 +579,45 @@ class CompileService:
             ("mode",),
         )
 
+    @staticmethod
+    def ledger_problems(snapshot: dict, expected: int) -> list[str]:
+        """What is wrong with the request ledger in a metrics
+        *snapshot* (possibly merged across services) that should
+        account for exactly *expected* submissions: requests in, sum
+        of terminal statuses and latency observations must all equal
+        it, and every latency series' buckets must sum to its count."""
+        problems = []
+        requests_in = snapshot["service_requests_total"]["series"][0][
+            "value"
+        ]
+        if requests_in != expected:
+            problems.append(
+                f"service_requests_total={requests_in} != {expected}"
+            )
+        responses_out = sum(
+            row["value"]
+            for row in snapshot["service_responses_total"]["series"]
+        )
+        if responses_out != expected:
+            problems.append(
+                "requests in != sum of terminal statuses: "
+                f"{expected} vs {responses_out}"
+            )
+        latency = snapshot["service_request_duration_seconds"]["series"]
+        observed = sum(row["count"] for row in latency)
+        if observed != expected:
+            problems.append(
+                "latency histogram lost observations: "
+                f"{observed} != {expected}"
+            )
+        for row in latency:
+            if sum(row["buckets"]) != row["count"]:
+                problems.append(
+                    "latency bucket counts disagree with series total "
+                    f"for outcome {row['labels'].get('outcome')}"
+                )
+        return problems
+
     def _emit(self, event: str, **fields) -> None:
         if self.events is not None:
             self.events.emit(event, **fields)

@@ -73,6 +73,22 @@ def run_both(source: str, **kwargs) -> tuple[RunResult, RunResult]:
     return legacy, irbuilder
 
 
+def loop_nest_source(depth: int, extent: int, pragma: str = "") -> str:
+    """A perfectly nested ``depth``-deep loop nest summing its indices
+    into a ``long`` and printing the total."""
+    lines = ["int main(void) {", "  long acc = 0;"]
+    if pragma:
+        lines.append(f"  {pragma}")
+    for d in range(depth):
+        lines.append(f"  for (int i{d} = 0; i{d} < {extent}; i{d} += 1)")
+    body = " + ".join(f"i{d}" for d in range(depth))
+    lines.append(f"    acc += {body};")
+    lines.append('  printf("%d\\n", (int)acc);')
+    lines.append("  return 0;")
+    lines.append("}")
+    return "\n".join(lines)
+
+
 @pytest.fixture
 def fresh_context():
     from repro.astlib.context import ASTContext

@@ -23,6 +23,7 @@ from repro.driver.exitcodes import EXIT_TIMEOUT, EXIT_USER_ERROR
 from repro.exec import create_interpreter, profile_fingerprint
 from repro.interp.interpreter import DeadlockError, ExecutionTimeout
 from repro.pipeline import run_source
+from tests.conftest import loop_nest_source
 
 pytestmark = pytest.mark.exec_differential
 
@@ -52,6 +53,10 @@ def run_both_engines(source: str, **kwargs):
     )
     assert closures.exit_code == interp.exit_code
     assert closures.instruction_count == interp.instruction_count
+    # The profile and the retired-instruction counter are two views
+    # of the same per-thread data; a mismatch is an instrumentation bug.
+    for result in (interp, closures):
+        assert result.profile.total_instructions == result.instruction_count
     fp_interp = profile_fingerprint(interp.interpreter.profile)
     fp_closures = profile_fingerprint(closures.interpreter.profile)
     assert fp_closures == fp_interp, (
@@ -69,6 +74,32 @@ class TestCorpusParity:
         with open(path, "r", encoding="utf-8") as fh:
             source = fh.read()
         run_both_engines(source, optimize=optimize)
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["O0", "O1"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            loop_nest_source(depth=2, extent=16),
+            r"""
+            int main(void) {
+              long sum = 0;
+              #pragma omp parallel for reduction(+: sum) \
+                  schedule(static) num_threads(3)
+              for (int i = 0; i < 600; i += 1)
+                sum += i * 5 - 2;
+              printf("%d\n", (int)sum);
+              return 0;
+            }
+            """,
+        ],
+        ids=["loop-nest", "worksharing"],
+    )
+    def test_dispatch_kernel_parity(self, source, optimize):
+        """Both engines retire the same instruction stream on the
+        exec-bench kernel shapes: the precondition that makes their
+        timing ratio pure dispatch overhead."""
+        interp, _ = run_both_engines(source, optimize=optimize)
+        assert interp.exit_code == 0
 
     def test_corpus_nonempty(self):
         # the parametrization above silently collects nothing if the

@@ -102,6 +102,12 @@ class TestFig7Skeleton:
         cli = make_loop(env)
         cli.assert_ok()
 
+    def test_assert_ok_passes_without_body(self, env):
+        mod, fn, b, ompb = env
+        cli = ompb.create_canonical_loop(b, fn.args[0], None)
+        b.ret()
+        cli.assert_ok()
+
     def test_module_verifies(self, env):
         mod, *_ = env
         make_loop(env)
@@ -213,6 +219,13 @@ class TestTileLoopsInvariants:
         for new_cli in result:
             new_cli.assert_ok()
         assert not cli.is_valid  # old handle abandoned
+        verify_module(mod)
+
+    def test_unroll_partial_returns_valid_handle(self, env):
+        mod, fn, b, ompb = env
+        cli = make_loop(env)
+        unrolled = ompb.unroll_loop_partial(IRBuilder(mod), cli, 4)
+        unrolled.assert_ok()
         verify_module(mod)
 
     def test_collapse_returns_single_valid_handle(self, env):

@@ -164,13 +164,26 @@ void f(int N) {
         assert isinstance(directive, omp.OMPLoopDirective)
         assert directive.shadow_node_count() >= 15
 
-    def test_canonical_loop_has_exactly_three_meta_nodes(self):
-        directive = self.directive(irbuilder=True)
-        captured = directive.captured_stmt
-        wrapper = captured.body
+    def canonical_loop(self, directive):
+        wrapper = directive.captured_stmt.body
         while not isinstance(wrapper, omp.OMPCanonicalLoop):
             wrapper = list(wrapper.children())[0]
-        assert wrapper.meta_node_count() == 3
+        return wrapper
+
+    def test_canonical_loop_has_exactly_three_meta_nodes(self):
+        directive = self.directive(irbuilder=True)
+        assert self.canonical_loop(directive).meta_node_count() == 3
+
+    def test_measured_sizes(self):
+        """The figures EXPERIMENTS.md (E14) and README quote: 22
+        populated shadow slots in a 241-node directive subtree, against
+        3 meta nodes in a 52-node one."""
+        shadow = self.directive(irbuilder=False)
+        assert shadow.shadow_node_count() == 22
+        assert count_nodes(shadow, include_shadow=True) == 241
+        canonical = self.directive(irbuilder=True)
+        assert self.canonical_loop(canonical).meta_node_count() == 3
+        assert count_nodes(canonical, include_shadow=True) == 52
 
     def test_canonical_tree_smaller_than_shadow_tree(self):
         shadow = self.directive(irbuilder=False)

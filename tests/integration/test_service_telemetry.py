@@ -188,22 +188,11 @@ class TestMetricsAccounting:
             snap = svc.metrics.snapshot()
         assert all(r is not None and r.status for r in responses)
 
-        requests_in = snap["service_requests_total"]["series"][0][
-            "value"
-        ]
+        assert CompileService.ledger_problems(snap, len(batch)) == []
         terminal = {
             row["labels"]["status"]: row["value"]
             for row in snap["service_responses_total"]["series"]
         }
-        assert requests_in == len(batch)
-        assert sum(terminal.values()) == requests_in
-        observed = sum(
-            row["count"]
-            for row in snap["service_request_duration_seconds"][
-                "series"
-            ]
-        )
-        assert observed == requests_in
         # and the python-level statuses agree with the counters
         got = {}
         for r in responses:

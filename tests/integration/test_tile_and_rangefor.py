@@ -97,6 +97,36 @@ class TestTileSemantics:
         )
         assert legacy.stdout.split() == [str(expected), "60"]
 
+    def test_tiling_improves_locality_proxy(self):
+        """A column-major walk from row-major loops: the sum of
+        |address delta| between consecutive touches (a reuse-distance
+        proxy) drops under any square tile, and a full-matrix tile
+        degenerates back to the untiled order."""
+        src = r"""
+        int main(void) {
+          long reuse = 0;
+          int last = 0;
+          %(pragma)s
+          for (int i = 0; i < 24; i += 1)
+            for (int j = 0; j < 24; j += 1) {
+              int delta = j * 24 + i - last;
+              if (delta < 0) delta = -delta;
+              reuse += delta;
+              last = j * 24 + i;
+            }
+          printf("%%d\n", (int)reuse);
+          return 0;
+        }
+        """
+
+        def reuse(size):
+            pragma = f"#pragma omp tile sizes({size}, {size})" if size else ""
+            return int(run_c(src % {"pragma": pragma}).stdout)
+
+        untiled = reuse(0)
+        assert all(reuse(size) < untiled for size in (2, 4, 8))
+        assert reuse(24) == untiled
+
     def test_tile_requires_sizes_clause(self):
         from repro.pipeline import CompilationError
 

@@ -316,6 +316,43 @@ class TestStaticPartition:
                 covered.extend(range(lb, ub + 1))
             assert sorted(covered) == list(range(trip))
 
+    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
+    def test_slices_shrink_with_team(self, threads):
+        """Each thread's slice of 1200 iterations is about 1/T."""
+        sizes = []
+        for t in range(threads):
+            lb, ub, _ = static_partition(0, 1199, threads, t)
+            sizes.append(max(0, ub - lb + 1))
+        assert sum(sizes) == 1200
+        assert max(sizes) <= (1200 + threads - 1) // threads + 1
+
+
+def max_thread_work(kind, chunk, n=256, threads=4):
+    """Worst per-thread cost of a triangular workload (iteration i
+    costs i) under *kind*; None is the static partition.  Dispatch is
+    greedy: the least-loaded thread asks for the next chunk, as under
+    real dynamic scheduling."""
+    work = [0] * threads
+    if kind is None:
+        for t in range(threads):
+            lb, ub, _ = static_partition(0, n - 1, threads, t)
+            work[t] = sum(range(lb, ub + 1))
+        return max(work)
+    state = DispatchState(
+        kind=kind,
+        lower=0,
+        upper=n - 1,
+        stride=1,
+        chunk=chunk,
+        num_threads=threads,
+    )
+    while True:
+        t = min(range(threads), key=lambda k: work[k])
+        nxt = state.next_chunk(t)
+        if nxt is None:
+            return max(work)
+        work[t] += sum(range(nxt[0], nxt[1] + 1))
+
 
 class TestDispatchState:
     def make(self, kind, trip, chunk, threads=4):
@@ -375,6 +412,16 @@ class TestDispatchState:
             sizes.append(nxt[1] - nxt[0] + 1)
         assert all(sz >= 5 or sum(sizes) == 100 for sz in sizes)
 
+    def test_dynamic_beats_static_on_imbalance(self):
+        """On a triangular workload static's worst thread carries ~2x
+        the ideal total/T, while dynamic's approaches the ideal."""
+        ideal = sum(range(256)) / 4
+        static_worst = max_thread_work(None, 0)
+        dynamic_worst = max_thread_work(ScheduleKindRT.DYNAMIC_CHUNKED, 4)
+        assert static_worst > 1.5 * ideal
+        assert dynamic_worst < 1.3 * ideal
+        assert dynamic_worst < static_worst
+
 
 class TestTeamExecution:
     def test_barrier_synchronizes(self):
@@ -400,6 +447,48 @@ class TestTeamExecution:
         }
         """
         assert run_source(src).stdout == "ok=1\n"
+
+    def test_executed_schedule_agrees_with_model(self):
+        """The compiled program under schedule(dynamic) spreads the
+        imbalanced iterations at least as evenly as static."""
+        from repro.pipeline import run_source
+
+        src = r"""
+        int main(void) {
+          int work[4] = {0, 0, 0, 0};
+          #pragma omp parallel for schedule(%s) num_threads(4)
+          for (int i = 0; i < 64; i += 1) {
+            int me = omp_get_thread_num();
+            #pragma omp critical
+            { work[me] += i; }
+          }
+          int mx = 0;
+          for (int t = 0; t < 4; t += 1) if (work[t] > mx) mx = work[t];
+          printf("%%d\n", mx);
+          return 0;
+        }
+        """
+        static_max = int(run_source(src % "static").stdout)
+        dynamic_max = int(run_source(src % "dynamic, 2").stdout)
+        assert dynamic_max <= static_max
+
+    @pytest.mark.parametrize("threads", [1, 2, 4, 8])
+    def test_reduction_team_size_sweep(self, threads):
+        from repro.pipeline import run_source
+
+        src = r"""
+        int main(void) {
+          long acc = 0;
+          #pragma omp parallel for reduction(+: acc)
+          for (int i = 0; i < 1200; i += 1)
+            acc += i;
+          printf("%d\n", (int)acc);
+          return 0;
+        }
+        """
+        result = run_source(src, num_threads=threads)
+        assert int(result.stdout) == sum(range(1200))
+        assert result.profile.total_instructions == result.instruction_count
 
     def test_nested_parallel_serialized(self):
         from repro.pipeline import run_source

@@ -1,6 +1,8 @@
 """Unit tests: mid-end analyses and passes (dominators, loop info,
 LoopUnroll, simplify-cfg, constant folding, DCE)."""
 
+import itertools
+
 import pytest
 
 from repro.ir import (
@@ -26,6 +28,7 @@ from repro.midend import (
     default_pass_pipeline,
 )
 from repro.midend.cfg import postorder, reverse_postorder
+from tests.conftest import compile_c, loop_nest_source, run_both, run_c
 
 
 def diamond_function():
@@ -371,3 +374,101 @@ class TestCleanupPasses:
         # (entry + one straight-line body block per copy + exit).
         assert LoopInfo(fn).loops == []
         assert len(fn.blocks) <= 2 + 4
+
+
+class TestAblations:
+    """The design choices DESIGN.md calls out, each against its
+    alternative on the same program."""
+
+    FOLDING_SRC = r"""
+    int main(void) {
+      int x = (3 + 4) * 2;
+      int arr[8];
+      for (int i = 0 * 1; i < 8 * 1 + 0; i += 1 + 0)
+        arr[i] = i * 1 + (2 - 2);
+      int sum = 0;
+      #pragma omp unroll partial(2 + 2)
+      for (int i = 0; i < 8; i += 1) sum += arr[i] + (10 / 2);
+      printf("%d %d\n", x, sum);
+      return 0;
+    }
+    """
+
+    REMAINDER_ELIGIBLE = r"""
+    int main(void) {
+      long acc = 0;
+      #pragma clang loop unroll_count(4)
+      for (int i = 0; i < 997; i += 1) acc += i;
+      printf("%d\n", (int)acc);
+      return 0;
+    }
+    """
+    # The && in the condition forces the conditional-exit scheme.
+    CONDITIONAL_ONLY = r"""
+    int main(void) {
+      long acc = 0;
+      int limit = 997;
+      #pragma clang loop unroll_count(4)
+      for (int i = 0; i < 997 && i < limit; i += 1) acc += i;
+      printf("%d\n", (int)acc);
+      return 0;
+    }
+    """
+
+    def test_folding_emits_fewer_instructions(self, monkeypatch):
+        """Paper §1.3: on-the-fly folding avoids creating instructions
+        that would be optimized away anyway; output is unchanged."""
+
+        def compiled(folding):
+            original_init = IRBuilder.__init__
+
+            def init(self_b, module):
+                original_init(self_b, module)
+                self_b.folding_enabled = folding
+
+            with monkeypatch.context() as patch:
+                patch.setattr(IRBuilder, "__init__", init)
+                module = compile_c(self.FOLDING_SRC).module
+            interp = Interpreter(module)
+            interp.run("main")
+            size = sum(
+                len(block.instructions)
+                for fn in module.functions.values()
+                for block in fn.blocks
+            )
+            return size, interp.output()
+
+        folded, folded_out = compiled(True)
+        unfolded, unfolded_out = compiled(False)
+        assert folded < unfolded
+        assert folded_out == unfolded_out
+
+    def test_conditional_exit_scheme_for_compound_condition(self):
+        result = compile_c(self.CONDITIONAL_ONLY, openmp=False)
+        pass_ = LoopUnrollPass()
+        pass_.run_on_function(result.module.get_function("main"))
+        assert pass_.stats.conditionally_unrolled == 1
+
+    def test_remainder_beats_conditional(self):
+        """The remainder scheme drops the per-copy exit checks, so it
+        retires fewer instructions on the same trip count."""
+        remainder = run_c(self.REMAINDER_ELIGIBLE, openmp=False, optimize=True)
+        conditional = run_c(self.CONDITIONAL_ONLY, openmp=False, optimize=True)
+        assert remainder.stdout == conditional.stdout
+        assert remainder.instruction_count < conditional.instruction_count
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_parallel_for_over_nest_passes_sema(self, depth):
+        src = loop_nest_source(depth, 4, "#pragma omp parallel for")
+        for irbuilder in (False, True):
+            assert compile_c(
+                src, syntax_only=True, enable_irbuilder=irbuilder
+            ).ok
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_collapse_executes_correctly_at_depth(self, depth):
+        pragma = f"#pragma omp parallel for collapse({depth}) reduction(+: acc)"
+        legacy, _ = run_both(loop_nest_source(depth, 3, pragma))
+        assert int(legacy.stdout) == sum(
+            sum(idx) for idx in itertools.product(range(3), repeat=depth)
+        )

@@ -20,6 +20,7 @@ from repro.service import (
     CircuitBreaker,
     CompileRequest,
     CompileResponse,
+    CompileService,
     RetryPolicy,
     other_mode,
 )
@@ -322,3 +323,37 @@ class TestRequestTypes:
     def test_other_mode_is_an_involution(self):
         assert other_mode("shadow") == "irbuilder"
         assert other_mode("irbuilder") == "shadow"
+
+
+class TestLedgerProblems:
+    def snapshot(self, requests, responses, counts, buckets):
+        return {
+            "service_requests_total": {"series": [{"value": requests}]},
+            "service_responses_total": {
+                "series": [{"labels": {"status": "ok"}, "value": responses}]
+            },
+            "service_request_duration_seconds": {
+                "series": [
+                    {
+                        "labels": {"outcome": "ok"},
+                        "count": counts,
+                        "buckets": buckets,
+                    }
+                ]
+            },
+        }
+
+    def test_exact_ledger_has_no_problems(self):
+        snap = self.snapshot(3, 3, 3, [2, 1, 0])
+        assert CompileService.ledger_problems(snap, 3) == []
+
+    def test_each_condition_is_reported(self):
+        snap = self.snapshot(4, 2, 2, [1, 0, 0])
+        problems = CompileService.ledger_problems(snap, 3)
+        assert problems == [
+            "service_requests_total=4 != 3",
+            "requests in != sum of terminal statuses: 3 vs 2",
+            "latency histogram lost observations: 2 != 3",
+            "latency bucket counts disagree with series total for "
+            "outcome ok",
+        ]

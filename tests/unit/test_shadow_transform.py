@@ -94,6 +94,8 @@ class TestUnrollPartial:
         inner = annotated.sub_stmt
         assert isinstance(inner, s.ForStmt)
         assert inner.init.single_decl.name == "unroll_inner.iv.i"
+        dump = dump_ast(outer)
+        assert "unrolled.iv.i" in dump and "LoopHintAttr" in dump
 
     def test_inner_condition_is_conjunction(self):
         """inner < outer + factor && inner < tripcount."""
@@ -229,6 +231,18 @@ class TestTile:
         assert transformed.num_generated_loops == 2
         assert (
             self.count_for_loops(transformed.transformed_stmt) == 2
+        )
+
+    def test_3d_tile(self):
+        transformed, _ = self.nest(
+            "for (int i = 0; i < 8; ++i)"
+            " for (int j = 0; j < 8; ++j)"
+            " for (int k = 0; k < 8; ++k) body(i + j + k);",
+            [4, 4, 4],
+        )
+        assert transformed.num_generated_loops == 6
+        assert (
+            self.count_for_loops(transformed.transformed_stmt) == 6
         )
 
     def test_floor_and_tile_naming(self):

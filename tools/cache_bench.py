@@ -13,7 +13,8 @@ three ways per source and optimization level:
   populated on-disk cache.
 
 Reports p50/p95/mean latency per path and the per-source cold/warm
-speedup distribution, and writes the whole table to ``BENCH_cache.json``
+speedup distribution (nearest-rank percentiles from
+``perfbench/stats.py``), and writes the whole table to ``BENCH_cache.json``
 (the CI artifact that seeds the perf trajectory).  Exit status 1 when
 ``--min-speedup`` (default off) is not met by the p50 speedup.
 
@@ -38,6 +39,7 @@ import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.append(os.path.join(REPO_ROOT, "perfbench"))
 
 from repro.cache import CompilationCache  # noqa: E402
 from repro.pipeline import (  # noqa: E402
@@ -45,25 +47,19 @@ from repro.pipeline import (  # noqa: E402
     compile_source_cached,
 )
 from repro.testing.generator import generate_program  # noqa: E402
+from stats import median, percentile  # noqa: E402
 
 
-def _percentiles(values: list[float]) -> dict:
-    ordered = sorted(values)
-    if not ordered:
-        return {"p50": 0.0, "p95": 0.0, "mean": 0.0}
-
-    def pct(p: float) -> float:
-        idx = min(len(ordered) - 1, int(round(p * (len(ordered) - 1))))
-        return ordered[idx]
-
+def _summary(values: list[float]) -> dict:
     return {
-        "p50": round(pct(0.50), 4),
-        "p95": round(pct(0.95), 4),
-        "mean": round(statistics.fmean(ordered), 4),
+        "p50": round(percentile(values, 50), 4),
+        "p95": round(percentile(values, 95), 4),
+        "mean": round(statistics.fmean(values), 4),
     }
 
 
-def _collect_corpus(fuzz_seeds: int) -> list[tuple[str, str]]:
+def collect_corpus(fuzz_seeds: int) -> list[tuple[str, str]]:
+    """(name, source) pairs: every example plus generated programs."""
     corpus: list[tuple[str, str]] = []
     for path in sorted(
         glob.glob(os.path.join(REPO_ROOT, "examples", "*.c"))
@@ -86,7 +82,7 @@ def _time_ms(fn) -> float:
 def run_bench(
     fuzz_seeds: int, repeats: int, cache_dir: str
 ) -> dict:
-    corpus = _collect_corpus(fuzz_seeds)
+    corpus = collect_corpus(fuzz_seeds)
     entries = []
     cache = CompilationCache(cache_dir)
     for name, source in corpus:
@@ -108,7 +104,7 @@ def run_bench(
                 )
                 for _ in range(repeats)
             ]
-            warm_ms = statistics.median(warm_samples)
+            warm_ms = median(warm_samples)
             entries.append(
                 {
                     "name": label,
@@ -140,10 +136,10 @@ def run_bench(
             "measured": len(entries),
         },
         "repeats": repeats,
-        "cold_ms": _percentiles([e["cold_ms"] for e in entries]),
-        "warm_ms": _percentiles([e["warm_ms"] for e in entries]),
-        "disk_warm_ms": _percentiles(disk_samples),
-        "speedup": _percentiles([e["speedup"] for e in entries]),
+        "cold_ms": _summary([e["cold_ms"] for e in entries]),
+        "warm_ms": _summary([e["warm_ms"] for e in entries]),
+        "disk_warm_ms": _summary(disk_samples),
+        "speedup": _summary([e["speedup"] for e in entries]),
         "entries": entries,
     }
     return report

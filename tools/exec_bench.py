@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Execution-engine benchmark: interpreter vs closure engine.
 
-Runs the loop-kernel corpus (the ``benchmarks/`` shapes: tiled,
-unrolled-with-remainder, fused, stencil, reduction, plus one
-worksharing kernel) under both execution engines and records wall-clock
-p50/p95 per kernel plus the per-kernel and geometric-mean speedups to
-``BENCH_exec.json``.
+Runs six loop kernels (tiled, unrolled-with-remainder, fused, stencil,
+reduction, plus one worksharing kernel) under both execution engines
+and records wall-clock p50/p95 per kernel plus the per-kernel and
+geometric-mean speedups to ``BENCH_exec.json``.  Percentiles are
+nearest-rank, from ``perfbench/stats.py``.
 
 Each sample is the full execute latency — engine construction
 (including lazy closure compilation) plus the run — over a module
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import statistics
 import sys
@@ -37,9 +36,11 @@ import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.append(os.path.join(REPO_ROOT, "perfbench"))
 
 from repro.exec import create_interpreter  # noqa: E402
 from repro.pipeline import compile_source  # noqa: E402
+from stats import geomean, percentile  # noqa: E402
 
 #: (name, num_threads, source template) — %(n)d is the problem size
 KERNELS = [
@@ -155,20 +156,6 @@ SIZES = {
 }
 
 
-def _percentiles(values: list[float]) -> dict:
-    ordered = sorted(values)
-
-    def pct(p: float) -> float:
-        idx = min(len(ordered) - 1, int(round(p * (len(ordered) - 1))))
-        return ordered[idx]
-
-    return {
-        "p50": round(pct(0.50), 4),
-        "p95": round(pct(0.95), 4),
-        "mean": round(statistics.fmean(ordered), 4),
-    }
-
-
 def _compile_kernel(source: str):
     return compile_source(source, optimize=True).module
 
@@ -204,8 +191,14 @@ def run_bench(repeats: int, smoke: bool) -> dict:
                         f"expected {reference!r}"
                     )
                 samples[engine].append(ms)
-        interp_stats = _percentiles(samples["interp"])
-        closure_stats = _percentiles(samples["closures"])
+        interp_stats, closure_stats = (
+            {
+                "p50": round(percentile(ms, 50), 4),
+                "p95": round(percentile(ms, 95), 4),
+                "mean": round(statistics.fmean(ms), 4),
+            }
+            for ms in (samples["interp"], samples["closures"])
+        )
         entries.append(
             {
                 "name": name,
@@ -234,15 +227,12 @@ def run_bench(repeats: int, smoke: bool) -> dict:
             f"{entries[-1]['speedup_p50']:>5.2f}x"
         )
     speedups = [e["speedup_p50"] for e in entries]
-    geomean = round(
-        math.exp(statistics.fmean(math.log(s) for s in speedups)), 2
-    )
     return {
         "tool": "exec_bench",
         "mode": "smoke" if smoke else "full",
         "repeats": repeats,
         "kernels": len(entries),
-        "speedup_p50_geomean": geomean,
+        "speedup_p50_geomean": round(geomean(speedups), 2),
         "speedup_p50_min": min(speedups),
         "speedup_p50_max": max(speedups),
         "entries": entries,

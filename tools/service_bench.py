@@ -36,7 +36,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import shutil
@@ -46,7 +45,9 @@ import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+sys.path.append(os.path.join(REPO_ROOT, "perfbench"))
 
+from cache_bench import collect_corpus  # noqa: E402
 from repro.service import (  # noqa: E402
     CompileRequest,
     CompileService,
@@ -54,26 +55,11 @@ from repro.service import (  # noqa: E402
     ServiceConfig,
 )
 from repro.service.chaos import _make_source  # noqa: E402
-from repro.testing.generator import generate_program  # noqa: E402
-
-
-def _corpus(fuzz_seeds: int) -> list[tuple[str, str]]:
-    """(name, source) pairs: every example plus generated programs."""
-    sources: list[tuple[str, str]] = []
-    for path in sorted(
-        glob.glob(os.path.join(REPO_ROOT, "examples", "*.c"))
-    ):
-        with open(path, "r", encoding="utf-8") as fh:
-            sources.append((os.path.basename(path), fh.read()))
-    for seed in range(1, fuzz_seeds + 1):
-        sources.append(
-            (f"fuzz-seed-{seed}", generate_program(seed).source)
-        )
-    return sources
+from stats import median, percentile  # noqa: E402
 
 
 def _steady_batch(args, round_index: int) -> list[CompileRequest]:
-    sources = _corpus(args.fuzz_seeds)
+    sources = collect_corpus(args.fuzz_seeds)
     batch = []
     for i in range(args.batch):
         name, source = sources[i % len(sources)]
@@ -89,7 +75,7 @@ def _steady_batch(args, round_index: int) -> list[CompileRequest]:
 
 
 def _cached_batch(args, round_index: int) -> list[CompileRequest]:
-    sources = _corpus(args.fuzz_seeds)
+    sources = collect_corpus(args.fuzz_seeds)
     return [
         CompileRequest(
             # Identical across rounds: round 0 populates the response
@@ -128,7 +114,7 @@ def _faulted_batch(args, round_index: int) -> list[CompileRequest]:
 
 
 def _overload_batch(args, round_index: int) -> list[CompileRequest]:
-    sources = _corpus(args.fuzz_seeds)
+    sources = collect_corpus(args.fuzz_seeds)
     return [
         CompileRequest(
             source=f"// burst r{round_index} i{i}\n"
@@ -194,9 +180,9 @@ def _latency_table(snapshot: dict, metric: str) -> dict:
     return table
 
 
-def run_mix(name: str, args, scratch: str) -> dict:
-    """Run one workload mix to its duration/round budget and report
-    what the metrics registry observed."""
+def run_mix(name: str, args, scratch: str) -> tuple[dict, dict]:
+    """Run one workload mix to its duration/round budget; returns the
+    report of what the metrics registry observed and its snapshot."""
     build = _MIX_BUILDERS[name]
     config = _mix_config(name, args, scratch)
     submitted = 0
@@ -230,7 +216,7 @@ def run_mix(name: str, args, scratch: str) -> dict:
         snapshot, "service_request_duration_seconds"
     )
     total = max(submitted, 1)
-    return {
+    report = {
         "rounds": rounds,
         "requests": submitted,
         "responses": answered,
@@ -255,14 +241,16 @@ def run_mix(name: str, args, scratch: str) -> dict:
             snapshot, "service_queue_wait_seconds"
         ),
     }
+    return report, snapshot
 
 
 # ----------------------------------------------------------------------
 # Transport comparison: the same client-side workload through the
 # in-process shard router vs over TCP (NetServerThread + NetClient).
-# Latencies here are *exact* client-wall medians (statistics.median of
-# per-request wall times), not bucketed histogram quantiles — the
-# 2x-overhead gate needs more resolution than log-spaced buckets give.
+# Latencies here are *exact* client-wall statistics (perfbench's median
+# and nearest-rank percentile of per-request wall times), not bucketed
+# histogram quantiles — the 2x-overhead gate needs more resolution than
+# log-spaced buckets give.
 # ----------------------------------------------------------------------
 
 TRANSPORT_MIXES = ("steady", "cached")
@@ -270,23 +258,6 @@ TRANSPORT_MIXES = ("steady", "cached")
 #: the acceptance gate: steady-state p50 over TCP must stay within
 #: this factor of the in-process p50
 TCP_P50_FACTOR = 2.0
-
-
-def _exact_latency(samples: list[float]) -> dict:
-    import statistics
-
-    data = sorted(samples)
-    if not data:
-        return {"count": 0, "p50_s": 0.0, "p95_s": 0.0, "mean_s": 0.0}
-    return {
-        "count": len(data),
-        "p50_s": round(statistics.median(data), 6),
-        "p95_s": round(
-            data[min(len(data) - 1, int(0.95 * len(data)))], 6
-        ),
-        "mean_s": round(sum(data) / len(data), 6),
-        "max_s": round(data[-1], 6),
-    }
 
 
 def _transport_configs(
@@ -317,9 +288,10 @@ def _transport_configs(
 
 def run_transport_mix(
     transport: str, mix: str, args, scratch: str
-) -> dict:
+) -> tuple[dict, dict]:
     """One workload mix through one transport; exact client-side wall
-    latencies plus the merged shard-ledger accounting."""
+    latencies plus the merged shard-ledger accounting, and the merged
+    metrics snapshot."""
     import threading
 
     from repro.service.net import (
@@ -330,7 +302,7 @@ def run_transport_mix(
     )
 
     configs = _transport_configs(mix, transport, args, scratch)
-    sources = _corpus(args.fuzz_seeds)
+    sources = collect_corpus(args.fuzz_seeds)
     per_client = max(4, args.batch // max(1, args.clients))
     # cached needs a cold round to populate before the timed rounds
     rounds = max(2, args.rounds) if mix == "cached" else 1
@@ -428,7 +400,16 @@ def run_transport_mix(
         for row in merged["service_responses_total"]["series"]
     )
     issued = args.clients * per_client * rounds
-    return {
+    latency = {"count": 0, "p50_s": 0.0, "p95_s": 0.0, "mean_s": 0.0}
+    if durations:
+        latency.update(
+            count=len(durations),
+            p50_s=round(median(durations), 6),
+            p95_s=round(percentile(durations, 95), 6),
+            mean_s=round(sum(durations) / len(durations), 6),
+            max_s=round(max(durations), 6),
+        )
+    report = {
         "transport": transport,
         "shards": args.shards,
         "clients": args.clients,
@@ -439,12 +420,13 @@ def run_transport_mix(
         "duplicate_responses": duplicates,
         "metrics_requests_in": requests_in,
         "metrics_responses_out": responses_out,
-        "client_wall_latency": _exact_latency(durations),
+        "client_wall_latency": latency,
     }
+    return report, merged
 
 
 def _check_transport_mix(
-    transport: str, mix: str, report: dict
+    transport: str, mix: str, report: dict, merged: dict
 ) -> list[str]:
     problems = []
     label = f"{transport}/{mix}"
@@ -461,30 +443,30 @@ def _check_transport_mix(
             f"{label}: {report['duplicate_responses']} "
             "double-answered request(s)"
         )
-    if report["metrics_requests_in"] != report["metrics_responses_out"]:
-        problems.append(
-            f"{label}: merged ledger broken: "
-            f"{report['metrics_requests_in']} in vs "
-            f"{report['metrics_responses_out']} terminal"
+    problems.extend(
+        f"{label}: merged ledger broken: {problem}"
+        for problem in CompileService.ledger_problems(
+            merged, report["requests"]
         )
+    )
     if report["client_wall_latency"]["count"] == 0:
         problems.append(f"{label}: no latency samples")
     return problems
 
 
-def _check_mix(name: str, report: dict) -> list[str]:
+def _check_mix(name: str, report: dict, snapshot: dict) -> list[str]:
     """The sanity gates every mix must pass."""
     problems = []
     if report["throughput_rps"] <= 0:
         problems.append(f"{name}: zero throughput")
     if report["lost"] != 0:
         problems.append(f"{name}: lost {report['lost']} request(s)")
-    if report["metrics_requests_in"] != report["metrics_responses_out"]:
-        problems.append(
-            f"{name}: metrics accounting broken: "
-            f"{report['metrics_requests_in']} in vs "
-            f"{report['metrics_responses_out']} terminal"
+    problems.extend(
+        f"{name}: metrics accounting broken: {problem}"
+        for problem in CompileService.ledger_problems(
+            snapshot, report["requests"]
         )
+    )
     if not any(
         row["count"] > 0 and row["p99_s"] > 0
         for row in report["latency_by_outcome"].values()
@@ -568,9 +550,9 @@ def main(argv=None) -> int:
     problems: list[str] = []
     try:
         for name in mix_names:
-            report = run_mix(name, args, scratch)
+            report, snapshot = run_mix(name, args, scratch)
             mixes[name] = report
-            problems.extend(_check_mix(name, report))
+            problems.extend(_check_mix(name, report, snapshot))
             ok_n = report["statuses"].get("ok", 0)
             print(
                 f"service-bench: {name}: {report['requests']} reqs in "
@@ -594,12 +576,14 @@ def main(argv=None) -> int:
             for transport in transport_names:
                 transports[transport] = {}
                 for mix in TRANSPORT_MIXES:
-                    t_report = run_transport_mix(
+                    t_report, merged = run_transport_mix(
                         transport, mix, args, scratch
                     )
                     transports[transport][mix] = t_report
                     problems.extend(
-                        _check_transport_mix(transport, mix, t_report)
+                        _check_transport_mix(
+                            transport, mix, t_report, merged
+                        )
                     )
                     lat = t_report["client_wall_latency"]
                     print(
