@@ -58,6 +58,13 @@ from repro.driver.exitcodes import (
     EXIT_USER_ERROR,
     worst_exit_code,
 )
+from repro.driver.options import (
+    DEFAULT_CACHE_DIR,
+    add_shared_flags,
+    read_source,
+    scan_f_flags,
+    write_report,
+)
 from repro.instrument import (
     DEBUG_COUNTERS,
     FAULTS,
@@ -157,12 +164,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="print textual IR (default action)",
     )
     parser.add_argument(
-        "--run",
-        action="store_true",
-        help="interpret the compiled module",
-    )
-    parser.add_argument("--entry", default="main")
-    parser.add_argument(
         "-fexec",
         choices=("interp", "closures"),
         default="closures",
@@ -171,12 +172,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="with --run: execution engine — 'closures' "
         "(closure-compiled engine, default) or 'interp' (reference "
         "tree-walking interpreter, identical observable semantics)",
-    )
-    parser.add_argument(
-        "--num-threads",
-        type=int,
-        default=4,
-        help="simulated OpenMP team size for --run",
     )
     parser.add_argument(
         "-D",
@@ -198,44 +193,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="restrict -ast-dump to one function",
     )
     parser.add_argument("-o", dest="output", default=None)
-    parser.add_argument(
-        "-print-stats",
-        action="store_true",
-        dest="print_stats",
-        help="dump internal statistics counters (LLVM -stats style)",
-    )
-    parser.add_argument(
-        "--stats-json",
-        default=None,
-        dest="stats_json",
-        metavar="FILE",
-        help="write this invocation's statistics deltas as sorted JSON "
-        "('-' for stdout)",
-    )
-    parser.add_argument(
-        "-print-cache-stats",
-        action="store_true",
-        dest="print_cache_stats",
-        help="dump the cache.* counters and cache tier summary "
-        "(use with -fcache)",
-    )
-    parser.add_argument(
-        "-fcache-max-entries",
-        type=int,
-        default=1024,
-        dest="cache_max_entries",
-        metavar="N",
-        help="in-memory cache tier capacity in entries (default 1024)",
-    )
-    parser.add_argument(
-        "-fcache-max-bytes",
-        type=int,
-        default=256 * 1024 * 1024,
-        dest="cache_max_bytes",
-        metavar="N",
-        help="on-disk cache tier budget in bytes (default 256 MiB); "
-        "oldest entries are evicted past it",
-    )
+    add_shared_flags(parser)
     parser.add_argument(
         "-Rpass",
         dest="rpass",
@@ -396,15 +354,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         f"(exit code {EXIT_TIMEOUT} with a scheduler snapshot)",
     )
     parser.add_argument(
-        "--fuel",
-        type=int,
-        default=None,
-        dest="fuel",
-        metavar="N",
-        help="with --run: maximum retired guest instructions "
-        f"(exit code {EXIT_TIMEOUT} with a scheduler snapshot)",
-    )
-    parser.add_argument(
         "--max-memory",
         type=int,
         default=None,
@@ -438,77 +387,6 @@ def _build_instrumentation(args) -> PassInstrumentation | None:
     return instrument if instrument.enabled else None
 
 
-def _extract_time_trace(
-    argv: list[str],
-) -> tuple[list[str], str | None]:
-    """Pull ``-ftime-trace[=FILE]`` out of *argv*.
-
-    Handled outside argparse: with ``nargs="?"`` the bare flag would
-    swallow the following positional (the input file).  Returns the
-    remaining argv and the requested trace path ("" = derive from the
-    input name).
-    """
-    remaining: list[str] = []
-    trace: str | None = None
-    for arg in argv:
-        if arg == "-ftime-trace":
-            trace = ""
-        elif arg.startswith("-ftime-trace="):
-            trace = arg.split("=", 1)[1]
-        else:
-            remaining.append(arg)
-    return remaining, trace
-
-
-#: where ``-fcache`` without an explicit directory keeps its entries
-DEFAULT_CACHE_DIR = ".miniclang-cache"
-
-
-def _extract_cache_flags(
-    argv: list[str],
-) -> tuple[list[str], str | None, bool]:
-    """Pull ``-fcache[=DIR]`` / ``-fno-cache`` / ``-fcache-durable``
-    out of *argv* (manual for the same ``nargs="?"`` reason as
-    ``-ftime-trace``; last flag wins, clang-style).  Returns the
-    remaining argv, the cache directory (None = caching disabled), and
-    whether durable (fsync-before-rename) writes were requested."""
-    remaining: list[str] = []
-    cache_dir: str | None = None
-    durable = False
-    for arg in argv:
-        if arg == "-fcache":
-            cache_dir = DEFAULT_CACHE_DIR
-        elif arg.startswith("-fcache="):
-            cache_dir = arg.split("=", 1)[1] or DEFAULT_CACHE_DIR
-        elif arg == "-fno-cache":
-            cache_dir = None
-        elif arg == "-fcache-durable":
-            durable = True
-        else:
-            remaining.append(arg)
-    return remaining, cache_dir, durable
-
-
-def _write_stats_json(
-    path: str, stats_before: dict[str, int]
-) -> None:
-    """Write the statistics deltas since *stats_before* as JSON with
-    deterministically sorted keys (``-`` = stdout).  Shared by
-    ``miniclang --stats-json`` and ``miniclang-serve --stats-json``."""
-    import json
-
-    payload = json.dumps(
-        STATS.render_json(STATS.delta_since(stats_before)),
-        indent=1,
-        sort_keys=True,
-    )
-    if path == "-":
-        print(payload)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-
-
 def _default_trace_path(input_name: str) -> str:
     if input_name == "-":
         return "stdin.time-trace.json"
@@ -535,8 +413,16 @@ def _emit_remarks(args, compile_result) -> None:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     invocation = "miniclang " + " ".join(argv)
-    argv, time_trace = _extract_time_trace(argv)
-    argv, cache_dir, cache_durable = _extract_cache_flags(argv)
+    argv, flags = scan_f_flags(
+        argv,
+        {
+            "time-trace": "",
+            "cache": DEFAULT_CACHE_DIR,
+            "cache-durable": True,
+        },
+        negatable=("cache",),
+    )
+    time_trace, cache_dir = flags["time-trace"], flags["cache"]
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     if args.print_pipeline_passes:
@@ -582,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
             cache_dir,
             max_entries=args.cache_max_entries,
             max_disk_bytes=args.cache_max_bytes,
-            durable=cache_durable,
+            durable=bool(flags["cache-durable"]),
         )
 
     stats_before = STATS.snapshot()
@@ -591,30 +477,20 @@ def main(argv: list[str] | None = None) -> int:
     code = EXIT_OK
     try:
         for input_path in args.inputs:
-            if input_path == "-":
-                source = sys.stdin.read()
-                filename = "<stdin>"
-            else:
-                try:
-                    with open(
-                        input_path, "r", encoding="utf-8"
-                    ) as fh:
-                        source = fh.read()
-                except UnicodeDecodeError as err:
-                    print(
-                        f"miniclang: error: {input_path}: invalid "
-                        f"UTF-8 in source file: {err}",
-                        file=sys.stderr,
-                    )
-                    code = worst_exit_code(code, EXIT_USER_ERROR)
-                    continue
-                except OSError as err:
-                    print(
-                        f"miniclang: error: {err}", file=sys.stderr
-                    )
-                    code = worst_exit_code(code, EXIT_USER_ERROR)
-                    continue
-                filename = input_path
+            try:
+                source, filename = read_source(input_path)
+            except UnicodeDecodeError as err:
+                print(
+                    f"miniclang: error: {input_path}: invalid UTF-8 in "
+                    f"source file: {err}",
+                    file=sys.stderr,
+                )
+                code = worst_exit_code(code, EXIT_USER_ERROR)
+                continue
+            except OSError as err:
+                print(f"miniclang: error: {err}", file=sys.stderr)
+                code = worst_exit_code(code, EXIT_USER_ERROR)
+                continue
             # A crashing input must not stop the batch: every outcome
             # is contained to its input, the worst exit code wins
             # (severity policy shared with miniclang-serve, see
@@ -637,24 +513,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             with open(trace_path, "w", encoding="utf-8") as fh:
                 fh.write(profiler.to_chrome_json())
-        if args.print_stats:
-            print(
-                STATS.render_text(STATS.delta_since(stats_before)),
-                file=sys.stderr,
-            )
-        if args.stats_json:
-            _write_stats_json(args.stats_json, stats_before)
-        if args.print_cache_stats:
-            delta = {
-                key: value
-                for key, value in STATS.delta_since(
-                    stats_before
-                ).items()
-                if key.startswith("cache.")
-            }
-            print(STATS.render_text(delta), file=sys.stderr)
-            if cache is not None:
-                print(cache.describe(), file=sys.stderr)
+        write_report(args, stats_before, caches=(cache,))
     return code
 
 
@@ -723,6 +582,18 @@ def _drive_one(
     """The actual compile/run logic for one input (exceptions are
     mapped to exit codes by :func:`_drive`)."""
     instrument = _build_instrumentation(args)
+    # what every pipeline entry point below takes from the command line
+    frontend = dict(
+        filename=filename,
+        openmp=args.openmp,
+        enable_irbuilder=args.enable_irbuilder,
+        optimize=args.optimize,
+        defines=defines,
+        strip_omp_transforms=args.strip_omp_transforms,
+        error_limit=args.error_limit,
+        crash_reproducer_dir=args.crash_reproducer_dir,
+        invocation=invocation,
+    )
     if (
         cache is not None
         and not args.run
@@ -738,48 +609,25 @@ def _drive_one(
         from repro.pipeline import compile_source_cached
 
         cc = compile_source_cached(
-            source,
-            cache,
-            filename=filename,
-            openmp=args.openmp,
-            enable_irbuilder=args.enable_irbuilder,
-            optimize=args.optimize,
-            defines=defines,
-            include_paths=args.include_paths,
-            strip_omp_transforms=args.strip_omp_transforms,
-            error_limit=args.error_limit,
-            crash_reproducer_dir=args.crash_reproducer_dir,
-            invocation=invocation,
+            source, cache, include_paths=args.include_paths, **frontend
         )
         if cc.diagnostics_text:
             print(cc.diagnostics_text, file=sys.stderr)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(cc.ir_text + "\n")
-        else:
-            print(cc.ir_text)
+        _write_output(args, cc.ir_text)
         return 0
     if args.run:
         result = run_source(
             source,
             entry=args.entry,
             num_threads=args.num_threads,
-            filename=filename,
-            openmp=args.openmp,
-            enable_irbuilder=args.enable_irbuilder,
-            defines=defines,
-            optimize=args.optimize,
             profile_detail=args.profile_report,
             instrument=instrument,
-            error_limit=args.error_limit,
-            crash_reproducer_dir=args.crash_reproducer_dir,
-            invocation=invocation,
             fuel=args.fuel,
             timeout_s=args.timeout,
             memory_limit=args.max_memory,
             max_call_depth=args.max_recursion,
-            strip_omp_transforms=args.strip_omp_transforms,
             exec_engine=args.exec_engine,
+            **frontend,
         )
         _emit_remarks(args, result.compile_result)
         if args.profile_report:
@@ -795,20 +643,12 @@ def _drive_one(
 
     result = compile_source(
         source,
-        filename=filename,
-        openmp=args.openmp,
-        enable_irbuilder=args.enable_irbuilder,
         syntax_only=args.syntax_only
         or args.ast_dump
         or args.ast_dump_shadow,
-        defines=defines,
         include_paths=args.include_paths,
-        error_limit=args.error_limit,
-        crash_reproducer_dir=args.crash_reproducer_dir,
-        invocation=invocation,
-        strip_omp_transforms=args.strip_omp_transforms,
-        optimize=args.optimize,
         instrument=instrument,
+        **frontend,
     )
 
     warnings = result.diagnostics.render_all()
@@ -826,12 +666,17 @@ def _drive_one(
     _emit_remarks(args, result)
 
     if output_text:
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(output_text + "\n")
-        else:
-            print(output_text)
+        _write_output(args, output_text)
     return 0
+
+
+def _write_output(args, text: str) -> None:
+    """Print *text* to ``-o FILE``, else stdout."""
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
 
 
 if __name__ == "__main__":  # pragma: no cover

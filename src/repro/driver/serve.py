@@ -24,10 +24,12 @@ severity policy (:mod:`repro.driver.exitcodes`).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
 import sys
+from typing import Callable
 
 from repro.driver.exitcodes import (
     EXIT_ICE,
@@ -36,6 +38,13 @@ from repro.driver.exitcodes import (
     EXIT_UNAVAILABLE,
     EXIT_USER_ERROR,
     worst_exit_code,
+)
+from repro.driver.options import (
+    DEFAULT_CACHE_DIR,
+    add_shared_flags,
+    read_source,
+    scan_f_flags,
+    write_report,
 )
 from repro.instrument.stats import STATS
 from repro.service import (
@@ -75,7 +84,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--listen",
-        default=None,
         metavar="HOST:PORT",
         help="serve over TCP instead of executing an input batch: "
         "accept length-prefixed JSON frames, route across --shards "
@@ -94,7 +102,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--max-connections",
         type=int,
         default=64,
-        dest="max_connections",
         metavar="N",
         help="with --listen: concurrent-connection cap (excess "
         "connections get a retryable server-busy error frame)",
@@ -103,7 +110,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--frame-timeout",
         type=float,
         default=10.0,
-        dest="frame_timeout",
         metavar="SECONDS",
         help="with --listen: a started frame must finish arriving "
         "within this window (slow-loris eviction)",
@@ -112,7 +118,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--idle-timeout",
         type=float,
         default=300.0,
-        dest="idle_timeout",
         metavar="SECONDS",
         help="with --listen: close connections idle this long",
     )
@@ -134,7 +139,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--hedge-delay",
         type=float,
-        default=None,
         metavar="SECONDS",
         help="dispatch a duplicate attempt for stragglers after this "
         "many seconds (default: hedging off)",
@@ -154,28 +158,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "graceful-degradation fallback)",
     )
     parser.add_argument(
-        "--run",
-        action="store_true",
-        help="interpret the compiled module instead of printing IR",
-    )
-    parser.add_argument("--entry", default="main")
-    parser.add_argument(
-        "--num-threads",
-        type=int,
-        default=4,
-        help="simulated OpenMP team size for --run",
-    )
-    parser.add_argument(
         "--optimize",
         action="store_true",
         help="run the mid-end pass pipeline",
-    )
-    parser.add_argument(
-        "--fuel",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --run: maximum retired guest instructions",
     )
     parser.add_argument(
         "--no-degrade",
@@ -212,8 +197,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--state-dir",
-        default=None,
-        dest="state_dir",
         metavar="DIR",
         help="persist the breaker board and poison-input quarantine "
         "here; a restart restores them (quarantined inputs are "
@@ -224,7 +207,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--drain-timeout",
         type=float,
         default=10.0,
-        dest="drain_timeout",
         metavar="SECONDS",
         help="on SIGTERM/SIGINT: let in-flight requests finish this "
         "long before shedding the rest (second signal exits "
@@ -233,8 +215,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--worker-max-requests",
         type=int,
-        default=None,
-        dest="worker_max_requests",
         metavar="N",
         help="preemptively recycle each worker after N completed "
         "attempts (zero request loss; gunicorn-style max_requests)",
@@ -243,39 +223,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--heartbeat-interval",
         type=float,
         default=5.0,
-        dest="heartbeat_interval",
         metavar="SECONDS",
         help="liveness-check idle workers this often (0 disables)",
     )
-    # -fcache[=DIR] / -fno-cache are extracted manually in main()
-    # (same nargs="?"-vs-positional hazard as miniclang's -ftime-trace)
-    parser.add_argument(
-        "-fcache-max-entries",
-        type=int,
-        default=1024,
-        dest="cache_max_entries",
-        metavar="N",
-        help="in-memory cache tier capacity in entries (default 1024)",
-    )
-    parser.add_argument(
-        "-fcache-max-bytes",
-        type=int,
-        default=256 * 1024 * 1024,
-        dest="cache_max_bytes",
-        metavar="N",
-        help="on-disk cache tier byte budget (default 256 MiB)",
-    )
+    # -fcache[=DIR] / -fno-cache / -fcache-durable and
+    # -ftrace-requests[=DIR] are pulled out of argv before parsing
+    # (repro.driver.options.scan_f_flags)
+    add_shared_flags(parser)
     parser.add_argument(
         "--no-single-flight",
         action="store_true",
         help="do not coalesce concurrent identical requests onto one "
         "execution",
-    )
-    parser.add_argument(
-        "-print-cache-stats",
-        action="store_true",
-        dest="print_cache_stats",
-        help="dump the cache.* counters and cache tier summary",
     )
     parser.add_argument(
         "--json",
@@ -285,41 +244,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "instead of raw payloads",
     )
     parser.add_argument(
-        "--print-stats",
-        action="store_true",
-        dest="print_stats",
-        help="dump the service.* and compile statistics to stderr",
-    )
-    # -ftrace-requests[=DIR] is extracted manually in main() (the same
-    # nargs="?"-vs-positional hazard as -fcache / -ftime-trace)
-    parser.add_argument(
-        "--stats-json",
-        default=None,
-        dest="stats_json",
-        metavar="FILE",
-        help="write this batch's statistics deltas as sorted JSON "
-        "('-' for stdout)",
-    )
-    parser.add_argument(
         "--metrics-json",
-        default=None,
-        dest="metrics_json",
         metavar="FILE",
         help="write the service metrics snapshot (counters, gauges, "
         "latency histograms with p50/p95/p99) as JSON",
     )
     parser.add_argument(
         "--metrics-prom",
-        default=None,
-        dest="metrics_prom",
         metavar="FILE",
         help="write the service metrics in Prometheus text exposition "
         "format",
     )
     parser.add_argument(
         "--log-jsonl",
-        default=None,
-        dest="log_jsonl",
         metavar="FILE",
         help="append one JSON line per request lifecycle event "
         "(submit/dispatch/retry/.../response), keyed by request and "
@@ -335,13 +272,16 @@ DEFAULT_TRACE_DIR = "service-traces"
 class _DrainSignals:
     """SIGTERM/SIGINT -> graceful drain (systemd-style stop protocol).
 
-    First signal: admission closes, in-flight work gets the drain
-    deadline, state is snapshotted, the process exits 0.  Second
-    signal: immediate exit with the conventional ``128 + signum``.
+    First signal: *drain* is called with the drain deadline (admission
+    closes, in-flight work gets the deadline, state is snapshotted, the
+    process exits 0).  Second signal: immediate exit with the
+    conventional ``128 + signum``.
     """
 
-    def __init__(self, service, drain_deadline_s: float) -> None:
-        self.service = service
+    def __init__(
+        self, drain: Callable[[float], None], drain_deadline_s: float
+    ) -> None:
+        self.drain = drain
         self.drain_deadline_s = drain_deadline_s
         self.triggered = False
         self._previous: dict[int, object] = {}
@@ -356,10 +296,11 @@ class _DrainSignals:
             f"(deadline {self.drain_deadline_s:.1f}s; send again to "
             "exit immediately)",
             file=sys.stderr,
+            flush=True,
         )
-        self.service.begin_drain(self.drain_deadline_s)
+        self.drain(self.drain_deadline_s)
 
-    def install(self) -> None:
+    def __enter__(self) -> "_DrainSignals":
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
                 self._previous[signum] = signal.signal(
@@ -367,30 +308,14 @@ class _DrainSignals:
                 )
             except (ValueError, OSError):  # pragma: no cover
                 pass  # non-main thread / unsupported platform
+        return self
 
-    def restore(self) -> None:
+    def __exit__(self, *exc) -> None:
         for signum, previous in self._previous.items():
             try:
                 signal.signal(signum, previous)
             except (ValueError, OSError):  # pragma: no cover
                 pass
-
-
-def _extract_trace_requests(
-    argv: list[str],
-) -> tuple[list[str], str | None]:
-    """Pull ``-ftrace-requests[=DIR]`` out of *argv*.  Returns the
-    remaining argv and the trace directory (None = tracing off)."""
-    remaining: list[str] = []
-    trace_dir: str | None = None
-    for arg in argv:
-        if arg == "-ftrace-requests":
-            trace_dir = DEFAULT_TRACE_DIR
-        elif arg.startswith("-ftrace-requests="):
-            trace_dir = arg.split("=", 1)[1] or DEFAULT_TRACE_DIR
-        else:
-            remaining.append(arg)
-    return remaining, trace_dir
 
 
 def _status_line(name: str, request, response: CompileResponse) -> str:
@@ -438,62 +363,66 @@ def _response_exit_code(response: CompileResponse) -> int:
     return EXIT_ICE
 
 
-def _shard_configs(
-    args, cache_dir, cache_durable, trace_dir, event_log
-) -> list[ServiceConfig]:
-    """One ServiceConfig per shard, from the shared CLI knobs.  Every
-    shard gets its own state subdirectory (independent breaker boards
-    persist independently) and skips response retention (a long-lived
-    server answers through the response hook, not the batch map)."""
-    configs: list[ServiceConfig] = []
-    for index in range(max(1, args.shards)):
-        configs.append(
-            ServiceConfig(
-                workers=args.workers,
-                queue_capacity=args.queue_capacity,
-                deadline_s=args.deadline,
-                retry=RetryPolicy(
-                    max_attempts=1 + max(0, args.retries)
-                ),
-                hedge_delay_s=args.hedge_delay,
-                allow_degraded=not args.no_degrade,
-                quarantine_dir=args.quarantine_dir or None,
-                enable_cache=cache_dir is not None,
-                cache_dir=cache_dir,
-                cache_max_entries=args.cache_max_entries,
-                cache_max_bytes=args.cache_max_bytes,
-                cache_durable=cache_durable,
-                single_flight=not args.no_single_flight,
-                state_dir=(
-                    os.path.join(args.state_dir, f"shard-{index}")
-                    if args.state_dir
-                    else None
-                ),
-                drain_deadline_s=args.drain_timeout,
-                worker_max_requests=args.worker_max_requests,
-                heartbeat_interval_s=args.heartbeat_interval,
-                trace_requests=trace_dir is not None,
-                trace_dir=trace_dir,
-                event_log=event_log,
-                retain_responses=False,
-            )
-        )
-    return configs
-
-
-def _run_server(
-    args, cache_dir, cache_durable, trace_dir
-) -> int:
-    """``--listen`` mode: the asyncio TCP front door over a shard
-    router.  Runs until a drain completes (SIGTERM/SIGINT; a second
-    signal exits immediately) and exits 0 on a graceful drain."""
-    import asyncio
-
+def _event_log(args):
+    """The ``--log-jsonl`` sink as a context manager (None when off)."""
     from repro.instrument.telemetry import EventLog
+
+    if args.log_jsonl:
+        return EventLog(path=args.log_jsonl)
+    return contextlib.nullcontext()
+
+
+def _shard_configs(args, flags, event_log) -> list[ServiceConfig]:
+    """The one args -> ServiceConfig mapping: one config per shard.
+
+    With ``--listen`` every shard gets its own state subdirectory
+    (independent breaker boards persist independently) and skips
+    response retention (a long-lived server answers through the
+    response hook, not the batch map).  A batch is one shard that keeps
+    its state directly in ``--state-dir`` and retains its responses."""
+    listen = args.listen is not None
+    cache_dir = flags["cache"]
+    trace_dir = flags["trace-requests"]
+    return [
+        ServiceConfig(
+            workers=args.workers,
+            queue_capacity=args.queue_capacity,
+            deadline_s=args.deadline,
+            retry=RetryPolicy(max_attempts=1 + max(0, args.retries)),
+            hedge_delay_s=args.hedge_delay,
+            allow_degraded=not args.no_degrade,
+            quarantine_dir=args.quarantine_dir or None,
+            enable_cache=cache_dir is not None,
+            cache_dir=cache_dir,
+            cache_max_entries=args.cache_max_entries,
+            cache_max_bytes=args.cache_max_bytes,
+            cache_durable=bool(flags["cache-durable"]),
+            single_flight=not args.no_single_flight,
+            state_dir=(
+                os.path.join(args.state_dir, f"shard-{index}")
+                if listen and args.state_dir
+                else args.state_dir
+            ),
+            drain_deadline_s=args.drain_timeout,
+            worker_max_requests=args.worker_max_requests,
+            heartbeat_interval_s=args.heartbeat_interval,
+            trace_requests=trace_dir is not None,
+            trace_dir=trace_dir,
+            event_log=event_log,
+            retain_responses=not listen,
+        )
+        for index in range(max(1, args.shards) if listen else 1)
+    ]
+
+
+def _run_server(args, flags) -> int:
+    """``--listen`` mode: the TCP front door over a shard router, hosted
+    by :class:`~repro.service.net.NetServerThread`.  Runs until a drain
+    completes (SIGTERM/SIGINT; a second signal exits immediately) and
+    exits 0 on a graceful drain."""
     from repro.service.net import (
-        NetServer,
         NetServerConfig,
-        ShardRouter,
+        NetServerThread,
         parse_address,
     )
 
@@ -502,143 +431,69 @@ def _run_server(
     except ValueError as err:
         print(f"miniclang-serve: error: {err}", file=sys.stderr)
         return EXIT_USER_ERROR
-    event_log = (
-        EventLog(path=args.log_jsonl) if args.log_jsonl else None
-    )
     stats_before = STATS.snapshot()
-    router = ShardRouter(
-        _shard_configs(
-            args, cache_dir, cache_durable, trace_dir, event_log
+    with _event_log(args) as event_log:
+        server = NetServerThread(
+            _shard_configs(args, flags, event_log),
+            NetServerConfig(
+                host=host,
+                port=port,
+                max_connections=args.max_connections,
+                frame_timeout_s=args.frame_timeout,
+                idle_timeout_s=args.idle_timeout,
+                drain_deadline_s=args.drain_timeout,
+            ),
         )
-    )
-    net_config = NetServerConfig(
-        host=host,
-        port=port,
-        max_connections=args.max_connections,
-        frame_timeout_s=args.frame_timeout,
-        idle_timeout_s=args.idle_timeout,
-        drain_deadline_s=args.drain_timeout,
-    )
-
-    async def _serve() -> None:
-        server = NetServer(router, net_config)
-        bound_host, bound_port = await server.start()
-        print(
-            f"miniclang-serve: listening on {bound_host}:{bound_port} "
-            f"({router.shard_count} shard(s), {args.workers} "
-            "worker(s) each)",
-            file=sys.stderr,
-            flush=True,
-        )
-        loop = asyncio.get_running_loop()
-        triggered: set[int] = set()
-
-        def on_signal(signum: int) -> None:
-            if triggered:
-                os._exit(128 + signum)
-            triggered.add(signum)
-            name = signal.Signals(signum).name
-            print(
-                f"miniclang-serve: {name} received: draining "
-                f"(deadline {args.drain_timeout:.1f}s; send again to "
-                "exit immediately)",
-                file=sys.stderr,
-                flush=True,
-            )
-            server.request_drain(args.drain_timeout)
-
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum, on_signal, signum
+        try:
+            bound_host, bound_port = server.start()
+        except RuntimeError as err:
+            print(f"miniclang-serve: error: {err}", file=sys.stderr)
+            return EXIT_USER_ERROR
+        try:
+            with _DrainSignals(server.request_drain, args.drain_timeout):
+                print(
+                    "miniclang-serve: listening on "
+                    f"{bound_host}:{bound_port} "
+                    f"({server.router.shard_count} shard(s), "
+                    f"{args.workers} worker(s) each)",
+                    file=sys.stderr,
+                    flush=True,
                 )
-            except (NotImplementedError, RuntimeError):
-                pass  # pragma: no cover - non-unix platforms
-        await server.serve_until_drained()
-
-    router.start()
-    try:
-        asyncio.run(_serve())
-    finally:
-        router.shutdown()
-        if event_log is not None:
-            event_log.close()
-    metrics = router.merged_metrics()
-    requests_total = 0.0
-    responses_total = 0.0
-    req_metric = metrics.get("service_requests_total")
-    if req_metric is not None:
-        requests_total = req_metric.value
-    resp_metric = metrics.get("service_responses_total")
-    if resp_metric is not None:
-        responses_total = sum(
-            cell.value for _, cell in resp_metric.series()
-        )
+                drained = server.wait()
+        finally:
+            server.stop()
+    if not drained:
+        return EXIT_ICE
+    metrics = server.router.merged_metrics()
+    admitted = metrics.get("service_requests_total").value
+    answered = sum(
+        cell.value
+        for _, cell in metrics.get("service_responses_total").series()
+    )
     print(
-        "miniclang-serve: drained: "
-        f"{int(requests_total)} request(s) admitted, "
-        f"{int(responses_total)} terminal response(s), "
+        f"miniclang-serve: drained: {int(admitted)} request(s) "
+        f"admitted, {int(answered)} terminal response(s), "
         "state snapshotted; exiting 0",
         file=sys.stderr,
     )
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(metrics.snapshot(), fh, indent=1)
-            fh.write("\n")
-    if args.metrics_prom:
-        with open(args.metrics_prom, "w", encoding="utf-8") as fh:
-            fh.write(metrics.render_prometheus())
-    if args.print_stats:
-        print(
-            STATS.render_text(STATS.delta_since(stats_before)),
-            file=sys.stderr,
-        )
-    if args.stats_json:
-        from repro.driver.cli import _write_stats_json
-
-        _write_stats_json(args.stats_json, stats_before)
+    write_report(args, stats_before, metrics, server.router.caches)
     # A graceful drain is a successful shutdown (systemd's clean-stop
     # contract) — the accounting line above is the audit trail.
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
-    from repro.driver.cli import (
-        _extract_cache_flags,
-        _write_stats_json,
-    )
-    from repro.instrument.telemetry import EventLog
-
-    argv = list(sys.argv[1:] if argv is None else argv)
-    argv, cache_dir, cache_durable = _extract_cache_flags(argv)
-    argv, trace_dir = _extract_trace_requests(argv)
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    if args.listen is not None:
-        if args.inputs:
-            parser.error("--listen takes no input files")
-        return _run_server(args, cache_dir, cache_durable, trace_dir)
-    if not args.inputs:
-        parser.error("input files required (or --listen HOST:PORT)")
-
+def _run_batch(args, flags) -> int:
+    """Batch mode: every input file is one request on one service."""
     requests: list[CompileRequest] = []
     names: list[str] = []
     read_errors = 0
     for input_path in args.inputs:
-        if input_path == "-":
-            source = sys.stdin.read()
-            filename = "<stdin>"
-        else:
-            try:
-                with open(input_path, "r", encoding="utf-8") as fh:
-                    source = fh.read()
-            except (OSError, UnicodeDecodeError) as err:
-                print(
-                    f"miniclang-serve: error: {err}", file=sys.stderr
-                )
-                read_errors += 1
-                continue
-            filename = input_path
+        try:
+            source, filename = read_source(input_path)
+        except (OSError, UnicodeDecodeError) as err:
+            print(f"miniclang-serve: error: {err}", file=sys.stderr)
+            read_errors += 1
+            continue
         requests.append(
             CompileRequest(
                 source=source,
@@ -657,48 +512,14 @@ def main(argv: list[str] | None = None) -> int:
         )
         names.append(filename)
 
-    event_log = (
-        EventLog(path=args.log_jsonl) if args.log_jsonl else None
-    )
-    config = ServiceConfig(
-        workers=args.workers,
-        queue_capacity=args.queue_capacity,
-        deadline_s=args.deadline,
-        retry=RetryPolicy(max_attempts=1 + max(0, args.retries)),
-        hedge_delay_s=args.hedge_delay,
-        allow_degraded=not args.no_degrade,
-        quarantine_dir=args.quarantine_dir or None,
-        enable_cache=cache_dir is not None,
-        cache_dir=cache_dir,
-        cache_max_entries=args.cache_max_entries,
-        cache_max_bytes=args.cache_max_bytes,
-        cache_durable=cache_durable,
-        single_flight=not args.no_single_flight,
-        state_dir=args.state_dir,
-        drain_deadline_s=args.drain_timeout,
-        worker_max_requests=args.worker_max_requests,
-        heartbeat_interval_s=args.heartbeat_interval,
-        trace_requests=trace_dir is not None,
-        trace_dir=trace_dir,
-        event_log=event_log,
-    )
     stats_before = STATS.snapshot()
     code = EXIT_USER_ERROR if read_errors else EXIT_OK
-    drainer = None
-    try:
-        with CompileService(config) as service:
-            drainer = _DrainSignals(service, args.drain_timeout)
-            drainer.install()
-            try:
-                responses = service.process_batch(requests)
-            finally:
-                drainer.restore()
-            service_cache = service.cache
-            metrics = service.metrics
-            traces_written = list(service.tracer.written)
-    finally:
-        if event_log is not None:
-            event_log.close()
+    with _event_log(args) as event_log:
+        (config,) = _shard_configs(args, flags, event_log)
+        with CompileService(config) as service, _DrainSignals(
+            service.begin_drain, args.drain_timeout
+        ) as drainer:
+            responses = service.process_batch(requests)
     for name, request, response in zip(names, requests, responses):
         print(_status_line(name, request, response), file=sys.stderr)
         if response.status not in (STATUS_OK, STATUS_DEGRADED):
@@ -712,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
             if not response.output.endswith("\n"):
                 sys.stdout.write("\n")
         code = worst_exit_code(code, _response_exit_code(response))
-    if drainer is not None and drainer.triggered:
+    if drainer.triggered:
         served = sum(1 for r in responses if r.ok)
         shed = sum(
             1
@@ -728,36 +549,37 @@ def main(argv: list[str] | None = None) -> int:
         # got structured answers and the supervisor must not treat the
         # stop as a crash (systemd's clean-stop contract).
         code = EXIT_OK
-    if trace_dir is not None and traces_written:
+    traces_written = service.tracer.written
+    if flags["trace-requests"] is not None and traces_written:
         print(
             f"miniclang-serve: wrote {len(traces_written)} request "
-            f"trace(s) to {trace_dir}",
+            f"trace(s) to {flags['trace-requests']}",
             file=sys.stderr,
         )
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(metrics.snapshot(), fh, indent=1)
-            fh.write("\n")
-    if args.metrics_prom:
-        with open(args.metrics_prom, "w", encoding="utf-8") as fh:
-            fh.write(metrics.render_prometheus())
-    if args.print_stats:
-        print(
-            STATS.render_text(STATS.delta_since(stats_before)),
-            file=sys.stderr,
-        )
-    if args.stats_json:
-        _write_stats_json(args.stats_json, stats_before)
-    if args.print_cache_stats:
-        delta = {
-            key: value
-            for key, value in STATS.delta_since(stats_before).items()
-            if key.startswith("cache.")
-        }
-        print(STATS.render_text(delta), file=sys.stderr)
-        if service_cache is not None:
-            print(service_cache.describe(), file=sys.stderr)
+    write_report(args, stats_before, service.metrics, (service.cache,))
     return code
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    argv, flags = scan_f_flags(
+        argv,
+        {
+            "cache": DEFAULT_CACHE_DIR,
+            "cache-durable": True,
+            "trace-requests": DEFAULT_TRACE_DIR,
+        },
+        negatable=("cache",),
+    )
+    parser = build_arg_parser()
+    args = parser.parse_args(argv)
+    if args.listen is not None:
+        if args.inputs:
+            parser.error("--listen takes no input files")
+        return _run_server(args, flags)
+    if not args.inputs:
+        parser.error("input files required (or --listen HOST:PORT)")
+    return _run_batch(args, flags)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -405,6 +405,12 @@ class ShardRouter:
             merged.merge(shard.service.metrics.snapshot())
         return merged
 
+    @property
+    def caches(self) -> list:
+        """Every shard's compilation cache (None for an uncached
+        shard)."""
+        return [shard.service.cache for shard in self._shards]
+
     def quarantined(self) -> dict[str, dict]:
         """Union of every shard's quarantined fingerprints."""
         out: dict[str, dict] = {}

@@ -23,8 +23,8 @@ design goals, in the envoy/nginx tradition of overload handling:
 
 The server runs on one asyncio thread; shard callbacks re-enter via
 ``call_soon_threadsafe``.  :class:`NetServerThread` hosts the whole
-stack (router + server + loop) on a background thread for tests and
-benchmarks.
+stack (router + server + loop) on a background thread for
+``miniclang-serve --listen``, tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -462,10 +462,10 @@ class NetServer:
     def request_drain(
         self, deadline_s: Optional[float] = None
     ) -> None:
-        """Begin the structured shutdown (callable from a signal
-        handler registered on this loop): stop accepting, announce
-        ``draining`` on every connection, drain the shards, close.
-        Idempotent."""
+        """Begin the structured shutdown on this loop (other threads
+        go through :meth:`NetServerThread.request_drain`): stop
+        accepting, announce ``draining`` on every connection, drain the
+        shards, close.  Idempotent."""
         if self._draining:
             return
         self._draining = True
@@ -524,8 +524,9 @@ class NetServer:
 class NetServerThread:
     """Host router + server + asyncio loop on a background thread.
 
-    The in-process harness for tests, the chaos ``--net`` campaign, and
-    the TCP transport of ``tools/service_bench.py``::
+    The one host for ``miniclang-serve --listen``, tests, the chaos
+    ``--net`` campaign, and the TCP transport of
+    ``tools/service_bench.py``::
 
         host = NetServerThread([ServiceConfig(), ServiceConfig()])
         host.start()
@@ -549,14 +550,18 @@ class NetServerThread:
             target=self._run, name="miniclang-netserver", daemon=True
         )
         self._startup_error: Optional[BaseException] = None
+        self._loop_error: Optional[BaseException] = None
         self._stopped = False
 
     def start(self) -> tuple[str, int]:
+        """Start the router and bind; raises RuntimeError (with the
+        router already shut down) when the server cannot start."""
         self.router.start()
         self._thread.start()
         if not self._ready.wait(timeout=30.0):
-            raise RuntimeError("network server failed to start in time")
+            self._startup_error = TimeoutError("timed out")
         if self._startup_error is not None:
+            self.router.shutdown()
             raise RuntimeError(
                 f"network server failed to start: {self._startup_error}"
             )
@@ -571,6 +576,7 @@ class NetServerThread:
                 self._startup_error = err
                 self._ready.set()
             else:
+                self._loop_error = err
                 print(
                     f"miniclang-serve: error: server loop died: {err!r}",
                     file=sys.stderr,
@@ -583,18 +589,29 @@ class NetServerThread:
         self._ready.set()
         await self.server.serve_until_drained()
 
+    def request_drain(self, deadline_s: Optional[float] = None) -> None:
+        """Begin the structured drain from any thread (including a
+        signal handler on the main thread)."""
+        if self._loop is not None and self.server is not None:
+            try:
+                self._loop.call_soon_threadsafe(
+                    self.server.request_drain, deadline_s
+                )
+            except RuntimeError:
+                pass  # loop already gone
+
+    def wait(self) -> bool:
+        """Block until the server loop exits; True when it ended in a
+        completed drain, False when it died."""
+        self._thread.join()
+        return self._loop_error is None
+
     def stop(self, drain_deadline_s: float = 5.0) -> None:
         """Drain, stop the loop, and shut the router down."""
         if self._stopped:
             return
         self._stopped = True
-        if self._loop is not None and self.server is not None:
-            try:
-                self._loop.call_soon_threadsafe(
-                    self.server.request_drain, drain_deadline_s
-                )
-            except RuntimeError:
-                pass  # loop already gone
+        self.request_drain(drain_deadline_s)
         self._thread.join(timeout=drain_deadline_s + 30.0)
         self.router.shutdown()
 

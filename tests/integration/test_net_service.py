@@ -266,3 +266,43 @@ class TestDrain:
             assert not response.ok
         finally:
             server.stop()
+
+
+class TestHost:
+    def test_bind_failure_shuts_the_router_down(self):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen(1)
+            port = held.getsockname()[1]
+            server = NetServerThread(
+                _configs(1), NetServerConfig(port=port)
+            )
+            with pytest.raises(RuntimeError, match="failed to start"):
+                server.start()
+        assert server.router._stopped
+
+    def test_wait_reports_a_dead_loop(self, monkeypatch, capsys):
+        from repro.service.net import server as server_mod
+
+        async def die(self):
+            raise OSError("boom")
+
+        monkeypatch.setattr(
+            server_mod.NetServer, "serve_until_drained", die
+        )
+        server = NetServerThread(_configs(1), NetServerConfig())
+        server.start()
+        try:
+            assert server.wait() is False
+        finally:
+            server.stop()
+        assert "server loop died" in capsys.readouterr().err
+
+    def test_wait_is_true_after_a_drain(self):
+        server = NetServerThread(_configs(1), NetServerConfig())
+        server.start()
+        server.request_drain(1.0)
+        try:
+            assert server.wait() is True
+        finally:
+            server.stop()
