@@ -31,12 +31,11 @@ import tempfile
 from typing import Optional
 
 from repro.cache.disk import DiskTier, _FORMAT_STAMP
+from repro.driver.options import DEFAULT_CACHE_DIR
 
 EXIT_OK = 0
 EXIT_PROBLEMS = 1
 EXIT_USER_ERROR = 2
-
-DEFAULT_DIR = "miniclang-cache"
 
 
 def _tier(directory: str, max_bytes: Optional[int]) -> DiskTier:
@@ -179,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-d",
         "--directory",
-        default=DEFAULT_DIR,
-        help=f"cache directory (default: {DEFAULT_DIR})",
+        default=DEFAULT_CACHE_DIR,
+        help=f"cache directory (default: {DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
         "--max-bytes",

@@ -22,6 +22,8 @@ class Instruction(Value):
     """Base class; also a Value (its result)."""
 
     opcode = "<instr>"
+    #: ends its block (the five terminator classes set it)
+    is_terminator = False
 
     def __init__(self, type: IRType, name: str = "") -> None:
         super().__init__(type, name)
@@ -35,13 +37,6 @@ class Instruction(Value):
     def replace_operand(self, old: Value, new: Value) -> None:
         """Replace every occurrence of *old* among the operands."""
         raise NotImplementedError
-
-    @property
-    def is_terminator(self) -> bool:
-        return isinstance(
-            self, (BranchInst, CondBranchInst, SwitchInst, ReturnInst,
-                   UnreachableInst)
-        )
 
     def successors(self) -> list["BasicBlock"]:
         return []
@@ -303,6 +298,7 @@ class GEPInst(Instruction):
 # ---------------------------------------------------------------------------
 class BranchInst(Instruction):
     opcode = "br"
+    is_terminator = True
 
     def __init__(self, target: "BasicBlock") -> None:
         super().__init__(void_t)
@@ -320,6 +316,7 @@ class BranchInst(Instruction):
 
 class CondBranchInst(Instruction):
     opcode = "br"
+    is_terminator = True
 
     def __init__(
         self,
@@ -345,6 +342,7 @@ class CondBranchInst(Instruction):
 
 class SwitchInst(Instruction):
     opcode = "switch"
+    is_terminator = True
 
     def __init__(
         self,
@@ -373,6 +371,7 @@ class SwitchInst(Instruction):
 
 class ReturnInst(Instruction):
     opcode = "ret"
+    is_terminator = True
 
     def __init__(self, value: Value | None = None) -> None:
         super().__init__(void_t)
@@ -388,6 +387,7 @@ class ReturnInst(Instruction):
 
 class UnreachableInst(Instruction):
     opcode = "unreachable"
+    is_terminator = True
 
     def __init__(self) -> None:
         super().__init__(void_t)

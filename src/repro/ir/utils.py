@@ -27,6 +27,9 @@ def replace_all_uses_map(fn: Function, replacements: dict[int, Value]) -> int:
 
     Mapped values are final: a use rewritten to a value that is itself
     a key is not rewritten again, so callers resolve chains first.
+    Keys are ``id()``s, so the caller keeps every replaced value alive
+    (referenced) until the call returns: a value freed earlier may hand
+    its id to a new one, whose uses would then be rewritten too.
     Returns the number of instructions updated.
     """
     count = 0
@@ -40,6 +43,20 @@ def replace_all_uses_map(fn: Function, replacements: dict[int, Value]) -> int:
                 updated = True
         count += updated
     return count
+
+
+def resolve_replacement(
+    replacements: dict[int, tuple[Value, Value]], value: Value
+) -> Value:
+    """Follow *value* through *replacements* (value id -> (that value,
+    its replacement)) to the first value not replaced, or to where the
+    chain cycles.  Entries hold the replaced values so their ids stay
+    unique while the map is in use."""
+    seen: set[int] = set()
+    while id(value) in replacements and id(value) not in seen:
+        seen.add(id(value))
+        value = replacements[id(value)][1]
+    return value
 
 
 def reachable_blocks(fn: Function) -> set[int]:
@@ -57,12 +74,20 @@ def reachable_blocks(fn: Function) -> set[int]:
     return seen
 
 
-def remove_unreachable_blocks(fn: Function) -> int:
+def remove_unreachable_blocks(
+    fn: Function,
+    reachable: set[int] | None = None,
+    preds: dict[int, list[BasicBlock]] | None = None,
+) -> int:
     """Delete blocks not reachable from entry; fix up phis of survivors.
 
-    Returns the number of blocks removed.
+    *reachable* is :func:`reachable_blocks` when the caller has it.  A
+    :func:`~repro.ir.module.predecessor_map` passed as *preds* is kept
+    current: the deleted blocks leave it.  Returns the number of blocks
+    removed.
     """
-    reachable = reachable_blocks(fn)
+    if reachable is None:
+        reachable = reachable_blocks(fn)
     dead = [b for b in fn.blocks if id(b) not in reachable]
     if not dead:
         return 0
@@ -74,6 +99,12 @@ def remove_unreachable_blocks(fn: Function) -> int:
             phi.incoming = [
                 (v, b) for v, b in phi.incoming if id(b) not in dead_ids
             ]
+    if preds is not None:
+        for block in dead:
+            del preds[id(block)]
+        for key, into in preds.items():
+            if any(id(b) in dead_ids for b in into):
+                preds[key] = [b for b in into if id(b) not in dead_ids]
     for block in dead:
         fn.remove_block(block)
     return len(dead)

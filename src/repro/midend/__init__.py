@@ -8,16 +8,19 @@ CodeGen attached for ``LoopHintAttr`` / the OpenMPIRBuilder's
 **remainder loop** (paper Listing 2), or heuristic unrolling.
 
 Supporting analyses: CFG utilities, dominator tree, natural-loop
-detection.  Supporting cleanups: constant folding, dead-code elimination,
-CFG simplification.
+detection, cached per function by the pass manager's
+``FunctionAnalysisManager``.  Supporting cleanups: constant folding,
+dead-code elimination, CFG simplification.
 """
 
 from repro.midend.cfg import postorder, reverse_postorder
 from repro.midend.dominators import DominatorTree
 from repro.midend.loopinfo import Loop, LoopInfo
 from repro.midend.pass_manager import (
+    FunctionAnalysisManager,
     FunctionPass,
     PassManager,
+    PreservedAnalyses,
     default_pass_pipeline,
 )
 from repro.midend.loop_unroll import LoopUnrollPass, UnrollStats
@@ -30,12 +33,14 @@ __all__ = [
     "ConstantFoldPass",
     "DeadCodeEliminationPass",
     "DominatorTree",
+    "FunctionAnalysisManager",
     "FunctionPass",
     "Loop",
     "LoopInfo",
     "LoopUnrollPass",
     "Mem2RegPass",
     "PassManager",
+    "PreservedAnalyses",
     "SimplifyCFGPass",
     "UnrollStats",
     "default_pass_pipeline",

@@ -15,19 +15,17 @@ def postorder(fn: Function) -> list[BasicBlock]:
     """Iterative DFS postorder from the entry block."""
     if not fn.blocks:
         return []
-    seen: set[int] = set()
+    entry = fn.entry_block
+    seen: set[int] = {id(entry)}
     order: list[BasicBlock] = []
-    stack: list[tuple[BasicBlock, int]] = [(fn.entry_block, 0)]
-    seen.add(id(fn.entry_block))
+    stack = [(entry, iter(entry.successors()))]
     while stack:
-        block, idx = stack[-1]
-        succs = block.successors()
-        if idx < len(succs):
-            stack[-1] = (block, idx + 1)
-            succ = succs[idx]
+        block, succs = stack[-1]
+        for succ in succs:
             if id(succ) not in seen:
                 seen.add(id(succ))
-                stack.append((succ, 0))
+                stack.append((succ, iter(succ.successors())))
+                break
         else:
             order.append(block)
             stack.pop()

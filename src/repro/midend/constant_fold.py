@@ -10,18 +10,24 @@ from __future__ import annotations
 from repro.ir.instructions import (
     BinaryInst,
     BinOp,
+    BranchInst,
     CastInst,
     CastOp,
     CondBranchInst,
     ICmpInst,
     ICmpPred,
+    Instruction,
     SelectInst,
 )
 from repro.ir.module import Function
 from repro.ir.types import IntType
-from repro.ir.utils import replace_all_uses
+from repro.ir.utils import replace_all_uses_map, resolve_replacement
 from repro.ir.values import ConstantInt, Value
-from repro.midend.pass_manager import FunctionPass
+from repro.midend.pass_manager import (
+    FunctionAnalysisManager,
+    FunctionPass,
+    PreservedAnalyses,
+)
 
 
 def _fold_instruction(inst) -> Value | None:
@@ -97,25 +103,43 @@ def _fold_instruction(inst) -> Value | None:
 class ConstantFoldPass(FunctionPass):
     name = "constant-fold"
 
-    def run_on_function(self, fn: Function) -> bool:
+    def run(
+        self, fn: Function, analyses: FunctionAnalysisManager
+    ) -> tuple[bool, PreservedAnalyses]:
         changed = False
+        folded_branch = False
         # Iterate to a fixed point (folding feeds folding).
         for _ in range(64):
-            local_change = False
+            #: folded instruction id -> (it, its value); the entry keeps
+            #: the erased instruction alive, and so its id unique, until
+            #: the sweep's last rewrite
+            folds: dict[int, tuple[Instruction, Value]] = {}
+            sweep_folded_branch = False
             for block in fn.blocks:
-                for inst in list(block.instructions):
+                folded_here = False
+                for inst in block.instructions:
+                    # Operands are rewritten as the sweep reaches them,
+                    # so a fold feeds the folds after it in this sweep.
+                    if folds:
+                        for op in inst.operands():
+                            if id(op) in folds:
+                                new = resolve_replacement(folds, op)
+                                if new is not inst:
+                                    inst.replace_operand(op, new)
                     folded = _fold_instruction(inst)
                     if folded is not None:
-                        replace_all_uses(fn, inst, folded)
-                        inst.erase()
-                        local_change = True
+                        folds[id(inst)] = (inst, folded)
+                        inst.parent = None
+                        folded_here = True
+                if folded_here:
+                    block.instructions[:] = [
+                        i for i in block.instructions if i.parent is block
+                    ]
                 # Fold constant conditional branches.
                 term = block.terminator
                 if isinstance(term, CondBranchInst) and isinstance(
                     term.condition, ConstantInt
                 ):
-                    from repro.ir.instructions import BranchInst
-
                     target = (
                         term.true_block
                         if term.condition.value
@@ -134,8 +158,22 @@ class ConstantFoldPass(FunctionPass):
                         ]
                     term.erase()
                     block.append(BranchInst(target))
-                    local_change = True
-            if not local_change:
+                    sweep_folded_branch = True
+            if not folds and not sweep_folded_branch:
                 break
+            if folds:
+                # The uses the sweep reached before their value folded.
+                replace_all_uses_map(
+                    fn,
+                    {
+                        key: resolve_replacement(folds, value)
+                        for key, (_, value) in folds.items()
+                    },
+                )
             changed = True
-        return changed
+            folded_branch = folded_branch or sweep_folded_branch
+        return changed, (
+            PreservedAnalyses.none()
+            if folded_branch
+            else PreservedAnalyses.cfg()
+        )

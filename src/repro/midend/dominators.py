@@ -7,21 +7,41 @@ from repro.midend.cfg import postorder
 
 
 class DominatorTree:
-    def __init__(self, fn: Function) -> None:
+    """Immediate dominators of *fn*'s reachable blocks.
+
+    *preds* and *post* are the function's :func:`predecessor_map` and
+    :func:`postorder` when the caller already has them (the analysis
+    cache does); the tree keeps *preds* for :meth:`dominance_frontiers`.
+    """
+
+    def __init__(
+        self,
+        fn: Function,
+        preds: dict[int, list[BasicBlock]] | None = None,
+        post: list[BasicBlock] | None = None,
+    ) -> None:
         self.fn = fn
         self._idom: dict[int, BasicBlock] = {}
         self._order_index: dict[int, int] = {}
-        self._compute()
+        self._preds = preds if preds is not None else predecessor_map(fn)
+        self._children: dict[int, list[BasicBlock]] = {}
+        #: block id -> (entry, exit) number of a DFS over the tree,
+        #: numbered on the first :meth:`dominates` query
+        self._interval: dict[int, tuple[int, int]] | None = None
+        if fn.blocks:
+            self._compute(post if post is not None else postorder(fn))
+            kids = self._children = {id(b): [] for b in fn.blocks}
+            for block in fn.blocks:
+                idom = self.immediate_dominator(block)
+                if idom is not None:
+                    kids[id(idom)].append(block)
 
-    def _compute(self) -> None:
+    def _compute(self, post: list[BasicBlock]) -> None:
         fn = self.fn
-        if not fn.blocks:
-            return
-        post = postorder(fn)
         for i, block in enumerate(post):
             self._order_index[id(block)] = i
         entry = fn.entry_block
-        preds = predecessor_map(fn)
+        preds = self._preds
         idom: dict[int, BasicBlock] = {id(entry): entry}
         rpo = list(reversed(post))
         changed = True
@@ -59,6 +79,24 @@ class DominatorTree:
                 b = idom[id(b)]
         return a
 
+    def _number(self) -> dict[int, tuple[int, int]]:
+        """DFS intervals: *a* dominates *b* exactly when *a*'s interval
+        encloses *b*'s."""
+        interval: dict[int, tuple[int, int]] = {}
+        clock = 0
+        stack: list[tuple[BasicBlock, bool]] = [(self.fn.entry_block, False)]
+        while stack:
+            block, leaving = stack.pop()
+            clock += 1
+            if leaving:
+                interval[id(block)] = (interval[id(block)][0], clock)
+                continue
+            interval[id(block)] = (clock, clock)
+            stack.append((block, True))
+            for child in reversed(self._children[id(block)]):
+                stack.append((child, False))
+        return interval
+
     # ------------------------------------------------------------------
     def immediate_dominator(
         self, block: BasicBlock
@@ -69,28 +107,23 @@ class DominatorTree:
 
     def dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """Does *a* dominate *b*? (reflexive)"""
-        runner: BasicBlock | None = b
-        while runner is not None:
-            if runner is a:
-                return True
-            if runner is self.fn.entry_block:
-                return False
-            runner = self._idom.get(id(runner))
-        return False
+        if a is b:
+            return True
+        if self._interval is None:
+            self._interval = self._number()
+        inner = self._interval.get(id(b))
+        outer = self._interval.get(id(a))
+        if inner is None or outer is None:
+            return False
+        return outer[0] <= inner[0] and inner[1] <= outer[1]
 
     def is_reachable(self, block: BasicBlock) -> bool:
         return id(block) in self._idom
 
     def children(self) -> dict[int, list[BasicBlock]]:
-        """Dominator-tree children: block id -> immediately dominated."""
-        kids: dict[int, list[BasicBlock]] = {
-            id(b): [] for b in self.fn.blocks
-        }
-        for block in self.fn.blocks:
-            idom = self.immediate_dominator(block)
-            if idom is not None:
-                kids[id(idom)].append(block)
-        return kids
+        """Dominator-tree children: block id -> immediately dominated,
+        in function order (shared; callers must not modify it)."""
+        return self._children
 
     def dominance_frontiers(self) -> dict[int, list[BasicBlock]]:
         """Cytron et al.: DF[runner] gains each join block reached while
@@ -98,7 +131,7 @@ class DominatorTree:
         frontiers: dict[int, list[BasicBlock]] = {
             id(b): [] for b in self.fn.blocks
         }
-        preds = predecessor_map(self.fn)
+        preds = self._preds
         for block in self.fn.blocks:
             if not self.is_reachable(block):
                 continue
@@ -112,7 +145,9 @@ class DominatorTree:
                 runner = pred
                 while runner is not idom and runner is not None:
                     frontier = frontiers[id(runner)]
-                    if all(b is not block for b in frontier):
+                    # Joins are processed one at a time, so a repeat of
+                    # this one is always the frontier's last entry.
+                    if not frontier or frontier[-1] is not block:
                         frontier.append(block)
                     runner = self.immediate_dominator(runner)
         return frontiers

@@ -49,8 +49,12 @@ from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.utils import remove_unreachable_blocks
 from repro.ir.values import ConstantInt, Value
 from repro.midend.clone import clone_blocks
-from repro.midend.loopinfo import Loop, LoopInfo
-from repro.midend.pass_manager import FunctionPass
+from repro.midend.loopinfo import Loop
+from repro.midend.pass_manager import (
+    FunctionAnalysisManager,
+    FunctionPass,
+    PreservedAnalyses,
+)
 
 #: full unroll is refused above this trip count (clang/LLVM use similar
 #: thresholds)
@@ -130,15 +134,23 @@ class LoopUnrollPass(FunctionPass):
         return False
 
     # ==================================================================
-    def run_on_function(self, fn: Function) -> bool:
+    def run(
+        self, fn: Function, analyses: FunctionAnalysisManager
+    ) -> tuple[bool, PreservedAnalyses]:
         changed = False
         # Unrolling creates new loops; iterate until no annotated loop
         # remains (each transform strips its metadata, guaranteeing
-        # termination).
+        # termination).  Only a latch carrying ``llvm.loop`` is ever
+        # unrolled, so loops are not even looked for without one.
         for _ in range(16):
-            loops = LoopInfo(fn).innermost_first()
+            if not any(
+                "llvm.loop" in block.instructions[-1].metadata
+                for block in fn.blocks
+                if block.instructions
+            ):
+                break
             todo = None
-            for loop in loops:
+            for loop in analyses.loops().innermost_first():
                 md = self._loop_metadata(loop)
                 if md is not None:
                     todo = (loop, md)
@@ -148,8 +160,12 @@ class LoopUnrollPass(FunctionPass):
             loop, md = todo
             if self._unroll_one(fn, loop, md):
                 changed = True
-                remove_unreachable_blocks(fn)
-        return changed
+                analyses.invalidate(PreservedAnalyses.none())
+                if remove_unreachable_blocks(fn, analyses.reachable()):
+                    analyses.invalidate(PreservedAnalyses.none())
+        # (every unroll invalidated at once: what the cache holds now
+        # describes the CFG as it is)
+        return changed, PreservedAnalyses.all()
 
     # ------------------------------------------------------------------
     def _loop_metadata(self, loop: Loop) -> MDNode | None:

@@ -80,19 +80,29 @@ class Loop:
 
 class LoopInfo:
     """All natural loops of a function (flat list; nesting derivable via
-    block containment)."""
+    block containment).
 
-    def __init__(self, fn: Function) -> None:
+    *domtree* and *preds* are the function's dominator tree and
+    :func:`predecessor_map` when the caller already has them (the
+    analysis cache does)."""
+
+    def __init__(
+        self,
+        fn: Function,
+        domtree: DominatorTree | None = None,
+        preds: dict[int, list[BasicBlock]] | None = None,
+    ) -> None:
         self.fn = fn
         self.loops: list[Loop] = []
-        self._compute()
+        if fn.blocks:
+            if preds is None:
+                preds = predecessor_map(fn)
+            if domtree is None:
+                domtree = DominatorTree(fn, preds=preds)
+            self._compute(domtree, preds)
 
-    def _compute(self) -> None:
+    def _compute(self, domtree: DominatorTree, preds) -> None:
         fn = self.fn
-        if not fn.blocks:
-            return
-        domtree = DominatorTree(fn)
-        preds = predecessor_map(fn)
         by_header: dict[int, Loop] = {}
         for block in fn.blocks:
             if not domtree.is_reachable(block):

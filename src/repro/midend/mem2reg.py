@@ -25,10 +25,14 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import BasicBlock, Function
 from repro.ir.types import IRType
-from repro.ir.utils import remove_unreachable_blocks, replace_all_uses_map
+from repro.ir.utils import remove_unreachable_blocks, resolve_replacement
 from repro.ir.values import UndefValue, Value
 from repro.midend.dominators import DominatorTree
-from repro.midend.pass_manager import FunctionPass
+from repro.midend.pass_manager import (
+    FunctionAnalysisManager,
+    FunctionPass,
+    PreservedAnalyses,
+)
 
 
 from repro.instrument import get_debug_counter, get_statistic
@@ -47,12 +51,21 @@ _PROMOTE_SITE = get_debug_counter(
 class Mem2RegPass(FunctionPass):
     name = "mem2reg"
 
-    def run_on_function(self, fn: Function) -> bool:
+    def run(
+        self, fn: Function, analyses: FunctionAnalysisManager
+    ) -> tuple[bool, PreservedAnalyses]:
         if not fn.blocks:
-            return False
+            return False, PreservedAnalyses.all()
         # Phi insertion assumes every predecessor is reachable (the
         # renaming walk only visits the dominator tree).
-        remove_unreachable_blocks(fn)
+        if remove_unreachable_blocks(fn, analyses.reachable()):
+            analyses.invalidate(PreservedAnalyses.none())
+        # Promotion inserts phis and deletes memory traffic: no edges.
+        return self._promote(fn, analyses), PreservedAnalyses.cfg()
+
+    def _promote(
+        self, fn: Function, analyses: FunctionAnalysisManager
+    ) -> bool:
         promotable = self._find_promotable(fn)
         promotable = {
             alloca: ty
@@ -62,13 +75,15 @@ class Mem2RegPass(FunctionPass):
         if not promotable:
             return False
         _ALLOCAS_PROMOTED.inc(len(promotable))
-        domtree = DominatorTree(fn)
+        domtree = analyses.domtree()
         frontiers = domtree.dominance_frontiers()
         children = domtree.children()
 
         promoted = {id(a) for a in promotable}
         #: inserted phi -> its alloca
         phi_owner: dict[int, AllocaInst] = {}
+        #: block id -> the phis inserted into it
+        inserted: dict[int, list[PhiInst]] = {}
         defining_blocks = self._defining_blocks(fn, promoted)
         for alloca, ty in promotable.items():
             self._insert_phis(
@@ -78,11 +93,14 @@ class Mem2RegPass(FunctionPass):
                 defining_blocks.get(id(alloca), []),
                 frontiers,
                 phi_owner,
+                inserted,
             )
-        self._rename(
-            fn, domtree, children, promotable, phi_owner
+        replacements = self._rename(
+            fn, domtree, children, promotable, phi_owner, inserted
         )
-        # Delete the now-dead allocas, stores and loads.
+        # One walk deletes the now-dead allocas, stores and loads and
+        # points every other use of a load at its replacement (phi
+        # incomings added before a replacement existed included).
         removed = False
         for block in fn.blocks:
             kept: list[Instruction] = []
@@ -96,8 +114,13 @@ class Mem2RegPass(FunctionPass):
                 ):
                     inst.parent = None
                     removed = True
-                else:
-                    kept.append(inst)
+                    continue
+                for op in inst.operands():
+                    entry = replacements.get(id(op))
+                    # (an instruction never gets itself as an operand)
+                    if entry is not None and entry[1] is not inst:
+                        inst.replace_operand(op, entry[1])
+                kept.append(inst)
             block.instructions[:] = kept
         return removed or bool(promotable)
 
@@ -107,17 +130,16 @@ class Mem2RegPass(FunctionPass):
     ) -> dict[AllocaInst, IRType]:
         """Allocas whose only uses are direct loads and stores-to."""
         allocas: dict[int, AllocaInst] = {}
+        escaped: set[int] = set()
+        loaded_type: dict[int, IRType] = {}
         for inst in fn.instructions():
             if isinstance(inst, AllocaInst) and inst.array_size is None:
                 ty = inst.allocated_type
                 # Only scalar slots promote (aggregates need SROA).
                 if ty.is_int or ty.is_float or ty.is_pointer:
                     allocas[id(inst)] = inst
-        escaped: set[int] = set()
-        loaded_type: dict[int, IRType] = {}
-        for inst in fn.instructions():
             for op in inst.operands():
-                if id(op) not in allocas:
+                if not isinstance(op, AllocaInst):
                     continue
                 if isinstance(inst, StoreInst) and inst.pointer is op:
                     if inst.value is op:
@@ -166,6 +188,7 @@ class Mem2RegPass(FunctionPass):
         defining_blocks: list[BasicBlock],
         frontiers: dict[int, list[BasicBlock]],
         phi_owner: dict[int, AllocaInst],
+        inserted: dict[int, list[PhiInst]],
     ) -> None:
         worklist = list(defining_blocks)
         has_phi: set[int] = set()
@@ -180,6 +203,7 @@ class Mem2RegPass(FunctionPass):
                 )
                 join.insert(0, phi)
                 phi_owner[id(phi)] = alloca
+                inserted.setdefault(id(join), []).append(phi)
                 worklist.append(join)
 
     # ------------------------------------------------------------------
@@ -190,7 +214,11 @@ class Mem2RegPass(FunctionPass):
         children: dict[int, list[BasicBlock]],
         promotable: dict[AllocaInst, IRType],
         phi_owner: dict[int, AllocaInst],
-    ) -> None:
+        inserted: dict[int, list[PhiInst]],
+    ) -> dict[int, tuple[Instruction, Value]]:
+        """Rename loads to their reaching definitions; returns load id
+        -> (the load, the value replacing it), for the caller to
+        rewrite the load's uses with."""
         stacks: dict[int, list[Value]] = {
             id(a): [] for a in promotable
         }
@@ -198,8 +226,8 @@ class Mem2RegPass(FunctionPass):
             id(a): UndefValue(ty) for a, ty in promotable.items()
         }
         alloca_ids = set(stacks)
-        #: load instruction -> replacement value (applied at the end,
-        #: so in-block operand rewriting stays simple)
+        #: load instruction -> replacement value (applied by the
+        #: caller, so in-block operand rewriting stays simple)
         load_replacements: dict[int, tuple[Instruction, Value]] = {}
 
         def current(aid: int) -> Value:
@@ -234,11 +262,8 @@ class Mem2RegPass(FunctionPass):
                     stacks[aid].append(value)
                     pushed.append(aid)
             for succ in block.successors():
-                for phi in succ.phis():
-                    owner = phi_owner.get(id(phi))
-                    if owner is None:
-                        continue
-                    incoming = current(id(owner))
+                for phi in inserted.get(id(succ), ()):
+                    incoming = current(id(phi_owner[id(phi)]))
                     if id(incoming) in load_replacements:
                         incoming = load_replacements[id(incoming)][1]
                     phi.add_incoming(incoming, block)
@@ -259,21 +284,8 @@ class Mem2RegPass(FunctionPass):
                 for aid in reversed(payload):  # type: ignore[arg-type]
                     stacks[aid].pop()
 
-        # Apply load replacements everywhere (chasing chains of loads
-        # replaced by other loads).
-        def resolve(value: Value) -> Value:
-            seen = set()
-            while id(value) in load_replacements and id(value) not in seen:
-                seen.add(id(value))
-                value = load_replacements[id(value)][1]
-            return value
-
-        # Phi incomings added before a replacement existed are rewritten
-        # too (phis are instructions).
-        replace_all_uses_map(
-            fn,
-            {
-                load_id: resolve(load)
-                for load_id, (load, _) in load_replacements.items()
-            },
-        )
+        # Chase chains of loads replaced by other loads.
+        return {
+            load_id: (load, resolve_replacement(load_replacements, load))
+            for load_id, (load, _) in load_replacements.items()
+        }

@@ -5,14 +5,21 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.ir.instructions import BranchInst
-from repro.ir.module import BasicBlock, Function, predecessor_map
+from repro.ir.instructions import BranchInst, PhiInst
+from repro.ir.module import BasicBlock, Function
 from repro.ir.utils import (
+    reachable_blocks,
     redirect_branch,
     remove_unreachable_blocks,
-    replace_all_uses,
+    replace_all_uses_map,
+    resolve_replacement,
 )
-from repro.midend.pass_manager import FunctionPass
+from repro.ir.values import Value
+from repro.midend.pass_manager import (
+    FunctionAnalysisManager,
+    FunctionPass,
+    PreservedAnalyses,
+)
 
 
 from repro.instrument import get_debug_counter, get_statistic
@@ -33,28 +40,40 @@ _SIMPLIFY_SITE = get_debug_counter(
 class SimplifyCFGPass(FunctionPass):
     name = "simplify-cfg"
 
-    def run_on_function(self, fn: Function) -> bool:
+    def run(
+        self, fn: Function, analyses: FunctionAnalysisManager
+    ) -> tuple[bool, PreservedAnalyses]:
         changed = False
+        # The cached predecessor map is kept current through every edit
+        # below; only reachability is recomputed once the CFG changed.
+        preds = analyses.predecessors()
+        reachable = analyses.reachable()
+        order = _block_order(fn)
         for _ in range(64):
             local = False
-            if remove_unreachable_blocks(fn):
+            if remove_unreachable_blocks(fn, reachable, preds):
                 local = True
-            if self._merge_straight_line(fn):
+            if self._merge_straight_line(fn, preds, order):
                 local = True
-            if self._skip_empty_blocks(fn):
+            if self._skip_empty_blocks(fn, preds, order):
                 local = True
             if not local:
                 break
             _BLOCKS_SIMPLIFIED.inc()
             changed = True
-        return changed
+            reachable = reachable_blocks(fn)
+        return changed, (
+            PreservedAnalyses.none() if changed else PreservedAnalyses.all()
+        )
 
     # ------------------------------------------------------------------
-    def _merge_straight_line(self, fn: Function) -> bool:
+    def _merge_straight_line(self, fn: Function, preds, order) -> bool:
         """Merge B into A when A ends `br B` and B has only A as pred."""
         changed = False
-        preds = predecessor_map(fn)
-        order = _block_order(fn)
+        #: replaced phi id -> (it, its single incoming value); rewritten
+        #: in one walk when the sweep ends (the entry keeps the erased
+        #: phi, and so its id, alive until then)
+        replaced: dict[int, tuple[PhiInst, Value]] = {}
         for block in list(fn.blocks):
             term = block.terminator
             if not isinstance(term, BranchInst):
@@ -73,7 +92,7 @@ class SimplifyCFGPass(FunctionPass):
                     incoming = phi.incoming_for(block)
                     if incoming is None:
                         break
-                    replace_all_uses(fn, phi, incoming)
+                    replaced[id(phi)] = (phi, incoming)
                     phi.erase()
                 if succ.phis():
                     continue
@@ -91,16 +110,23 @@ class SimplifyCFGPass(FunctionPass):
                     phi.replace_incoming_block(succ, block)
                 preds[id(nxt)].remove(succ)
                 _add_pred(preds, order, nxt, block)
+            del preds[id(succ)]
             fn.remove_block(succ)
             changed = True
+        if replaced:
+            replace_all_uses_map(
+                fn,
+                {
+                    key: resolve_replacement(replaced, value)
+                    for key, (_, value) in replaced.items()
+                },
+            )
         return changed
 
-    def _skip_empty_blocks(self, fn: Function) -> bool:
+    def _skip_empty_blocks(self, fn: Function, preds, order) -> bool:
         """Retarget edges through blocks containing only `br X` (when the
         final target has no phis referencing them)."""
         changed = False
-        preds = predecessor_map(fn)
-        order = _block_order(fn)
         for block in list(fn.blocks):
             if block is fn.entry_block:
                 continue

@@ -265,3 +265,16 @@ class TestMaintenance:
             cachectl(["-d", str(tmp_path / "nowhere"), "doctor"]) == 1
         )
         capsys.readouterr()
+
+    def test_cachectl_default_dir_is_fcache_default(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.driver.cachectl import main as cachectl
+        from repro.driver.cli import main as miniclang
+
+        monkeypatch.chdir(tmp_path)
+        src = tmp_path / "t.c"
+        src.write_text("int main(void) { return 0; }\n")
+        assert miniclang(["-fcache", "-O", str(src), "-o", "t.ll"]) == 0
+        assert cachectl(["doctor"]) == 0
+        capsys.readouterr()
