@@ -10,15 +10,37 @@ its per-edge phi parallel copy, so taking an edge is two attribute
 stores and no lookups (block parameters are "passed explicitly" in the
 block-argument sense — each edge knows exactly which slots to move).
 
-The granularity is deliberate: the reference interpreter retires exactly
-one instruction per ``step()``, and the simulated OpenMP runtime's
-observable semantics (round-robin interleaving, FIFO dynamic dispatch,
-``critical`` spin order, printf ordering) depend on that.  Compiling a
-whole block into one closure would be faster but would change the
-interleaving; compiling one closure per instruction keeps every
-scheduler decision bit-identical while removing the per-step operand
-dispatch (``isinstance`` chains, ``id()``-keyed register dicts,
-``value_of`` constant re-evaluation) that dominates the tree walker.
+Every block also carries two *run tables*: tuples of its own op
+closures (the same objects, so instruction semantics are defined once)
+that a loop may retire back to back in one dispatch.
+
+* A **serial run** starts at the block's entry index or just after a
+  call and ends before the first call, ``ret`` or ``unreachable``
+  (otherwise it includes the terminator).  Nothing in it can push or pop
+  a frame or change the thread's state, so the serial loop
+  (:meth:`repro.exec.engine.ClosureContext.run_to_completion`) runs it
+  whole while the fuel budget exceeds its length.
+* A **thread-local run** holds only ops that touch nothing but the
+  frame's registers and cannot raise: integer and floating add/sub/mul,
+  ``fdiv``, bitwise ops and shifts, div/rem by a nonzero constant,
+  ``icmp``/``fcmp``/``select``, constant-shaped ``gep``,
+  ``zext``/``sext``/``trunc`` and branches with their phi copies.  Their
+  order against other threads' instructions is unobservable, so the team
+  scheduler (:meth:`repro.runtime.team.Team.run`) may retire them ahead
+  of its lockstep clock.  Loads, stores, ``alloca``, calls, ``ret``,
+  fp->int casts (``int(inf)`` raises), ``frem`` (``math.fmod`` raises
+  on infinities), f32 narrowing (``struct.pack`` overflows) and every
+  compile-time raiser are not local.
+
+Scheduling stays exactly what one-instruction-per-``step()`` lockstep
+produces: the runtime's observable semantics (round-robin interleaving,
+FIFO dynamic dispatch, ``critical`` spin order, printf ordering, fuel
+exhaustion point) only ever see non-local instructions, and those still
+retire one at a time in lockstep order.  Compiling one closure per
+instruction removes the per-step operand dispatch (``isinstance``
+chains, ``id()``-keyed register dicts, ``value_of`` constant
+re-evaluation) that dominates the tree walker; the run tables remove
+most of the per-instruction trips through the dispatch loop.
 
 Semantics-parity rules mirrored from
 :class:`repro.interp.interpreter.ExecutionContext` (the reference):
@@ -113,7 +135,9 @@ class BlockCode:
     falling off the end (malformed IR), like the interpreter's bounds
     check."""
 
-    __slots__ = ("block", "ops", "entry_index", "descs")
+    __slots__ = (
+        "block", "ops", "entry_index", "descs", "runs", "local_runs",
+    )
 
     def __init__(self, block: BasicBlock) -> None:
         self.block = block
@@ -123,6 +147,11 @@ class BlockCode:
         #: deterministic per-op descriptions (the "dispatch table" the
         #: determinism property test asserts on)
         self.descs: list[str] = []
+        #: ``runs[i]``: the serial run starting at op *i*, or None
+        self.runs: list[tuple | None] = []
+        #: ``local_runs[i]``: the thread-local run starting at op *i*,
+        #: or None
+        self.local_runs: list[tuple | None] = []
 
 
 class CompiledFunction:
@@ -278,7 +307,39 @@ class ClosureCompiler:
             bc.ops.append(op)
             bc.descs.append(desc)
         bc.entry_index = phis
+        self._build_runs(bc)
         bc.ops.append(_fell_off(block.name))
+
+    @staticmethod
+    def _build_runs(bc: BlockCode) -> None:
+        """One classification pass over the block fills both run
+        tables (see the module docstring).  Serial runs of one op are
+        left out: a single step is cheaper."""
+        insts = bc.block.instructions
+        ops = bc.ops
+        n = len(ops)
+        local = [_is_local(inst, op) for inst, op in zip(insts, ops)]
+        stops = [
+            isinstance(inst, (CallInst, ReturnInst, UnreachableInst))
+            for inst in insts
+        ]
+        runs: list[tuple | None] = [None] * (n + 1)
+        local_runs: list[tuple | None] = [None] * (n + 1)
+        entry = bc.entry_index
+        for start in range(entry, n):
+            if start == entry or stops[start - 1]:
+                end = start
+                while end < n and not stops[end]:
+                    end += 1
+                if end - start > 1:
+                    runs[start] = tuple(ops[start:end])
+            if local[start] and (start == entry or not local[start - 1]):
+                end = start
+                while end < n and local[end]:
+                    end += 1
+                local_runs[start] = tuple(ops[start:end])
+        bc.runs = runs
+        bc.local_runs = local_runs
 
     # ------------------------------------------------------------------
     # Instruction compilation
@@ -985,7 +1046,6 @@ class ClosureCompiler:
         phi parallel copy plus the block/ops/index switch.  Signature is
         ``(ctx, frame)`` so an unconditional branch op *is* its edge."""
         tbc = code.blocks[id(target)]
-        tblock = target
         tops = tbc.ops  # list object is stable; filled by fill order
         phis = []
         for i in target.instructions:
@@ -994,8 +1054,8 @@ class ClosureCompiler:
             else:
                 break
         if not phis:
-            def edge(ctx, frame, tblock=tblock, tops=tops):
-                frame.block = tblock
+            def edge(ctx, frame, tbc=tbc, tops=tops):
+                frame.bc = tbc
                 frame.ops = tops
                 frame.index = 0
 
@@ -1018,11 +1078,27 @@ class ClosureCompiler:
 
             def edge(
                 ctx, frame, pd=pd, ps=ps,
-                tblock=tblock, tops=tops, tindex=tindex,
+                tbc=tbc, tops=tops, tindex=tindex,
             ):
                 regs = frame.regs
                 regs[pd] = regs[ps]
-                frame.block = tblock
+                frame.bc = tbc
+                frame.ops = tops
+                frame.index = tindex
+
+            return edge
+        if len(copies) == 2:
+            (pd0, ps0), (pd1, ps1) = copies
+
+            def edge(
+                ctx, frame, pd0=pd0, ps0=ps0, pd1=pd1, ps1=ps1,
+                tbc=tbc, tops=tops, tindex=tindex,
+            ):
+                regs = frame.regs
+                v0 = regs[ps0]
+                regs[pd1] = regs[ps1]
+                regs[pd0] = v0
+                frame.bc = tbc
                 frame.ops = tops
                 frame.index = tindex
 
@@ -1031,13 +1107,13 @@ class ClosureCompiler:
 
         def edge(
             ctx, frame, copies=copies,
-            tblock=tblock, tops=tops, tindex=tindex,
+            tbc=tbc, tops=tops, tindex=tindex,
         ):
             regs = frame.regs
             values = [regs[s] for _, s in copies]
             for (pd, _), value in zip(copies, values):
                 regs[pd] = value
-            frame.block = tblock
+            frame.bc = tbc
             frame.ops = tops
             frame.index = tindex
 
@@ -1051,6 +1127,7 @@ class ClosureCompiler:
         def op(ctx, frame, c=c, te=te, fe=fe):
             (te if frame.regs[c] else fe)(ctx, frame)
 
+        _inherit_may_raise(op, (te, fe))
         return op, (
             f"br r{c} ? %{inst.true_block.name} : "
             f"%{inst.false_block.name}"
@@ -1090,6 +1167,7 @@ class ClosureCompiler:
             ):
                 table.get(frame.regs[c], default_edge)(ctx, frame)
 
+        _inherit_may_raise(op, (default_edge, *table.values()))
         return op, desc
 
     def _compile_ret(self, code, inst: ReturnInst):
@@ -1275,7 +1353,58 @@ def _raiser(exc: BaseException):
     def op(ctx, frame, exc=exc):
         raise exc
 
+    op.may_raise = True
     return op
+
+
+def _inherit_may_raise(op, edges) -> None:
+    """A branch whose edge raises (a phi without an incoming value)
+    raises too, so it is not thread-local."""
+    if any(getattr(edge, "may_raise", False) for edge in edges):
+        op.may_raise = True
+
+
+_LOCAL_BINOPS = frozenset(
+    {
+        BinOp.ADD, BinOp.SUB, BinOp.MUL,
+        BinOp.AND, BinOp.OR, BinOp.XOR,
+        BinOp.SHL, BinOp.LSHR, BinOp.ASHR,
+        BinOp.FADD, BinOp.FSUB, BinOp.FMUL, BinOp.FDIV,
+    }
+)
+_DIV_BINOPS = frozenset({BinOp.UDIV, BinOp.SDIV, BinOp.UREM, BinOp.SREM})
+_LOCAL_CASTS = frozenset({CastOp.ZEXT, CastOp.SEXT, CastOp.TRUNC})
+
+
+def _is_local(inst: Instruction, op) -> bool:
+    """Whether *op* (compiled from *inst*) touches nothing but its
+    frame's registers and cannot raise — may it join a thread-local
+    run?"""
+    if getattr(op, "may_raise", False):
+        return False
+    if isinstance(inst, BinaryInst):
+        if inst.op in _LOCAL_BINOPS:
+            return True
+        rhs = inst.rhs
+        return (
+            inst.op in _DIV_BINOPS
+            and isinstance(rhs, ConstantInt)
+            and rhs.value != 0
+        )
+    if isinstance(inst, CastInst):
+        return inst.op in _LOCAL_CASTS
+    if isinstance(inst, GEPInst):
+        # Only the folded shapes: the generic walk can raise.
+        return len(inst.indices) == 1 or all(
+            isinstance(i, ConstantInt) for i in inst.indices
+        )
+    return isinstance(
+        inst,
+        (
+            ICmpInst, FCmpInst, SelectInst,
+            BranchInst, CondBranchInst, SwitchInst,
+        ),
+    )
 
 
 def _fell_off(block_name: str):
@@ -1289,13 +1418,13 @@ def _fell_off(block_name: str):
 
 class ClosureFrame:
     """Compiled call frame: dense register file + current dispatch
-    table.  ``block``/``index`` track the real IR position so scheduler
+    table.  ``bc``/``index`` track the real IR position so scheduler
     snapshots and call-site identity (``single``) stay exact."""
 
     __slots__ = (
         "fn",
         "code",
-        "block",
+        "bc",
         "ops",
         "index",
         "regs",
@@ -1310,7 +1439,8 @@ class ClosureFrame:
         self.fn = code.fn
         self.code = code
         entry = code.entry
-        self.block = entry.block
+        #: the current block's :class:`BlockCode` (its run tables)
+        self.bc = entry
         self.ops = entry.ops
         self.index = 0
         regs = code.regs_template.copy()
@@ -1321,3 +1451,7 @@ class ClosureFrame:
         #: where the matching ret writes its value in the caller
         self.ret_dst = None
         self.ret_index = 0
+
+    @property
+    def block(self) -> BasicBlock:
+        return self.bc.block

@@ -16,15 +16,26 @@ suite):
 * identical :class:`~repro.instrument.ExecutionProfile` — total and
   per-thread retired-instruction counts, barrier waits/episodes, fork
   counts, and detailed block counts;
-* identical guardrail behaviour: fuel accounting decrements once per
-  retired instruction, the wall-clock deadline is polled on the same
-  ``budget & 0xFFF`` mask, and the deliberate quirk that fuel
-  exhaustion fires even when the final instruction completed the
-  program is preserved;
-* identical scheduler semantics: one instruction retired per
-  ``step()``, so :class:`repro.runtime.team.Team`'s round-robin,
-  ``critical`` spin order, FIFO dynamic dispatch and deadlock detection
-  interleave exactly as under the reference interpreter.
+* identical guardrail behaviour: one fuel budget per ``run()``, shared
+  by every thread and charged once per retired instruction; the
+  wall-clock deadline is polled whenever the budget crosses a multiple
+  of 4096; fuel runs out on the same instruction with the same
+  scheduler snapshot; and the deliberate quirk that fuel exhaustion
+  fires even when the final instruction completed the program is
+  preserved;
+* identical scheduler semantics: :class:`repro.runtime.team.Team`'s
+  round-robin, ``critical`` spin order, FIFO dynamic dispatch and
+  deadlock detection interleave exactly as under the reference
+  interpreter's one instruction per ``step()``.
+
+The engine retires whole runs per dispatch (see
+:mod:`repro.exec.compiler`) without breaking that contract: the serial
+loop runs a serial run only while the budget exceeds its length and
+single-steps the rest, and a team member retires a thread-local run
+ahead of the lockstep clock only when the remaining budget proves the
+exhaustion point lies beyond it.  An armed fault injector forces
+per-instruction stepping, because the fault sweep counts
+``interp-step`` hits.
 
 Known (documented) divergence: when *malformed* IR falls off the end of
 a block, the closure engine counts that final fetch as a retired
@@ -52,6 +63,12 @@ from repro.exec.compiler import (
     ClosureFrame,
     CompiledFunction,
 )
+from repro.ir.instructions import CallInst
+
+#: most thread-local instructions one team member retires per
+#: scheduler visit, so a register-only loop in a team still lets the
+#: scheduler poll the wall-clock deadline
+LOCAL_BURST_CAP = 1 << 12
 
 
 class ClosureContext(ExecutionContext):
@@ -97,7 +114,8 @@ class ClosureContext(ExecutionContext):
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Retire exactly one instruction — same granularity as the
-        reference so team interleaving is bit-identical."""
+        reference, used by the team scheduler for every instruction it
+        does not retire as part of a thread-local run."""
         if self.state is not ThreadState.RUNNABLE:
             return
         frame = self.stack[-1]
@@ -106,17 +124,21 @@ class ClosureContext(ExecutionContext):
         self.instructions_retired += 1
         profile = self.interp.profile
         if profile.detailed:
-            profile.count_block(frame.fn.name, frame.block.name)
+            profile.count_block(frame.fn.name, frame.bc.block.name)
         frame.ops[frame.index](self, frame)
 
     def run_to_completion(self, fuel: int | None = None) -> Any:
-        """Serial threaded-dispatch loop: ``step()`` inlined with the
-        loop state hoisted into locals.  Accounting (fuel decrement per
-        retired instruction, deadline poll mask, barrier pass-through
-        for single-threaded contexts) replicates the reference loop
-        statement for statement."""
+        """Serial loop: retires a whole serial run per dispatch while
+        the budget exceeds its length and single-steps everything else.
+        Accounting (fuel charged per retired instruction, deadline
+        polled when the budget crosses a multiple of 4096, barrier
+        pass-through for single-threaded contexts) matches the
+        reference loop's."""
         interp = self.interp
         budget = fuel if fuel is not None else interp.default_fuel
+        #: the deadline is polled once the budget reaches this multiple
+        #: of 4096
+        poll_at = (budget - 1) & ~0xFFF
         profile = interp.profile
         detailed = profile.detailed
         stack = self.stack
@@ -130,21 +152,104 @@ class ClosureContext(ExecutionContext):
                 self.state = RUNNABLE
                 self.waiting_at = None
             frame = stack[-1]
+            # Serial runs back to back: none of them can push or pop a
+            # frame or change the thread's state.
+            while not faults.armed:
+                index = frame.index
+                bc = frame.bc
+                run = bc.runs[index]
+                if run is None:
+                    break
+                n = len(run)
+                if budget <= n:
+                    break
+                try:
+                    for op in run:
+                        op(self, frame)
+                except BaseException:
+                    # Ops advance frame.index only once they complete:
+                    # retire exactly the ones up to the one that raised.
+                    n = frame.index - index + 1
+                    self.instructions_retired += n
+                    if detailed:
+                        profile.count_block(frame.fn.name, bc.block.name, n)
+                    raise
+                self.instructions_retired += n
+                if detailed:
+                    profile.count_block(frame.fn.name, bc.block.name, n)
+                budget -= n
+                if budget <= poll_at:
+                    interp.check_deadline()
+                    poll_at = (budget - 1) & ~0xFFF
             if faults.armed:
                 faults.hit("interp-step")
             self.instructions_retired += 1
             if detailed:
-                profile.count_block(frame.fn.name, frame.block.name)
+                profile.count_block(frame.fn.name, frame.bc.block.name)
+            # A parallel region forked by this instruction draws its
+            # team's fuel from the same budget and hands back the rest.
+            interp.fuel_left = budget - 1
             frame.ops[frame.index](self, frame)
-            budget -= 1
+            budget = interp.fuel_left
             if budget <= 0:
                 raise ExecutionTimeout(
                     "execution fuel exhausted (infinite loop?)",
                     scheduler_snapshot(interp),
                 )
-            if (budget & 0xFFF) == 0:
+            if budget <= poll_at:
                 interp.check_deadline()
+                poll_at = (budget - 1) & ~0xFFF
         return self.return_value
+
+    # ------------------------------------------------------------------
+    # Thread-local runs (team scheduling)
+    # ------------------------------------------------------------------
+    def local_run_retirer(self):
+        """:meth:`retire_local_runs`, or None when this thread may fork
+        a nested parallel region: a nested team's instructions all
+        retire inside one lockstep step, so the budget could not bound
+        how far ahead of the lockstep clock another member may run."""
+        if self.interp.may_fork(self.stack[0].fn):
+            return None
+        return self.retire_local_runs
+
+    def retire_local_runs(self, budget: int, members: int, lead: int) -> int:
+        """Retire thread-local runs back to back; returns how many
+        instructions retired.
+
+        *lead* is how many lockstep rounds this thread's next
+        instruction already lies ahead of the team's current round.  A
+        run of ``n`` is retired only while ``budget > members * (lead +
+        n)`` (both updated as runs retire): every instruction lockstep
+        would retire up to the run's last one then fits in the budget,
+        so fuel cannot run out before it and the exhaustion point and
+        snapshot stay exact.  At most ``LOCAL_BURST_CAP`` retire per
+        call, so the scheduler keeps polling the deadline."""
+        if FAULTS.armed:
+            return 0
+        frame = self.stack[-1]
+        profile = self.interp.profile
+        detailed = profile.detailed
+        retired = 0
+        while True:
+            bc = frame.bc
+            run = bc.local_runs[frame.index]
+            if run is None:
+                break
+            total = retired + len(run)
+            if total > LOCAL_BURST_CAP or (
+                budget - retired <= members * (lead + total)
+            ):
+                break
+            for op in run:
+                op(self, frame)
+            if detailed:
+                profile.count_block(
+                    frame.fn.name, bc.block.name, total - retired
+                )
+            retired = total
+        self.instructions_retired += retired
+        return retired
 
 
 class ClosureInterpreter(Interpreter):
@@ -161,6 +266,7 @@ class ClosureInterpreter(Interpreter):
         super().__init__(module, **kwargs)
         self._compiler = ClosureCompiler(self)
         self._code: dict[int, CompiledFunction] = {}
+        self._may_fork: dict[int, bool] = {}
 
     # ------------------------------------------------------------------
     def code_for(self, fn: Function) -> CompiledFunction:
@@ -174,6 +280,32 @@ class ClosureInterpreter(Interpreter):
             self._code[id(fn)] = code
             self._compiler.compile(code)
         return code
+
+    def may_fork(self, fn: Function) -> bool:
+        """Whether running *fn* can reach ``__kmpc_fork_call``: directly,
+        through any guest callee, or through an indirect call (assumed
+        to).  Memoized per root function."""
+        result = self._may_fork.get(id(fn))
+        if result is None:
+            result = False
+            seen = {id(fn)}
+            todo = [fn]
+            while todo and not result:
+                for block in todo.pop().blocks:
+                    for inst in block.instructions:
+                        if not isinstance(inst, CallInst):
+                            continue
+                        callee = inst.callee
+                        if (
+                            not isinstance(callee, Function)
+                            or callee.name == "__kmpc_fork_call"
+                        ):
+                            result = True
+                        elif id(callee) not in seen:
+                            seen.add(id(callee))
+                            todo.append(callee)
+            self._may_fork[id(fn)] = result
+        return result
 
     # ------------------------------------------------------------------
     def spawn_context(

@@ -66,9 +66,11 @@ class ExecutionProfile:
     def register(self, ctx: "ExecutionContext") -> None:
         self.contexts.append(ctx)
 
-    def count_block(self, fn_name: str, block_name: str) -> None:
+    def count_block(
+        self, fn_name: str, block_name: str, count: int = 1
+    ) -> None:
         key = (fn_name, block_name)
-        self.block_counts[key] = self.block_counts.get(key, 0) + 1
+        self.block_counts[key] = self.block_counts.get(key, 0) + count
 
     # ------------------------------------------------------------------
     # Aggregation

@@ -328,24 +328,34 @@ class ExecutionContext:
         self._execute(inst)
 
     def run_to_completion(self, fuel: int | None = None) -> Any:
-        """Step until done (used for single-threaded execution and inside
-        native calls).  Returns the top-level return value."""
-        budget = fuel if fuel is not None else self.interp.default_fuel
+        """Step until done (single-threaded execution).  Returns the
+        top-level return value."""
+        interp = self.interp
+        budget = fuel if fuel is not None else interp.default_fuel
         while not self.done:
             if self.state == ThreadState.BARRIER:
                 # Single-threaded contexts pass barriers trivially.
                 self.state = ThreadState.RUNNABLE
                 self.waiting_at = None
+            # A parallel region forked by this instruction draws its
+            # team's fuel from the same budget and hands back the rest.
+            interp.fuel_left = budget - 1
             self.step()
-            budget -= 1
+            budget = interp.fuel_left
             if budget <= 0:
                 raise ExecutionTimeout(
                     "execution fuel exhausted (infinite loop?)",
-                    scheduler_snapshot(self.interp),
+                    scheduler_snapshot(interp),
                 )
             if (budget & 0xFFF) == 0:
-                self.interp.check_deadline()
+                interp.check_deadline()
         return self.return_value
+
+    def local_run_retirer(self):
+        """The team scheduler's hook for retiring thread-local runs
+        ahead of its lockstep clock.  The reference engine has none, so
+        its teams run in plain lockstep."""
+        return None
 
     # ------------------------------------------------------------------
     def _jump(self, target: BasicBlock) -> None:
@@ -697,6 +707,10 @@ class Interpreter:
         self.module = module
         self.memory = Memory(memory_size, limit=memory_limit)
         self.default_fuel = default_fuel
+        #: fuel left in the current run(): the stepping loops store it
+        #: around every single step, so a parallel region forked by that
+        #: step draws from it and hands back what its team left
+        self.fuel_left = default_fuel
         #: guest recursion guardrail (frames per logical thread)
         self.max_call_depth = max_call_depth
         #: wall-clock guardrail; armed by run(timeout_s=...)

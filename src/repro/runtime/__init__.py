@@ -2,10 +2,11 @@
 
 Substitutes for hardware threads + libomp: thread teams are additional
 interpreter :class:`~repro.interp.interpreter.ExecutionContext` objects
-stepped **round-robin, one instruction at a time** — deterministic,
-reproducible interleaving that still exercises real barrier semantics,
-per-thread worksharing bounds, dynamic/guided chunk dispatch and critical
-sections (via native spinlocks).  Wall-clock parallelism is *not*
+scheduled with exactly the result of stepping them **round-robin, one
+instruction at a time** — deterministic, reproducible interleaving that
+still exercises real barrier semantics, per-thread worksharing bounds,
+dynamic/guided chunk dispatch and critical sections (via native
+spinlocks).  Wall-clock parallelism is *not*
 simulated; the observable OpenMP semantics (iteration→thread mapping,
 lastprivate, reductions) are.
 """

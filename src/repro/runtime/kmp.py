@@ -15,10 +15,12 @@ from typing import TYPE_CHECKING, Any
 
 from repro.interp.interpreter import (
     ExecutionContext,
+    ExecutionTimeout,
     InterpreterError,
     RETRY,
     ThreadState,
     Trap,
+    scheduler_snapshot,
 )
 from repro.ir.types import IntType, i32, i64
 from repro.runtime.schedule import (
@@ -136,6 +138,12 @@ class OpenMPRuntime:
         per thread, steps it to completion (round-robin), then returns.
         Nested parallel regions are serialized to a team of one, as
         permitted by OpenMP (and done by libomp by default).
+
+        The team runs on what is left of the forking thread's fuel
+        (``interp.fuel_left``, this instruction already charged) and
+        hands back the rest.  Its thread stacks and id cells are freed
+        afterwards unless something else (``malloc``) moved the break
+        while the region ran.
         """
         _loc, _nargs, fn_addr, context_ptr = (
             args[0],
@@ -150,9 +158,17 @@ class OpenMPRuntime:
         self._pushed_num_threads = None
         if ctx.team is not None:
             team_size = 1  # serialize nested parallelism
+        fuel = interp.fuel_left
+        if fuel <= 0:
+            raise ExecutionTimeout(
+                "team execution fuel exhausted",
+                scheduler_snapshot(interp),
+            )
         self.fork_count += 1
         interp.profile.fork_count += 1
 
+        memory = interp.memory
+        mark = memory.watermark()
         contexts: list[ExecutionContext] = []
         for tid in range(team_size):
             gtid = self._next_gtid
@@ -171,11 +187,14 @@ class OpenMPRuntime:
             thread_ctx.gtid = gtid
             contexts.append(thread_ctx)
         team = Team(self, contexts)
+        spawned = memory.watermark()
         self.team_stack.append(team)
         try:
-            team.run(interp.default_fuel)
+            interp.fuel_left = team.run(fuel)
         finally:
             self.team_stack.pop()
+        if memory.watermark() == spawned:
+            memory.release_to(mark)
         return None
 
     # ------------------------------------------------------------------

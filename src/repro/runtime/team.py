@@ -1,8 +1,9 @@
-"""Thread team execution: deterministic round-robin stepping.
+"""Thread team execution: deterministic lockstep scheduling.
 
 A :class:`Team` owns one :class:`ExecutionContext` per simulated thread
-and steps them one instruction at a time in thread order.  Barriers block
-a context (``ThreadState.BARRIER``) until every team member is blocked or
+and runs them with exactly the result of stepping them one instruction
+at a time in thread order.  Barriers block a context
+(``ThreadState.BARRIER``) until every team member is blocked or
 finished, then release all of them — real barrier semantics without OS
 threads.
 """
@@ -56,46 +57,97 @@ class Team:
         return len(self.contexts)
 
     # ------------------------------------------------------------------
-    def run(self, fuel: int) -> None:
-        """Step the team to completion (deterministic interleaving).
+    def run(self, fuel: int) -> int:
+        """Run the team to completion on *fuel*; returns the fuel left.
 
-        One ``step()`` per runnable member per round, in thread order.
+        The result is lockstep's: round after round, one ``step()`` per
+        runnable member in thread order.  Each member keeps a clock,
+        the lockstep round of its next instruction.  Instructions that
+        touch only the member's own registers and cannot raise (its
+        thread-local runs, see :mod:`repro.exec.compiler`) are invisible
+        to teammates, so the member retires them eagerly and adds their
+        number to its clock; every other instruction retires in (clock,
+        thread index) order, which is lockstep's order.  The end-of-round
+        checks run once per distinct clock value: barrier release or
+        deadlock when nothing is runnable, the lock-deadlock check when
+        every runnable member spun.  Reference contexts have no local
+        runs, so for them this loop is plain lockstep.
+
         A member's step changes only its own state, so whether every
-        member still runnable after the round spins on a lock is known
-        by the round's end without a second scan."""
+        member still runnable after a round spins on a lock is known by
+        the round's end without a second scan."""
         interp = self.runtime.interp
         RUNNABLE = ThreadState.RUNNABLE
         DONE = ThreadState.DONE
-        members = [(ctx, ctx.step) for ctx in self.contexts]
+        contexts = self.contexts
+        size = len(contexts)
+        aheads = [ctx.local_run_retirer() for ctx in contexts]
+        if None in aheads:
+            aheads = [None] * size
+        members = [
+            (i, ctx, ctx.step, ahead)
+            for i, (ctx, ahead) in enumerate(zip(contexts, aheads))
+        ]
+        clocks = [0] * size
         budget = fuel
+        #: the deadline is polled once the budget reaches this multiple
+        #: of 4096
+        poll_at = (budget - 1) & ~0xFFF
+        now = 0  # the lockstep round being run
         while True:
             all_done = True
             any_runnable = False
             all_spin = True
-            for ctx, step in members:
+            following = -1  # the next round with a runnable member
+            for i, ctx, step, ahead in members:
                 state = ctx.state
                 if state is RUNNABLE:
                     any_runnable = True
-                    step()
-                    budget -= 1
-                    if budget <= 0:
-                        raise ExecutionTimeout(
-                            "team execution fuel exhausted",
-                            scheduler_snapshot(interp),
-                        )
-                    if (budget & 0xFFF) == 0:
-                        interp.check_deadline()
-                    state = ctx.state
-                    if state is RUNNABLE and ctx.waiting_on_lock is None:
+                    clock = clocks[i]
+                    if clock == now:
+                        # A parallel region forked by this step draws
+                        # from the same budget.
+                        interp.fuel_left = budget - 1
+                        step()
+                        budget = interp.fuel_left
+                        if budget <= 0:
+                            raise ExecutionTimeout(
+                                "team execution fuel exhausted",
+                                scheduler_snapshot(interp),
+                            )
+                        clock += 1
+                        state = ctx.state
+                        if state is RUNNABLE and ctx.waiting_on_lock is None:
+                            all_spin = False
+                            if ahead is not None:
+                                n = ahead(budget, size, clock - now)
+                                clock += n
+                                budget -= n
+                        if budget <= poll_at:
+                            interp.check_deadline()
+                            poll_at = (budget - 1) & ~0xFFF
+                        clocks[i] = clock
+                    else:
+                        # Ahead of this round on local instructions.
                         all_spin = False
+                    if state is RUNNABLE and (
+                        following < 0 or clock < following
+                    ):
+                        following = clock
                 if state is not DONE:
                     all_done = False
             if all_done:
-                return
+                return budget
             if not any_runnable:
+                # This was lockstep's empty round: release everyone
+                # into the round after it.
                 self._release_barrier_or_deadlock(interp)
-            elif all_spin:
-                self._check_lock_deadlock(interp)
+                now = max(clocks) + 1
+                clocks = [now] * size
+            else:
+                if all_spin:
+                    self._check_lock_deadlock(interp)
+                now = following
 
     def _release_barrier_or_deadlock(self, interp) -> None:
         """No thread can step: release the barrier, or report why the
