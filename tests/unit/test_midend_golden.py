@@ -1,19 +1,24 @@
-"""Byte-identity golden for the mid-end's observable output.
+"""Byte-identity golden for the compiler's observable output.
 
-For every example and conformance source that compiles with default
-flags, plus a fixed slice of generator programs, each compiled at -O1
-in both OpenMP representations, four outputs are hashed:
+For every example and conformance source, plus a fixed slice of
+generator programs, each compiled in both OpenMP representations, the
+outputs of a source that compiles with default flags are hashed:
 
-* the ``-print-after-all`` dump;
+* the O0 IR (CodeGen's output, before the mid-end);
+* the ``-ast-dump`` and ``-ast-dump-shadow`` text;
+* the full diagnostics text (warnings included);
+* the ``-print-after-all`` dump of the -O1 mid-end;
 * the ``-print-stats`` text of the whole compile;
 * every optimization remark (``-Rpass=.* -Rpass-missed=.*
   -Rpass-analysis=.*``);
 * ``PipelineRunResult.changes_by_pass()``.
 
-The digests in ``midend_golden.json`` pin them: a change to how the
-mid-end computes its analyses or rewrites uses must not change a byte
-of what it prints.  A deliberate change to mid-end output regenerates
-the file with ``PYTHONPATH=src python tests/unit/test_midend_golden.py``.
+A source that does not compile pins its diagnostics text instead.
+
+The digests in ``midend_golden.json`` pin them: a refactor of Sema,
+CodeGen or the mid-end must not change a byte of what they print.  A
+deliberate output change regenerates the file with
+``PYTHONPATH=src python tests/unit/test_midend_golden.py``.
 """
 
 from __future__ import annotations
@@ -79,9 +84,9 @@ def all_sources() -> dict[str, str]:
     return {**fixed_sources(), **generated_sources()}
 
 
-def midend_outputs(source: str, mode: str) -> dict[str, str] | None:
-    """The four -O1 outputs of one compile, or None when *source* does
-    not compile with default flags."""
+def midend_outputs(source: str, mode: str) -> dict[str, str]:
+    """The observable outputs of one compile; only the diagnostics
+    text when *source* does not compile with default flags."""
     before = STATS.snapshot()
     try:
         result = compile_source(
@@ -89,8 +94,14 @@ def midend_outputs(source: str, mode: str) -> dict[str, str] | None:
             filename="input.c",
             enable_irbuilder=mode == "irbuilder",
         )
-    except CompilationError:
-        return None
+    except CompilationError as err:
+        return {"diagnostics": err.diagnostics_text}
+    front_end = {
+        "o0-ir": result.ir_text(),
+        "ast-dump": result.ast_dump(),
+        "ast-dump-shadow": result.ast_dump(dump_shadow=True),
+        "diagnostics": result.diagnostics_text(),
+    }
     dump = io.StringIO()
     instrument = PassInstrumentation(print_after_all=True, stream=dump)
     remarks = result.diagnostics.remarks
@@ -99,6 +110,7 @@ def midend_outputs(source: str, mode: str) -> dict[str, str] | None:
     )
     selected = remarks.filtered(passed=".*", missed=".*", analysis=".*")
     return {
+        **front_end,
         "print-after-all": dump.getvalue(),
         "print-stats": STATS.render_text(STATS.delta_since(before)),
         "remarks": "\n".join(
@@ -108,10 +120,8 @@ def midend_outputs(source: str, mode: str) -> dict[str, str] | None:
     }
 
 
-def digests(source: str, mode: str) -> dict[str, str] | None:
+def digests(source: str, mode: str) -> dict[str, str]:
     outputs = midend_outputs(source, mode)
-    if outputs is None:
-        return None
     return {
         key: hashlib.sha256(text.encode()).hexdigest()
         for key, text in outputs.items()
@@ -135,7 +145,11 @@ def test_midend_output_matches_golden(name, mode):
 
 def test_golden_covers_generated_programs():
     golden = _golden()
-    compiled = {key.rsplit(" [", 1)[0] for key, v in golden.items() if v}
+    compiled = {
+        key.rsplit(" [", 1)[0]
+        for key, v in golden.items()
+        if "print-after-all" in v
+    }
     assert sum(n.startswith("gen-") for n in compiled) == GENERATED
     assert len(compiled) >= 40
 
