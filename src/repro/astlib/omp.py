@@ -31,6 +31,7 @@ if TYPE_CHECKING:
     from repro.astlib.clauses import OMPClause
     from repro.astlib.decls import VarDecl
     from repro.astlib.exprs import DeclRefExpr, Expr
+    from repro.sema.canonical_loop import CanonicalLoopAnalysis
 
 
 class OMPExecutableDirective(Stmt):
@@ -186,17 +187,26 @@ class LoopHelperExprs:
     counter_update: Optional["Expr"] = None
     counter_final: Optional["Expr"] = None
     dependent_counter: Optional["Expr"] = None
+    #: (original decl, per-iteration private decl) pairs CodeGen
+    #: redirects when emitting the body; bookkeeping, not a shadow slot
+    counter_substitutions: list[tuple["VarDecl", "VarDecl"]] = field(
+        default_factory=list, metadata={"slot": False}
+    )
 
     def populated(self) -> list[Stmt]:
         return [
             getattr(self, f.name)
-            for f in fields(self)
+            for f in self._slots()
             if getattr(self, f.name) is not None
         ]
 
     @classmethod
     def capacity(cls) -> int:
-        return len(fields(cls))
+        return len(cls._slots())
+
+    @classmethod
+    def _slots(cls):
+        return [f for f in fields(cls) if f.metadata.get("slot", True)]
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +230,19 @@ class OMPLoopBasedDirective(OMPExecutableDirective):
     ) -> None:
         super().__init__(clauses, associated_stmt, location)
         self.num_associated_loops = num_associated_loops
+        # What Sema hands to CodeGen besides the AST itself.
+        #: the canonical-loop analysis of each associated loop: one per
+        #: nest level, or one per loop of a ``fuse`` sequence
+        self.analyses: list["CanonicalLoopAnalysis"] = []
+        #: IRBuilder representation: the ``OMPCanonicalLoop`` wrappers
+        #: CodeGen hands to the OpenMPIRBuilder, one per nest level (one
+        #: per sibling loop for ``fuse``); None when nothing was wrapped
+        self.canonical_loops: list["OMPCanonicalLoop"] | None = None
+        #: IRBuilder representation: the inner loop transformation whose
+        #: generated loop this directive consumes (paper §4)
+        self.consumed_transform: "OMPLoopTransformationDirective | None" = (
+            None
+        )
 
 
 class OMPLoopDirective(OMPLoopBasedDirective):
@@ -318,6 +341,13 @@ class OMPLoopTransformationDirective(OMPLoopBasedDirective):
         )
         self._transformed_stmt = transformed_stmt
         self.pre_inits = pre_inits
+        # Clause values Sema evaluated (None where the kind has none).
+        #: ``unroll partial``: the factor (None for full or heuristic)
+        self.unroll_factor: int | None = None
+        #: ``tile``: one size per nest level
+        self.tile_sizes: list[int] | None = None
+        #: ``interchange``: the new order of the nest levels, 0-based
+        self.permutation: list[int] | None = None
 
     def get_transformed_stmt(self) -> Stmt | None:
         """The semantically equivalent replacement loop (shadow AST).

@@ -113,7 +113,7 @@ class CodeGenFunction:
         self.builder.set_insert_point(entry)
         # Bind captures: __context is a struct of pointers to the
         # captured variables (paper §1.2's implicit parameters).
-        record = getattr(captured, "context_record", None)
+        record = captured.context_record
         if record is not None and record.fields:
             self.context_struct = self.cgm.types.lower_record(record)
             self.context_arg = fn.args[2]

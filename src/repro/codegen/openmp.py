@@ -310,20 +310,8 @@ class OpenMPCodeGen:
             # taskloop degenerates to single-task execution.
             self._emit_serial_logical_loop(d)
             return
-        if isinstance(d, omp.OMPUnrollDirective):
-            self._emit_unroll(d)
-            return
-        if isinstance(d, omp.OMPTileDirective):
-            self._emit_tile(d)
-            return
-        if isinstance(d, omp.OMPReverseDirective):
-            self._emit_reverse(d)
-            return
-        if isinstance(d, omp.OMPInterchangeDirective):
-            self._emit_interchange(d)
-            return
-        if isinstance(d, omp.OMPFuseDirective):
-            self._emit_fuse(d)
+        if isinstance(d, omp.OMPLoopTransformationDirective):
+            self._emit_transform(d)
             return
         if isinstance(d, omp.OMPBarrierDirective):
             self.ompb.create_barrier(self.builder)
@@ -434,7 +422,7 @@ class OpenMPCodeGen:
 
         # Build the context structure of pointers to captured variables.
         context_ptr: Value = ConstantPointerNull()
-        record = getattr(captured, "context_record", None)
+        record = captured.context_record
         if record is not None and record.fields:
             struct = self.cgm.types.lower_record(record)
             context_ptr = cgf.create_alloca(struct, "omp.context")
@@ -478,7 +466,7 @@ class OpenMPCodeGen:
         entry = fn.append_block("entry")
         outlined_cgf._entry_block = entry
         outlined_cgf.builder.set_insert_point(entry)
-        record = getattr(captured, "context_record", None)
+        record = captured.context_record
         if record is not None and record.fields:
             outlined_cgf.context_struct = (
                 self.cgm.types.lower_record(record)
@@ -526,8 +514,8 @@ class OpenMPCodeGen:
     def _emit_worksharing_legacy(self, d: omp.OMPLoopDirective) -> None:
         cgf = self.cgf
         helpers = d.helpers
-        analyses = getattr(d, "analyses", None)
-        if analyses is None or helpers.pre_init is None:
+        analyses = d.analyses
+        if not analyses or helpers.pre_init is None:
             raise OpenMPCodeGenError(
                 "loop directive lacks shadow helpers"
             )
@@ -685,8 +673,7 @@ class OpenMPCodeGen:
         for level, analysis in enumerate(analyses):
             bundle = d.loop_helpers[level]
             cgf.emit_stmt(bundle.counter_update)
-            pairs = getattr(bundle, "counter_substitutions", [])
-            for old_decl, new_var in pairs:
+            for old_decl, new_var in bundle.counter_substitutions:
                 saved.setdefault(
                     id(old_decl), cgf.local_vars.get(id(old_decl))
                 )
@@ -716,17 +703,11 @@ class OpenMPCodeGen:
         cgf = self.cgf
         privatizer = _Privatizer(cgf)
         privatizer.apply(d)
-        if self.irbuilder_mode and hasattr(d, "canonical_loops"):
-            clis = self._emit_canonical_nest(d)
-            cli = (
-                self.ompb.collapse_loops(self.builder, clis)
-                if len(clis) > 1
-                else clis[0]
-            )
-            self._position_at_block_end(cli.after)
+        if self.irbuilder_mode:
+            self._position_at_block_end(self._generated_loop(d).after)
         else:
             helpers = d.helpers
-            analyses = getattr(d, "analyses")
+            analyses = d.analyses
             captured = d.captured_stmt
             nest_stmt = captured.body if captured is not None else None
             if isinstance(nest_stmt, s.CompoundStmt):
@@ -759,18 +740,7 @@ class OpenMPCodeGen:
         cgf = self.cgf
         privatizer = _Privatizer(cgf)
         privatizer.apply(d)
-        consumed = getattr(d, "consumed_transform", None)
-        if consumed is not None:
-            # §4 extension: apply the inner transformation at the IR
-            # level and workshare the outer generated loop handle.
-            cli = self._emit_consumed_transform(consumed)
-        else:
-            clis = self._emit_canonical_nest(d)
-            cli = (
-                self.ompb.collapse_loops(self.builder, clis)
-                if len(clis) > 1
-                else clis[0]
-            )
+        cli = self._generated_loop(d)
         schedule, chunk_expr = self._schedule_for(d)
         chunk_val: Value | None = None
         if chunk_expr is not None:
@@ -793,45 +763,6 @@ class OpenMPCodeGen:
             self.ompb.create_barrier(self.builder)
         privatizer.restore()
 
-    def _emit_consumed_transform(
-        self, inner: omp.OMPLoopTransformationDirective
-    ) -> CanonicalLoopInfo:
-        """Emit an inner tile/unroll at the IR level and return the
-        outermost generated loop's handle for the consumer.
-
-        Recurses through chained consumed transformations (paper §4:
-        ``unroll partial`` over ``tile`` over the literal loop), each
-        level handing its generated handle to the next."""
-        if isinstance(inner, omp.OMPFuseDirective):
-            siblings = self._emit_canonical_sequence(inner)
-            return self.ompb.fuse_loops(self.builder, siblings)
-        nested = getattr(inner, "consumed_transform", None)
-        if nested is not None:
-            clis = [self._emit_consumed_transform(nested)]
-        else:
-            clis = self._emit_canonical_nest(inner)
-        if isinstance(inner, omp.OMPUnrollDirective):
-            partial = inner.get_clause(cl.OMPPartialClause)
-            factor = (
-                self._int_clause_value(partial.factor, 2)
-                if partial is not None
-                else 2
-            )
-            return self.ompb.unroll_loop_partial(
-                self.builder, clis[0], factor
-            )
-        if isinstance(inner, omp.OMPReverseDirective):
-            return self.ompb.reverse_loop(self.builder, clis[0])
-        if isinstance(inner, omp.OMPInterchangeDirective):
-            permutation = getattr(inner, "permutation")
-            return self.ompb.interchange_loops(
-                self.builder, clis, permutation
-            )[0]
-        assert isinstance(inner, omp.OMPTileDirective)
-        sizes = getattr(inner, "tile_sizes")
-        new_clis = self.ompb.tile_loops(self.builder, clis, sizes)
-        return new_clis[0]
-
     def _load_lastiter_flag(self, cli: CanonicalLoopInfo) -> Value:
         """Load the p.lastiter alloca created by create_workshare_loop."""
         from repro.ir.instructions import AllocaInst
@@ -852,7 +783,7 @@ class OpenMPCodeGen:
         return ConstantInt(ir_ty.i32, 1)
 
     def _emit_canonical_nest(
-        self, d: omp.OMPExecutableDirective
+        self, d: omp.OMPLoopBasedDirective
     ) -> list[CanonicalLoopInfo]:
         """Emit the ``OMPCanonicalLoop`` nest of a directive.
 
@@ -862,7 +793,7 @@ class OpenMPCodeGen:
         the user-variable updates plus the loop body.
         """
         cgf = self.cgf
-        canonical_loops = getattr(d, "canonical_loops", None)
+        canonical_loops = d.canonical_loops
         if canonical_loops is None:
             raise OpenMPCodeGenError(
                 "directive lacks OMPCanonicalLoop wrappers "
@@ -913,13 +844,13 @@ class OpenMPCodeGen:
         return clis_by_level
 
     def _emit_canonical_sequence(
-        self, d: omp.OMPExecutableDirective
+        self, d: omp.OMPFuseDirective
     ) -> list[CanonicalLoopInfo]:
         """Emit the *sibling* canonical loops of a ``fuse`` directive
         consecutively — every trip count is materialized before the
         first skeleton (so fuse_loops can take the max in the shared
         preheader), matching the shadow build_fuse pre-init order."""
-        wrappers = getattr(d, "fuse_canonical_loops", None)
+        wrappers = d.canonical_loops
         if wrappers is None:
             raise OpenMPCodeGenError(
                 "fuse directive lacks OMPCanonicalLoop wrappers "
@@ -1105,123 +1036,86 @@ class OpenMPCodeGen:
         return cli
 
     # ==================================================================
-    # Loop transformations (standalone; consumed ones are resolved by
-    # Sema before reaching CodeGen)
+    # Loop transformations
     # ==================================================================
-    def _consumed_or_canonical(
-        self, d: omp.OMPExecutableDirective
+    def _generated_loops(
+        self, d: omp.OMPLoopBasedDirective
     ) -> list[CanonicalLoopInfo]:
-        """IRBuilder handles for *d*: the chained generated-loop handle
-        when *d* consumes an inner transformation, its own canonical
-        nest otherwise."""
-        consumed = getattr(d, "consumed_transform", None)
-        if consumed is not None:
-            return [self._emit_consumed_transform(consumed)]
+        """The IRBuilder handles of the loops *d* applies to: the loop
+        generated by the inner transformation it consumes (paper §4:
+        ``unroll partial`` over ``tile`` over the literal loop, each
+        level handing its generated handle to the next), its canonical
+        nest, or the sibling loops of a ``fuse`` sequence."""
+        if d.consumed_transform is not None:
+            return [self._apply_transform(d.consumed_transform)]
+        if isinstance(d, omp.OMPFuseDirective):
+            return self._emit_canonical_sequence(d)
         return self._emit_canonical_nest(d)
 
-    def _emit_unroll(self, d: omp.OMPUnrollDirective) -> None:
+    def _generated_loop(self, d: omp.OMPLoopDirective) -> CanonicalLoopInfo:
+        """The one loop a worksharing, ``simd`` or ``taskloop``
+        directive iterates: its generated loops, collapsed."""
+        clis = self._generated_loops(d)
+        if len(clis) > 1:
+            return self.ompb.collapse_loops(self.builder, clis)
+        return clis[0]
+
+    def _apply_transform(
+        self, d: omp.OMPLoopTransformationDirective
+    ) -> CanonicalLoopInfo:
+        """Apply *d* to its generated loops through the OpenMPIRBuilder.
+
+        Returns the outermost loop it generates; full and heuristic
+        unrolling only attach metadata for the mid-end and return the
+        loop itself, which Sema lets no directive consume."""
+        clis = self._generated_loops(d)
+        ompb, builder = self.ompb, self.builder
+        if isinstance(d, omp.OMPUnrollDirective):
+            if d.unroll_factor is not None:
+                return ompb.unroll_loop_partial(
+                    builder, clis[0], d.unroll_factor
+                )
+            if d.has_clause(cl.OMPFullClause):
+                ompb.unroll_loop_full(clis[0])
+            else:
+                ompb.unroll_loop_heuristic(clis[0])
+            return clis[0]
+        if isinstance(d, omp.OMPTileDirective):
+            assert d.tile_sizes is not None
+            return ompb.tile_loops(builder, clis, d.tile_sizes)[0]
+        if isinstance(d, omp.OMPReverseDirective):
+            return ompb.reverse_loop(builder, clis[0])
+        if isinstance(d, omp.OMPInterchangeDirective):
+            assert d.permutation is not None
+            return ompb.interchange_loops(builder, clis, d.permutation)[0]
+        assert isinstance(d, omp.OMPFuseDirective)
+        return ompb.fuse_loops(builder, clis)
+
+    def _emit_transform(self, d: omp.OMPLoopTransformationDirective) -> None:
+        """A loop transformation no other directive consumes."""
         cgf = self.cgf
         if self.irbuilder_mode:
-            clis = self._consumed_or_canonical(d)
-            cli = clis[0]
-            cont = cli.after
-            full = d.get_clause(cl.OMPFullClause)
-            partial = d.get_clause(cl.OMPPartialClause)
-            if full is not None:
-                self.ompb.unroll_loop_full(cli)
-            elif partial is not None:
-                factor = self._int_clause_value(partial.factor, 2)
-                self.ompb.unroll_loop_partial(self.builder, cli, factor)
-            else:
-                self.ompb.unroll_loop_heuristic(cli)
-            self._position_at_block_end(cont)
+            self._position_at_block_end(self._apply_transform(d).after)
             return
+        cgf.emit_stmt(d.pre_inits)
         transformed = d.get_transformed_stmt()
         if transformed is not None:
-            # Partial unroll: strip-mined shadow AST; the inner loop's
-            # LoopHintAttr becomes llvm.loop.unroll.count metadata.
-            cgf.emit_stmt(d.pre_inits)
+            # "If encountering a non-associated tile construct, CodeGen
+            # will simply emit the transformed AST in its place" (paper
+            # §2.2).  A partially unrolled loop's LoopHintAttr becomes
+            # llvm.loop.unroll.count metadata.
             cgf.emit_stmt(transformed)
             return
-        # Full/heuristic standalone: no transformed AST; attach metadata
-        # to the literal loop and let the mid-end LoopUnroll decide
-        # (paper §2.2: "it is more efficient to defer unrolling to the
+        # Full/heuristic unroll: no transformed AST; attach metadata to
+        # the literal loop and let the mid-end LoopUnroll decide (paper
+        # §2.2: "it is more efficient to defer unrolling to the
         # LoopUnroll pass ... without even tiling the loop beforehand").
-        cgf.emit_stmt(d.pre_inits)
+        assert isinstance(d, omp.OMPUnrollDirective)
         full = d.has_clause(cl.OMPFullClause)
         cgf._pending_loop_metadata = loop_metadata(
             unroll_full=full, unroll_enable=not full
         )
-        analysis = getattr(d, "analysis", None)
-        loop = (
-            analysis.loop_stmt
-            if analysis is not None
-            else d.associated_stmt
-        )
-        cgf.emit_stmt(loop)
-
-    def _emit_tile(self, d: omp.OMPTileDirective) -> None:
-        cgf = self.cgf
-        if self.irbuilder_mode:
-            clis = self._consumed_or_canonical(d)
-            cont = clis[0].after
-            sizes = getattr(d, "tile_sizes")
-            self.ompb.tile_loops(self.builder, clis, sizes)
-            self._position_at_block_end(cont)
-            return
-        transformed = d.get_transformed_stmt()
-        if transformed is None:
-            raise OpenMPCodeGenError(
-                "tile directive without transformed statement"
-            )
-        # "If encountering a non-associated tile construct, CodeGen will
-        # simply emit the transformed AST in its place" (paper §2.2).
-        cgf.emit_stmt(d.pre_inits)
-        cgf.emit_stmt(transformed)
-
-    def _emit_reverse(self, d) -> None:
-        """OpenMP 6.0 ``reverse`` — §4 extension."""
-        cgf = self.cgf
-        if self.irbuilder_mode:
-            clis = self._consumed_or_canonical(d)
-            cont = clis[0].after
-            self.ompb.reverse_loop(self.builder, clis[0])
-            self._position_at_block_end(cont)
-            return
-        transformed = d.get_transformed_stmt()
-        assert transformed is not None
-        cgf.emit_stmt(d.pre_inits)
-        cgf.emit_stmt(transformed)
-
-    def _emit_fuse(self, d: omp.OMPFuseDirective) -> None:
-        """OpenMP 6.0 ``fuse`` — §4 extension over loop *sequences*."""
-        cgf = self.cgf
-        if self.irbuilder_mode:
-            clis = self._emit_canonical_sequence(d)
-            fused = self.ompb.fuse_loops(self.builder, clis)
-            self._position_at_block_end(fused.after)
-            return
-        transformed = d.get_transformed_stmt()
-        assert transformed is not None
-        cgf.emit_stmt(d.pre_inits)
-        cgf.emit_stmt(transformed)
-
-    def _emit_interchange(self, d) -> None:
-        """OpenMP 6.0 ``interchange`` — §4 extension."""
-        cgf = self.cgf
-        if self.irbuilder_mode:
-            clis = self._emit_canonical_nest(d)
-            cont = clis[0].after
-            permutation = getattr(d, "permutation")
-            self.ompb.interchange_loops(
-                self.builder, clis, permutation
-            )
-            self._position_at_block_end(cont)
-            return
-        transformed = d.get_transformed_stmt()
-        assert transformed is not None
-        cgf.emit_stmt(d.pre_inits)
-        cgf.emit_stmt(transformed)
+        cgf.emit_stmt(d.analyses[0].loop_stmt)
 
     # ==================================================================
     # master / single / critical
