@@ -31,7 +31,7 @@ from repro.astlib import exprs as e
 from repro.astlib import stmts as s
 from repro.astlib.context import ASTContext
 from repro.astlib.decls import VarDecl
-from repro.astlib.tree_transform import TreeTransform
+from repro.astlib.tree_transform import DirectiveRebuilder, TreeTransform
 from repro.astlib.types import QualType, desugar
 from repro.instrument import get_statistic
 from repro.sema.canonical_loop import (
@@ -64,8 +64,15 @@ class TransformResult:
 class ShadowTransformBuilder:
     """Builds transformed ASTs for the OpenMP 5.1 loop transformations."""
 
-    def __init__(self, ctx: ASTContext) -> None:
+    def __init__(
+        self,
+        ctx: ASTContext,
+        rebuild_directive: DirectiveRebuilder | None = None,
+    ) -> None:
         self.ctx = ctx
+        #: rebuilds directives nested in a copied loop body (Sema's
+        #: rebuild, paper §2: the copy must not share their shadow AST)
+        self.rebuild_directive = rebuild_directive
 
     # ------------------------------------------------------------------
     # Small AST helpers
@@ -324,7 +331,7 @@ class ShadowTransformBuilder:
     ) -> s.Stmt:
         """Copy the loop body, remapping the old iteration/user variables
         to the freshly declared ones (TreeTransform, paper §1.3/§2)."""
-        transform = TreeTransform()
+        transform = TreeTransform(self.rebuild_directive)
         for key, new_var in subs.items():
             transform.decl_substitutions[key] = new_var
         body = transform.transform_stmt(analysis.body)
@@ -476,7 +483,7 @@ class ShadowTransformBuilder:
             tile_vars.append(tv)
 
         # Innermost body: re-materialize each user variable then the body.
-        transform = TreeTransform()
+        transform = TreeTransform(self.rebuild_directive)
         body_stmts: list[s.Stmt] = []
         for k, analysis in enumerate(analyses):
             env_stmts, subs, _ = self._rebuild_user_env(
@@ -743,15 +750,18 @@ def build_unroll_transform(
     analysis: CanonicalLoopAnalysis,
     factor: int | None,
     full: bool,
+    rebuild_directive: DirectiveRebuilder | None = None,
 ) -> TransformResult:
     """Build the shadow transformed AST for ``omp unroll``.
 
     ``factor=None`` with ``full=False`` is the heuristic mode; when the
     result must be consumable the caller passes the implementation-chosen
     factor (the current implementation uses two — paper §2.2).
+    *rebuild_directive* rebuilds directives nested in the loop body
+    (every builder below takes it too).
     """
     _SHADOW_TRANSFORMS.inc()
-    builder = ShadowTransformBuilder(ctx)
+    builder = ShadowTransformBuilder(ctx, rebuild_directive)
     if full:
         return builder.build_unroll_full(analysis)
     if factor is None:
@@ -763,36 +773,48 @@ def build_tile_transform(
     ctx: ASTContext,
     analyses: list[CanonicalLoopAnalysis],
     sizes: list[int],
+    rebuild_directive: DirectiveRebuilder | None = None,
 ) -> TransformResult:
     """Build the shadow transformed AST for ``omp tile sizes(...)``."""
     _SHADOW_TRANSFORMS.inc()
-    return ShadowTransformBuilder(ctx).build_tile(analyses, sizes)
+    return ShadowTransformBuilder(ctx, rebuild_directive).build_tile(
+        analyses, sizes
+    )
 
 
 def build_reverse_transform(
-    ctx: ASTContext, analysis: CanonicalLoopAnalysis
+    ctx: ASTContext,
+    analysis: CanonicalLoopAnalysis,
+    rebuild_directive: DirectiveRebuilder | None = None,
 ) -> TransformResult:
     """Build the shadow transformed AST for ``omp reverse`` (6.0 ext)."""
     _SHADOW_TRANSFORMS.inc()
-    return ShadowTransformBuilder(ctx).build_reverse(analysis)
+    return ShadowTransformBuilder(ctx, rebuild_directive).build_reverse(
+        analysis
+    )
 
 
 def build_fuse_transform(
-    ctx: ASTContext, analyses: list[CanonicalLoopAnalysis]
+    ctx: ASTContext,
+    analyses: list[CanonicalLoopAnalysis],
+    rebuild_directive: DirectiveRebuilder | None = None,
 ) -> TransformResult:
     """Build the shadow transformed AST for ``omp fuse`` (6.0 ext)."""
     _SHADOW_TRANSFORMS.inc()
-    return ShadowTransformBuilder(ctx).build_fuse(analyses)
+    return ShadowTransformBuilder(ctx, rebuild_directive).build_fuse(
+        analyses
+    )
 
 
 def build_interchange_transform(
     ctx: ASTContext,
     analyses: list[CanonicalLoopAnalysis],
     permutation: list[int],
+    rebuild_directive: DirectiveRebuilder | None = None,
 ) -> TransformResult:
     """Build the shadow transformed AST for ``omp interchange`` (6.0)."""
     _SHADOW_TRANSFORMS.inc()
-    return ShadowTransformBuilder(ctx).build_interchange(
+    return ShadowTransformBuilder(ctx, rebuild_directive).build_interchange(
         analyses, permutation
     )
 
