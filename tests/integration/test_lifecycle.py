@@ -67,26 +67,67 @@ def _serve(argv, tmp_path, **popen_kwargs):
 # ----------------------------------------------------------------------
 # SIGTERM -> drain -> snapshot -> exit 0
 # ----------------------------------------------------------------------
-class TestGracefulDrain:
-    def test_sigterm_drains_and_exits_zero(self, tmp_path):
-        # Each request interprets a ~2s loop: 20 of them on one worker
-        # keep the service loaded far past the signal.
-        slow = """\
+_SLOW = """\
 int printf(const char *fmt, ...);
 int main() {{
   int sum = 0;
-  for (int i = 0; i < 40000; i += 1)
+  for (int i = 0; i < {iterations}; i += 1)
     sum += i * {index};
   printf("sum %d\\n", sum);
   return 0;
 }}
 """
+
+
+def _iterations_lasting(seconds: float, probe: int = 20000) -> int:
+    """Loop length of a :data:`_SLOW` program that runs for at least
+    *seconds* on this host's default engine (at least 40000)."""
+    from repro.pipeline import run_source
+
+    source = _SLOW.format(iterations=probe, index=1)
+    started = time.monotonic()
+    run_source(source)
+    elapsed = max(time.monotonic() - started, 1e-3)
+    return max(40000, int(probe * seconds / elapsed))
+
+
+def _wait_for_ok_response(log_path, proc, timeout_s: float) -> None:
+    """Block until the ``--log-jsonl`` stream records a request answered
+    ``ok`` (the status lines on stderr only follow the whole batch)."""
+    import json
+
+    give_up = time.monotonic() + timeout_s
+    while time.monotonic() < give_up:
+        assert proc.poll() is None, "server exited before answering"
+        if log_path.exists():
+            for line in log_path.read_text(encoding="utf-8").splitlines():
+                record = json.loads(line)
+                if (
+                    record.get("event") == "response"
+                    and record.get("status") == "ok"
+                ):
+                    return
+        time.sleep(0.05)
+    raise AssertionError("no request answered ok in time")
+
+
+class TestGracefulDrain:
+    def test_sigterm_drains_and_exits_zero(self, tmp_path):
+        # The signal lands as soon as one request has been answered.
+        # Each request runs for at least a second, so the 19 left on
+        # the single worker outlast the 1 s drain deadline many times
+        # over whatever the engine's speed or the host's load.
+        iterations = _iterations_lasting(1.0)
         sources = []
         for i in range(20):
             path = tmp_path / f"in-{i}.c"
-            path.write_text(slow.format(index=i), encoding="utf-8")
+            path.write_text(
+                _SLOW.format(iterations=iterations, index=i),
+                encoding="utf-8",
+            )
             sources.append(str(path))
         state_dir = tmp_path / "state"
+        events = tmp_path / "events.jsonl"
         proc = _serve(
             [
                 *sources,
@@ -97,10 +138,17 @@ int main() {{
                 str(state_dir),
                 "--drain-timeout",
                 "1.0",
+                "--log-jsonl",
+                str(events),
             ],
             tmp_path,
         )
-        time.sleep(4.0)  # let the batch get going
+        try:
+            _wait_for_ok_response(events, proc, timeout_s=120)
+        except BaseException:
+            proc.kill()
+            proc.communicate()
+            raise
         proc.send_signal(signal.SIGTERM)
         try:
             _, stderr = proc.communicate(timeout=60)

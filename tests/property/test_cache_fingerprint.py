@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cache import request_fingerprint
 from repro.cache.key import (
     canonicalize_flag_tokens,
+    canonicalize_source,
     source_id,
     stage_key,
 )
@@ -154,6 +155,9 @@ class TestInsensitivity:
     @FAST
     @given(source=sources)
     def test_line_ending_spelling_does_not_alter_key(self, source):
-        assert request_fingerprint(
-            source.replace("\n", "\r\n")
-        ) == request_fingerprint(source)
+        """Spelling every line ending CRLF keeps the key.  A source may
+        already hold bare CRs, each of which ends a line, so the lines
+        are those of the canonical (LF) form: ``'\\r\\n'`` is one line
+        and ``'\\r\\r\\n'`` two."""
+        crlf = canonicalize_source(source).replace("\n", "\r\n")
+        assert request_fingerprint(crlf) == request_fingerprint(source)
