@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.ir.instructions import Instruction, PhiInst
 from repro.ir.module import BasicBlock, Function
 from repro.ir.values import Value
 
@@ -157,29 +156,3 @@ def redirect_branch(
             # values for the new edge when the target has phis.
             pass
     return changed
-
-
-def split_block_before(
-    fn: Function, inst: Instruction, name: str = "split"
-) -> BasicBlock:
-    """Split *inst*'s block before *inst*; the new block receives *inst*
-    and everything after it.  The original block gets an unconditional
-    branch to the new block.  Returns the new block."""
-    from repro.ir.instructions import BranchInst
-
-    block = inst.parent
-    assert block is not None and block.parent is fn
-    idx = block.instructions.index(inst)
-    new_block = fn.append_block(name, after=block)
-    moved = block.instructions[idx:]
-    del block.instructions[idx:]
-    for m in moved:
-        new_block.append(m)
-    br = BranchInst(new_block)
-    block.append(br)
-    # Phis in successors that referenced `block` must now reference the
-    # new block (it owns the terminator that reaches them).
-    for succ in new_block.successors():
-        for phi in succ.phis():
-            phi.replace_incoming_block(block, new_block)
-    return new_block

@@ -231,8 +231,6 @@ PUNCTUATORS: dict[str, TokenKind] = {
     "#": TokenKind.HASH,
 }
 
-_MAX_PUNCT_LEN = max(len(p) for p in PUNCTUATORS)
-
 
 @dataclass
 class Token:
@@ -276,7 +274,3 @@ class Token:
 
     def __str__(self) -> str:
         return f"{self.kind.name}({self.spelling!r})"
-
-
-def max_punctuator_length() -> int:
-    return _MAX_PUNCT_LEN
