@@ -471,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
             durable=bool(flags["cache-durable"]),
         )
 
-    stats_before = STATS.snapshot()
+    stats_before = STATS.counter_values()
     if time_trace is not None:
         enable_time_trace()
     code = EXIT_OK

@@ -15,7 +15,7 @@ import sys
 from typing import Collection, Iterable, Mapping
 
 from repro.driver.exitcodes import EXIT_TIMEOUT
-from repro.instrument.stats import STATS
+from repro.instrument.stats import STATS, render_stats
 
 #: where ``-fcache`` without an explicit directory keeps its entries
 DEFAULT_CACHE_DIR = ".miniclang-cache"
@@ -144,29 +144,23 @@ def write_report(
     if metrics is not None and args.metrics_prom:
         with open(args.metrics_prom, "w", encoding="utf-8") as fh:
             fh.write(metrics.render_prometheus())
+    delta = STATS.delta_since(stats_before)
     if args.print_stats:
-        print(
-            STATS.render_text(STATS.delta_since(stats_before)),
-            file=sys.stderr,
-        )
+        print(render_stats(delta), file=sys.stderr)
     if args.stats_json:
-        payload = json.dumps(
-            STATS.render_json(STATS.delta_since(stats_before)),
-            indent=1,
-            sort_keys=True,
-        )
+        payload = json.dumps(delta, indent=1, sort_keys=True)
         if args.stats_json == "-":
             print(payload)
         else:
             with open(args.stats_json, "w", encoding="utf-8") as fh:
                 fh.write(payload + "\n")
     if args.print_cache_stats:
-        delta = {
+        cache_delta = {
             key: value
-            for key, value in STATS.delta_since(stats_before).items()
+            for key, value in delta.items()
             if key.startswith("cache.")
         }
-        print(STATS.render_text(delta), file=sys.stderr)
+        print(render_stats(cache_delta), file=sys.stderr)
         for cache in caches:
             if cache is not None:
                 print(cache.describe(), file=sys.stderr)

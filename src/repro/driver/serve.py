@@ -431,7 +431,7 @@ def _run_server(args, flags) -> int:
     except ValueError as err:
         print(f"miniclang-serve: error: {err}", file=sys.stderr)
         return EXIT_USER_ERROR
-    stats_before = STATS.snapshot()
+    stats_before = STATS.counter_values()
     with _event_log(args) as event_log:
         server = NetServerThread(
             _shard_configs(args, flags, event_log),
@@ -512,7 +512,7 @@ def _run_batch(args, flags) -> int:
         )
         names.append(filename)
 
-    stats_before = STATS.snapshot()
+    stats_before = STATS.counter_values()
     code = EXIT_USER_ERROR if read_errors else EXIT_OK
     with _event_log(args) as event_log:
         (config,) = _shard_configs(args, flags, event_log)

@@ -41,7 +41,7 @@ from repro.instrument.profile import (
     ThreadProfile,
 )
 from repro.instrument.remarks import Remark, RemarkEmitter, RemarkKind
-from repro.instrument.stats import STATS, Statistic, StatsRegistry, get_statistic
+from repro.instrument.stats import STATS, get_statistic, render_stats
 from repro.instrument.timetrace import (
     TimeTraceProfiler,
     TimeTraceScope,
@@ -76,9 +76,8 @@ __all__ = [
     "RemarkEmitter",
     "RemarkKind",
     "STATS",
-    "Statistic",
-    "StatsRegistry",
     "get_statistic",
+    "render_stats",
     "TimeTraceProfiler",
     "TimeTraceScope",
     "active_time_trace",

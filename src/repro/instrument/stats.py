@@ -10,134 +10,61 @@ Any layer registers a counter once at module scope::
     ...
     NODES_BUILT.inc()
 
-and the registry renders the familiar aligned dump::
+and :func:`render_stats` renders the familiar aligned dump::
 
     ===-------------------------------------------------------------===
                           ... Statistics Collected ...
     ===-------------------------------------------------------------===
       142 shadow - Shadow AST nodes constructed
 
-Counters are always live (an attribute increment costs nothing worth
-gating); *reporting* is what the driver flag controls.  Per-compilation
-deltas are taken with :meth:`StatsRegistry.snapshot` /
-:meth:`StatsRegistry.delta_since` so library users get the counts of one
+A statistic is a label-free :class:`~repro.instrument.telemetry.metrics.
+Counter` named ``owner.name`` in the process-wide :data:`STATS`
+registry, so statistics and service metrics share one snapshot, delta
+and merge.  Counters are always live (a label-free ``inc`` is one
+attribute add); *reporting* is what the driver flag controls.
+Per-compilation deltas are taken with :meth:`STATS.counter_values()
+<repro.instrument.telemetry.metrics.MetricsRegistry.counter_values>` /
+``STATS.delta_since(...)`` so library users get the counts of one
 ``compile_source`` call even though the registry is process-global, the
 same way LLVM statistics accumulate per ``llvm::Context``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from repro.instrument.telemetry.metrics import Counter, MetricsRegistry
+
+#: the process-wide statistics registry (LLVM's ``StatisticInfo`` list)
+STATS = MetricsRegistry()
 
 
-class Statistic:
-    """One named counter, owned by a component ("debug type" in LLVM)."""
-
-    __slots__ = ("owner", "name", "desc", "value")
-
-    def __init__(self, owner: str, name: str, desc: str = "") -> None:
-        self.owner = owner
-        self.name = name
-        self.desc = desc
-        self.value = 0
-
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.owner}.{self.name}"
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def reset(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Statistic({self.qualified_name}={self.value})"
-
-
-class StatsRegistry:
-    """Registry of every :class:`Statistic` in the process."""
-
-    def __init__(self) -> None:
-        self._stats: dict[str, Statistic] = {}
-
-    def get(self, owner: str, name: str, desc: str = "") -> Statistic:
-        """Return the counter, creating it on first use."""
-        key = f"{owner}.{name}"
-        stat = self._stats.get(key)
-        if stat is None:
-            stat = Statistic(owner, name, desc)
-            self._stats[key] = stat
-        return stat
-
-    def __iter__(self) -> Iterator[Statistic]:
-        return iter(self._stats.values())
-
-    def __len__(self) -> int:
-        return len(self._stats)
-
-    # ------------------------------------------------------------------
-    def values(self, *, nonzero_only: bool = True) -> dict[str, int]:
-        return {
-            s.qualified_name: s.value
-            for s in self._stats.values()
-            if s.value or not nonzero_only
-        }
-
-    def snapshot(self) -> dict[str, int]:
-        """Current value of every counter (including zeros)."""
-        return {s.qualified_name: s.value for s in self._stats.values()}
-
-    def delta_since(self, snapshot: dict[str, int]) -> dict[str, int]:
-        """Counters that advanced since *snapshot* (e.g. one compile)."""
-        delta = {}
-        for stat in self._stats.values():
-            diff = stat.value - snapshot.get(stat.qualified_name, 0)
-            if diff:
-                delta[stat.qualified_name] = diff
-        return delta
-
-    def reset(self) -> None:
-        for stat in self._stats.values():
-            stat.reset()
-
-    # ------------------------------------------------------------------
-    def render_text(self, values: dict[str, int] | None = None) -> str:
-        """The LLVM ``-stats`` dump format."""
-        if values is None:
-            values = self.values()
-        if not values:
-            return ""
-        rows = []
-        for key in sorted(values):
-            stat = self._stats.get(key)
-            owner = stat.owner if stat is not None else key
-            desc = (stat.desc or stat.name) if stat is not None else ""
-            rows.append((values[key], owner, desc))
-        value_width = max(len(str(v)) for v, _, _ in rows)
-        owner_width = max(len(o) for _, o, _ in rows)
-        lines = [
-            "===" + "-" * 61 + "===",
-            "                    ... Statistics Collected ...",
-            "===" + "-" * 61 + "===",
-        ]
-        for value, owner, desc in rows:
-            lines.append(
-                f"{value:>{value_width}} "
-                f"{owner:<{owner_width}} - {desc}"
-            )
-        return "\n".join(lines)
-
-    def render_json(self, values: dict[str, int] | None = None) -> dict:
-        if values is None:
-            values = self.values()
-        return dict(sorted(values.items()))
-
-
-#: the process-wide registry (LLVM's ``StatisticInfo`` list)
-STATS = StatsRegistry()
-
-
-def get_statistic(owner: str, name: str, desc: str = "") -> Statistic:
+def get_statistic(owner: str, name: str, desc: str = "") -> Counter:
     """Module-scope registration helper (LLVM's ``STATISTIC`` macro)."""
-    return STATS.get(owner, name, desc)
+    return STATS.counter(f"{owner}.{name}", desc)
+
+
+def render_stats(values: dict[str, int]) -> str:
+    """The LLVM ``-stats`` dump of *values*, a flat ``owner.name ->
+    count`` map such as ``STATS.delta_since(before)``."""
+    if not values:
+        return ""
+    rows = []
+    for key in sorted(values):
+        counter = STATS.get(key)
+        if counter is None:
+            owner, desc = key, ""
+        else:
+            owner, _, name = key.partition(".")
+            desc = counter.help or name
+        rows.append((values[key], owner, desc))
+    value_width = max(len(str(v)) for v, _, _ in rows)
+    owner_width = max(len(o) for _, o, _ in rows)
+    lines = [
+        "===" + "-" * 61 + "===",
+        "                    ... Statistics Collected ...",
+        "===" + "-" * 61 + "===",
+    ]
+    for value, owner, desc in rows:
+        lines.append(
+            f"{value:>{value_width}} {owner:<{owner_width}} - {desc}"
+        )
+    return "\n".join(lines)

@@ -340,7 +340,7 @@ def compile_source(
     The result's ``stats`` are the statistics deltas of every stage
     that ran, mid-end passes included.
     """
-    before = STATS.snapshot()
+    before = STATS.counter_values()
     with crash_context(
         source, filename, invocation, crash_reproducer_dir
     ):
@@ -751,7 +751,7 @@ def execute_request(
     from repro.runtime.team import TeamError
 
     enable_irbuilder = mode == "irbuilder"
-    before = STATS.snapshot()
+    before = STATS.counter_values()
 
     def finish(kind: str, **kwargs) -> RequestOutcome:
         return RequestOutcome(

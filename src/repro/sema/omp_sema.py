@@ -126,8 +126,6 @@ class _Transform:
     missed: Optional[Callable[[int], tuple[str, dict]]] = None
     #: why the IRBuilder representation cannot consume a generated loop
     consume_error: Optional[str] = None
-    #: the remark also describes the IRBuilder representation's build
-    remark_with_irbuilder: bool = False
 
 
 def _unroll_params(sema: "OpenMPSema", clauses, loc) -> _Params | None:
@@ -306,7 +304,6 @@ TRANSFORMS: dict[str, _Transform] = {
             f"fused {len(analyses)} loops into one",
             {"num_loops": len(analyses)},
         ),
-        remark_with_irbuilder=True,
     ),
 }
 
@@ -522,14 +519,18 @@ class OpenMPSema:
         while isinstance(current, omp.OMPLoopTransformationDirective):
             transformed = current.get_transformed_stmt()
             if transformed is None:
-                kind = current.directive_name
-                if isinstance(
-                    current, omp.OMPUnrollDirective
-                ) and current.has_clause(cl.OMPFullClause):
-                    kind = "unroll full"
-                if isinstance(
-                    current, omp.OMPUnrollDirective
-                ) and not current.has_clause(cl.OMPFullClause):
+                unroll = isinstance(current, omp.OMPUnrollDirective)
+                if unroll and current.has_clause(cl.OMPFullClause):
+                    self.diags.error(
+                        f"'#pragma omp {directive_name}' cannot be "
+                        "applied to the '#pragma omp unroll full' "
+                        "construct: a fully unrolled loop leaves no "
+                        "generated loop to associate with",
+                        current.location or loc,
+                    )
+                elif unroll and not current.has_clause(
+                    cl.OMPPartialClause
+                ):
                     # Heuristic unroll: whether a loop remains (and its
                     # shape) is unspecified, so nothing may consume it.
                     self.diags.error(
@@ -540,12 +541,14 @@ class OpenMPSema:
                         current.location or loc,
                     )
                 else:
+                    # The IRBuilder representation keeps a generated
+                    # loop only as a CanonicalLoopInfo handle, which
+                    # only loop-associated directives consume.
                     self.diags.error(
-                        f"'#pragma omp {directive_name}' cannot be "
-                        f"applied to the '#pragma omp {kind}' construct: "
-                        "a fully unrolled loop leaves no generated loop "
-                        "to associate with",
-                        current.location or loc,
+                        f"'#pragma omp {directive_name}' over transformed "
+                        "loops is not supported in the OpenMPIRBuilder "
+                        "representation",
+                        loc,
                     )
                 return None, pre_inits
             if current.pre_inits is not None:
@@ -966,8 +969,6 @@ class OpenMPSema:
                 clauses, wrapped, params.depth, None, None, loc
             )
             directive.canonical_loops = canonical_loops
-            if kind.remark_with_irbuilder:
-                self._remark(name, kind.remark(params, analyses), loc)
         else:
             result = kind.build_shadow(
                 self.ctx, analyses, params, self.rebuild_directive

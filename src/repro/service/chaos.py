@@ -27,7 +27,7 @@ import argparse
 import os
 import sys
 
-from repro.instrument.stats import STATS
+from repro.instrument.stats import STATS, render_stats
 from repro.instrument.telemetry.metrics import MetricsRegistry
 from repro.service import (
     STATUS_CIRCUIT_OPEN,
@@ -125,7 +125,7 @@ def run_chaos(args) -> int:
         breaker_threshold=3,
         quarantine_dir=args.quarantine_dir or None,
     )
-    stats_before = STATS.snapshot()
+    stats_before = STATS.counter_values()
     with CompileService(config) as service:
         responses = service.process_batch(requests)
         # Poison resubmission: the breaker must now reject at admission.
@@ -143,12 +143,7 @@ def run_chaos(args) -> int:
             rejects.append(service.submit(resubmit))
         service.drain()
         metrics_snapshot = service.metrics.snapshot()
-    delta = STATS.delta_since(stats_before)
-    stats = {
-        key: value
-        for key, value in delta.items()
-        if key.startswith("service.")
-    }
+    stats = STATS.delta_since(stats_before)
 
     failures: list[str] = []
 
@@ -297,7 +292,7 @@ def run_chaos(args) -> int:
         f"{stats.get('service.worker-restarts', 0)} worker restarts"
     )
     if args.print_stats or failures:
-        print(STATS.render_text(delta), file=sys.stderr)
+        print(render_stats(stats), file=sys.stderr)
     if failures:
         for failure in failures:
             print(f"chaos: FAIL: {failure}", file=sys.stderr)
@@ -489,7 +484,7 @@ def run_storage_chaos(args) -> int:
             metrics=metrics,
         )
 
-    stats_before = STATS.snapshot()
+    stats_before = STATS.counter_values()
 
     # -- phase A: faulted traffic, then a *restart* --------------------
     with CompileService(config()) as service_a:
@@ -522,12 +517,7 @@ def run_storage_chaos(args) -> int:
         service_b.drain()
         metrics_snapshot = service_b.metrics.snapshot()
 
-    delta = STATS.delta_since(stats_before)
-    stats = {
-        key: value
-        for key, value in delta.items()
-        if key.startswith(("service.", "cache."))
-    }
+    stats = STATS.delta_since(stats_before)
 
     failures: list[str] = []
 
@@ -685,7 +675,7 @@ def run_storage_chaos(args) -> int:
         f"state snapshot at {snapshot_file}"
     )
     if args.print_stats or failures:
-        print(STATS.render_text(delta), file=sys.stderr)
+        print(render_stats(stats), file=sys.stderr)
     if failures:
         for failure in failures:
             print(f"storage-chaos: FAIL: {failure}", file=sys.stderr)
@@ -892,7 +882,7 @@ def run_net_chaos(args) -> int:
         write_timeout_s=5.0,
         drain_deadline_s=10.0,
     )
-    stats_before = STATS.snapshot()
+    stats_before = STATS.counter_values()
     host = NetServerThread(shard_configs, net_config)
     host.start()
     address = host.address
@@ -1072,7 +1062,7 @@ def run_net_chaos(args) -> int:
     finally:
         host.stop(drain_deadline_s=10.0)
 
-    delta = STATS.delta_since(stats_before)
+    stats = STATS.delta_since(stats_before)
     merged = host.router.merged_metrics().snapshot()
 
     # -- zero lost, zero double-answered requests ----------------------
@@ -1110,9 +1100,9 @@ def run_net_chaos(args) -> int:
     )
 
     # -- exact accounting: admitted == terminal, sent + orphaned -------
-    admitted = delta.get("net.requests", 0)
-    sent = delta.get("net.responses-sent", 0)
-    orphaned = delta.get("net.responses-orphaned", 0)
+    admitted = stats.get("net.requests", 0)
+    sent = stats.get("net.responses-sent", 0)
+    orphaned = stats.get("net.responses-orphaned", 0)
     check(admitted > 0, "no requests were admitted over the wire")
     check(
         admitted == sent + orphaned,
@@ -1142,12 +1132,12 @@ def run_net_chaos(args) -> int:
                 f"{row['value']} after drain, expected 0",
             )
     check(
-        delta.get("net.slow-loris-evictions", 0) >= 1,
+        stats.get("net.slow-loris-evictions", 0) >= 1,
         "slow-loris eviction was not counted",
     )
     check(
-        delta.get("net.frame-errors", 0) >= 2,
-        f"net.frame-errors={delta.get('net.frame-errors')} < 2 "
+        stats.get("net.frame-errors", 0) >= 2,
+        f"net.frame-errors={stats.get('net.frame-errors')} < 2 "
         "(garbage + oversized)",
     )
 
@@ -1170,7 +1160,7 @@ def run_net_chaos(args) -> int:
         f"{duplicates} duplicates"
     )
     if args.print_stats or failures:
-        print(STATS.render_text(delta), file=sys.stderr)
+        print(render_stats(stats), file=sys.stderr)
     if failures:
         for failure in failures:
             print(f"net-chaos: FAIL: {failure}", file=sys.stderr)

@@ -243,10 +243,11 @@ class WorkOutcome:
     detail: str = ""
     stats: dict[str, int] = field(default_factory=dict)
     duration_s: float = 0.0
-    #: completed pipeline spans (plain dicts, see
-    #: :func:`repro.instrument.telemetry.events_to_spans`); empty when
-    #: the attempt was not traced
-    spans: list[dict] = field(default_factory=list)
+    #: the worker profiler's pipeline spans
+    #: (:class:`~repro.instrument.telemetry.SpanRecord`), parented under
+    #: ``WorkPayload.parent_span_id``; empty when the attempt was not
+    #: traced
+    spans: list = field(default_factory=list)
     #: the worker's metrics snapshot for this attempt, merged exactly
     #: into the parent registry (fixed-bucket histograms)
     metrics: dict = field(default_factory=dict)

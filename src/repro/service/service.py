@@ -587,9 +587,10 @@ class CompileService:
         of terminal statuses and latency observations must all equal
         it, and every latency series' buckets must sum to its count."""
         problems = []
-        requests_in = snapshot["service_requests_total"]["series"][0][
-            "value"
-        ]
+        requests_in = sum(
+            row["value"]
+            for row in snapshot["service_requests_total"]["series"]
+        )
         if requests_in != expected:
             problems.append(
                 f"service_requests_total={requests_in} != {expected}"
@@ -1095,20 +1096,17 @@ class CompileService:
             state.trace.merge_worker_spans(
                 outcome.spans,
                 (outcome.wall_anchor_ns, outcome.perf_anchor_ns),
-                span_id,
                 started_ns,
                 end_ns,
             )
 
     def _absorb_worker_telemetry(self, outcome: WorkOutcome) -> None:
         """Fold a worker's compile-stat deltas and metrics snapshot into
-        the parent registries.  Runs for EVERY received outcome — failed
-        and stale attempts did real compiler work too; dropping their
-        counters made parent-side -print-stats systematically undercount
-        (the bug this fixes)."""
-        for key, value in outcome.stats.items():
-            owner, _, name = key.partition(".")
-            STATS.get(owner, name).inc(value)
+        the parent registries through :meth:`MetricsRegistry.merge`.
+        Runs for EVERY received outcome — failed and stale attempts did
+        real compiler work too; dropping their counters made parent-side
+        -print-stats systematically undercount."""
+        STATS.merge(outcome.stats)
         if outcome.metrics:
             self.metrics.merge(outcome.metrics)
 
@@ -1550,13 +1548,12 @@ class CompileService:
         self._m_latency.labels(outcome=outcome).observe(
             response.duration_s
         )
+        end_ns = time.perf_counter_ns()
+        detail = f"{response.request_id}: {response.status}"
         if state.trace is not None:
             response.trace_id = state.trace.trace_id
             state.trace.close(
-                "ServiceRequest",
-                state.start_ns,
-                time.perf_counter_ns(),
-                detail=f"{response.request_id}: {response.status}",
+                "ServiceRequest", state.start_ns, end_ns, detail
             )
             self.tracer.record(state.trace)
         self._emit(
@@ -1578,11 +1575,8 @@ class CompileService:
         state.response = response
         profiler = active_time_trace()
         if profiler is not None:
-            profiler.add_complete_event(
-                "ServiceRequest",
-                f"{response.request_id}: {response.status}",
-                state.start_ns,
-                time.perf_counter_ns(),
+            profiler.add_span(
+                "ServiceRequest", state.start_ns, end_ns, detail
             )
         if self.on_response is not None:
             self.on_response(response)

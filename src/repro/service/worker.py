@@ -29,11 +29,7 @@ import os
 import time
 
 from repro.instrument.faultinject import FAULTS, InjectedFault
-from repro.instrument.telemetry import (
-    MetricsRegistry,
-    clock_anchor,
-    events_to_spans,
-)
+from repro.instrument.telemetry import MetricsRegistry, clock_anchor
 from repro.instrument.timetrace import (
     disable_time_trace,
     enable_time_trace,
@@ -140,12 +136,15 @@ def execute_payload(payload: WorkPayload) -> WorkOutcome:
                 ),
             )
         # Distributed tracing: with a propagated trace context, run the
-        # whole attempt under a fresh time-trace session and ship the
-        # completed pipeline spans back alongside the result.
+        # whole attempt under a fresh time-trace session opened on that
+        # context and ship its spans back alongside the result.
         traced = payload.trace_id is not None
         if traced:
             disable_time_trace()  # defensive: never inherit a session
-            profiler = enable_time_trace()
+            profiler = enable_time_trace(
+                trace_id=payload.trace_id,
+                parent_id=payload.parent_span_id,
+            )
         try:
             outcome = execute_request(
                 payload.source,
@@ -161,17 +160,8 @@ def execute_payload(payload: WorkPayload) -> WorkOutcome:
                 cache=_attempt_cache(payload),
             )
         finally:
-            spans: list[dict] = []
             if traced:
                 disable_time_trace()
-                spans = [
-                    span.to_dict()
-                    for span in events_to_spans(
-                        profiler.events,
-                        payload.trace_id,
-                        payload.parent_span_id,
-                    )
-                ]
         result = WorkOutcome(
             request_id=payload.request_id,
             attempt=payload.attempt,
@@ -183,7 +173,8 @@ def execute_payload(payload: WorkPayload) -> WorkOutcome:
             stats=outcome.stats,
             duration_s=time.perf_counter() - started,
         )
-        result.spans = spans
+        if traced:
+            result.spans = profiler.spans
         return _finalize(payload, result)
     finally:
         FAULTS.disarm_all()

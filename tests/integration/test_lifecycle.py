@@ -4,6 +4,7 @@ restarts, worker recycling, and heartbeat recovery."""
 from __future__ import annotations
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -157,17 +158,25 @@ class TestGracefulDrain:
             raise
         assert proc.returncode == 0, stderr
         assert "SIGTERM received: draining" in stderr
-        assert "drained:" in stderr
         assert "exiting 0" in stderr
-        # Shed requests got a structured answer, not silence.
-        assert (
-            "resource-exhausted" in stderr or "shed" in stderr
-        ), stderr
+        summary = re.search(r"drained: (\d+) served, (\d+) shed", stderr)
+        assert summary is not None, stderr
+        served, shed = int(summary.group(1)), int(summary.group(2))
+        # The drain deadline shed work, and every request is accounted
+        # for: served or shed, nothing lost.
+        assert shed >= 1, stderr
+        assert served + shed == len(sources), stderr
+        # Each shed request got a structured answer, not silence.
+        statuses = re.findall(
+            r"^miniclang-serve: r\d+ \S+: (\S+)", stderr, re.MULTILINE
+        )
+        assert len(statuses) == len(sources), stderr
+        assert statuses.count("resource-exhausted") == shed, stderr
         # The state snapshot survived the stop.
         assert load_state(str(state_dir)) is not None
 
     def test_drain_mode_rejects_new_admissions(self):
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         with CompileService(
             ServiceConfig(workers=1, quarantine_dir=None)
         ) as service:
@@ -244,7 +253,7 @@ class TestStateAcrossRestart:
         assert fingerprint in saved.quarantined
         assert saved.breakers[fingerprint]["state"] == "open"
 
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         with CompileService(config()) as second:
             assert fingerprint in second.quarantined
             resubmit = second.submit(poison)
@@ -277,7 +286,7 @@ class TestStateAcrossRestart:
 # ----------------------------------------------------------------------
 class TestWorkerLifecycle:
     def test_max_requests_recycles_without_loss(self):
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         with CompileService(
             ServiceConfig(
                 workers=1,
@@ -294,7 +303,7 @@ class TestWorkerLifecycle:
         assert delta.get("service.worker-recycled", 0) >= 1
 
     def test_heartbeat_replaces_dead_idle_worker(self):
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         with CompileService(
             ServiceConfig(
                 workers=1,

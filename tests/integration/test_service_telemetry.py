@@ -129,7 +129,7 @@ class TestWorkerStatsAggregation:
         """Regression: worker-side statistics were only merged on
         success, so failed attempts' parse/sema work silently vanished
         from the parent's registry."""
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         with make_service(
             retry=RetryPolicy(max_attempts=1)
         ) as svc:

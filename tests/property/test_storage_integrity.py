@@ -55,7 +55,7 @@ def _mangle(path: str, mutate) -> None:
 def test_single_byte_flip_heals(tmp_path_factory, offset, flip):
     tmp_path = tmp_path_factory.mktemp("flip")
     tier, path = _tier_with_entry(tmp_path)
-    before = STATS.snapshot()
+    before = STATS.counter_values()
 
     def mutate(data: bytes) -> bytes:
         i = offset % len(data)
@@ -80,7 +80,7 @@ def test_single_byte_flip_heals(tmp_path_factory, offset, flip):
 def test_truncation_heals(tmp_path_factory, cut):
     tmp_path = tmp_path_factory.mktemp("trunc")
     tier, path = _tier_with_entry(tmp_path)
-    before = STATS.snapshot()
+    before = STATS.counter_values()
     _mangle(path, lambda data: data[: cut % len(data)])
     got = tier.get(KEY)
     delta = STATS.delta_since(before)

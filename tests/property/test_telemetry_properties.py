@@ -4,25 +4,30 @@ The metrics registry's whole design bet is that fixed-bucket histograms
 merge *exactly* — so merging must be associative and commutative, and
 quantile estimates must be within one bucket of the exact order
 statistic no matter how observations are distributed or split across
-processes.  The tracing properties mirror the parent's merge step: span
-forests reconstructed from properly nested scope events have no orphan
-parents, and clock alignment + clamping keeps children inside their
-parents (monotonic nesting) for any clock offset and clamp window.
+processes.  The tracing properties run randomly nested real time-trace
+scopes: each span's parent is the innermost scope open around it and
+the span lies within it, and the parent's clock alignment + clamping
+keeps children inside their parents (monotonic nesting) for any clock
+offset and clamp window.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 
 from hypothesis import given, settings, strategies as st
 
 from repro.instrument.telemetry import (
     MetricsRegistry,
     RequestTrace,
-    events_to_spans,
     new_span_id,
 )
-from repro.instrument.timetrace import TraceEvent
+from repro.instrument.timetrace import (
+    disable_time_trace,
+    enable_time_trace,
+    time_trace_scope,
+)
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -131,59 +136,43 @@ class TestQuantileBounds:
         assert cell.quantile(q) in (hi, BOUNDS[-1])
 
 
-@st.composite
-def nested_scope_events(draw) -> list[TraceEvent]:
-    """Properly nested scope events, as scoped ``with``-instrumentation
-    produces them: a random push/pop walk over a monotone clock."""
-    ops = draw(
-        st.lists(
-            st.sampled_from(["push", "pop", "tick"]),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    clock = 0
-    stack: list[tuple[str, int]] = []
-    events: list[TraceEvent] = []
-    serial = 0
-    for op in ops:
-        clock += draw(st.integers(min_value=1, max_value=50))
-        if op == "push":
-            stack.append((f"scope{serial}", clock))
-            serial += 1
-        elif op == "pop" and stack:
-            name, start = stack.pop()
-            events.append(
-                TraceEvent(
-                    name=name,
-                    detail="",
-                    start_ns=start,
-                    duration_ns=clock - start,
-                )
-            )
-    while stack:
-        clock += 1
-        name, start = stack.pop()
-        events.append(
-            TraceEvent(
-                name=name,
-                detail="",
-                start_ns=start,
-                duration_ns=clock - start,
-            )
-        )
-    return events
+#: a random walk of scope opens and closes; scopes left open at the
+#: end close innermost first
+scope_walks = st.lists(st.booleans(), min_size=1, max_size=30)
 
 
-class TestSpanMerge:
+def _run_scopes(walk: list[bool], parent_id=None):
+    """Open (``True``) and close (``False``) real time-trace scopes
+    under a fresh profiler.  Returns the profiler and, per span id, the
+    span id of the innermost scope open around it when it opened."""
+    disable_time_trace()
+    profiler = enable_time_trace(trace_id="t1", parent_id=parent_id)
+    expected: dict[str, object] = {}
+    opened: list[tuple[ExitStack, str]] = []
+    for serial, push in enumerate(walk):
+        if push:
+            scopes = ExitStack()
+            scope = scopes.enter_context(time_trace_scope(f"s{serial}"))
+            expected[scope.span_id] = opened[-1][1] if opened else parent_id
+            opened.append((scopes, scope.span_id))
+        elif opened:
+            opened.pop()[0].close()
+    for scopes, _ in reversed(opened):
+        scopes.close()
+    disable_time_trace()
+    return profiler, expected
+
+
+class TestScopeSpans:
     @FAST
-    @given(nested_scope_events())
-    def test_reconstruction_has_no_orphans_and_nests(self, events):
-        spans = events_to_spans(events, "t1", "root")
-        ids = {s.span_id for s in spans}
-        by_id = {s.span_id: s for s in spans}
-        for span in spans:
-            assert span.parent_id == "root" or span.parent_id in ids
+    @given(scope_walks)
+    def test_parent_is_innermost_enclosing_scope(self, walk):
+        profiler, expected = _run_scopes(walk, parent_id="attempt")
+        assert {s.span_id for s in profiler.spans} == set(expected)
+        by_id = {s.span_id: s for s in profiler.spans}
+        for span in profiler.spans:
+            assert span.parent_id == expected[span.span_id]
+            assert span.trace_id == "t1"
             if span.parent_id in by_id:
                 parent = by_id[span.parent_id]
                 assert parent.start_ns <= span.start_ns
@@ -191,27 +180,26 @@ class TestSpanMerge:
 
     @FAST
     @given(
-        nested_scope_events(),
+        scope_walks,
         st.integers(min_value=-(10**12), max_value=10**12),
         st.integers(min_value=0, max_value=10**6),
         st.integers(min_value=1, max_value=10**6),
     )
     def test_adopted_spans_stay_clamped_and_nested(
-        self, events, skew, clamp_start, clamp_width
+        self, walk, skew, clamp_start, clamp_width
     ):
-        spans = events_to_spans(events, "t1", None)
         clamp_end = clamp_start + clamp_width
         trace = RequestTrace("t1", "r1")
         attempt_id = new_span_id()
+        profiler, _ = _run_scopes(walk, parent_id=attempt_id)
         # a worker whose perf-counter origin differs by `skew`
         worker_anchor = (
             trace._anchor[0],
             trace._anchor[1] + skew,
         )
         trace.merge_worker_spans(
-            [s.to_dict() for s in spans],
+            profiler.spans,
             worker_anchor,
-            attempt_id,
             clamp_start_ns=clamp_start,
             clamp_end_ns=clamp_end,
         )

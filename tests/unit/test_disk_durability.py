@@ -77,7 +77,7 @@ class TestSelfHealing:
         path = tier._object_path(KEY)
         with open(path, "ab") as fh:
             fh.write(b"garbage")
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         assert tier.get(KEY) is None
         assert not os.path.exists(path)
         delta = STATS.delta_since(before)
@@ -109,7 +109,7 @@ class TestSelfHealing:
 class TestDegradation:
     def test_enospc_disables_writes(self, tmp_path):
         tier = make_tier(tmp_path)
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         tier._note_write_error(
             OSError(errno.ENOSPC, "disk full"), "p"
         )
@@ -128,7 +128,7 @@ class TestDegradation:
 
     def test_transient_eio_does_not_disable(self, tmp_path):
         tier = make_tier(tmp_path)
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         tier._note_write_error(OSError(errno.EIO, "blip"), "p")
         assert not tier.write_disabled
         delta = STATS.delta_since(before)
@@ -141,7 +141,7 @@ class TestDegradation:
         assert tier.put(KEY, PAYLOAD) == 0  # gated, not crashing
         assert tier.get(KEY) is None
         now[0] = REPROBE_INTERVAL_S + 1.0
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         assert tier.put(KEY, PAYLOAD) > 0  # the probe succeeds
         assert not tier.write_disabled
         assert tier.get(KEY) == PAYLOAD
@@ -168,7 +168,7 @@ class TestInjectedFaults:
         FAULTS.arm_spec("storage-write-torn")
         tier.put(KEY, PAYLOAD)
         FAULTS.disarm_all()
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         assert tier.get(KEY) is None  # torn half never served
         delta = STATS.delta_since(before)
         assert delta.get("cache.corrupt-entries", 0) == 1
@@ -192,7 +192,7 @@ class TestInjectedFaults:
         tier = make_tier(tmp_path)
         tier.put(KEY, PAYLOAD)
         FAULTS.arm_spec("storage-read-corrupt")
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         assert tier.get(KEY) is None
         FAULTS.disarm_all()
         delta = STATS.delta_since(before)
@@ -201,7 +201,7 @@ class TestInjectedFaults:
     def test_fsync_fault_durable_counts_write_error(self, tmp_path):
         tier = make_tier(tmp_path, durable=True)
         FAULTS.arm_spec("storage-fsync-fail")
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         assert tier.put(KEY, PAYLOAD) == 0
         FAULTS.disarm_all()
         delta = STATS.delta_since(before)

@@ -14,6 +14,7 @@ from repro.instrument import (
     disable_time_trace,
     enable_time_trace,
     get_statistic,
+    render_stats,
     time_trace_scope,
 )
 from repro.midend import default_pass_pipeline
@@ -69,15 +70,27 @@ class TestTimeTrace:
         assert disable_time_trace() is first
         assert active_time_trace() is None
 
-    def test_scope_records_event(self):
+    def test_scope_records_span(self):
         profiler = enable_time_trace()
         with time_trace_scope("Phase", "input.c"):
             pass
-        assert len(profiler.events) == 1
-        event = profiler.events[0]
-        assert event.name == "Phase"
-        assert event.detail == "input.c"
-        assert event.duration_ns >= 0
+        assert len(profiler.spans) == 1
+        span = profiler.spans[0]
+        assert span.name == "Phase"
+        assert span.detail == "input.c"
+        assert span.end_ns >= span.start_ns
+        assert span.parent_id is None
+
+    def test_scope_parent_is_the_enclosing_scope(self):
+        profiler = enable_time_trace(trace_id="t1", parent_id="attempt")
+        with time_trace_scope("Outer") as outer:
+            with time_trace_scope("Inner"):
+                pass
+        inner_span, outer_span = profiler.spans
+        assert outer_span.span_id == outer.span_id
+        assert outer_span.parent_id == "attempt"
+        assert inner_span.parent_id == outer.span_id
+        assert {s.trace_id for s in profiler.spans} == {"t1"}
 
     def test_chrome_trace_schema(self):
         """The export must be loadable chrome://tracing JSON: an object
@@ -98,6 +111,9 @@ class TestTimeTrace:
             assert set(event) >= {"ph", "pid", "tid", "ts", "dur", "name"}
             assert event["ts"] >= 0
             assert event["dur"] >= 0
+        by_name = {e["name"]: e["args"] for e in complete}
+        assert by_name["Outer"]["parent_id"] is None
+        assert by_name["Inner"]["parent_id"] == by_name["Outer"]["span_id"]
         # Sorted by begin time so viewers reconstruct nesting.
         timestamps = [e["ts"] for e in complete]
         assert timestamps == sorted(timestamps)
@@ -110,7 +126,7 @@ class TestTimeTrace:
         profiler = TimeTraceProfiler(granularity_us=10_000_000)
         with profiler.scope("tiny"):
             pass
-        assert profiler.events  # recorded...
+        assert profiler.spans  # recorded...
         complete = [
             e for e in profiler.chrome_trace()["traceEvents"]
             if e["ph"] == "X"
@@ -121,7 +137,7 @@ class TestTimeTrace:
         profiler = enable_time_trace()
         run_source(UNROLL_SRC, optimize=True)
         disable_time_trace()
-        names = {e.name for e in profiler.events}
+        names = {s.name for s in profiler.spans}
         assert {
             "Preprocess",
             "Parse",
@@ -132,10 +148,10 @@ class TestTimeTrace:
             "Execute",
         } <= names
         # Sema directive handling appears with the directive name.
-        sema_events = [
-            e for e in profiler.events if e.name == "Sema.OMPDirective"
+        sema_spans = [
+            s for s in profiler.spans if s.name == "Sema.OMPDirective"
         ]
-        assert any(e.detail == "unroll" for e in sema_events)
+        assert any(s.detail == "unroll" for s in sema_spans)
 
 
 # ======================================================================
@@ -146,11 +162,12 @@ class TestStatistics:
         a = get_statistic("test-owner", "some-counter", "desc")
         b = get_statistic("test-owner", "some-counter")
         assert a is b
-        assert a.qualified_name == "test-owner.some-counter"
+        assert a.name == "test-owner.some-counter"
+        assert STATS.get("test-owner.some-counter") is a
 
     def test_snapshot_delta(self):
         stat = get_statistic("test-owner", "delta-counter")
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         stat.inc()
         stat.inc(2)
         delta = STATS.delta_since(before)
@@ -178,7 +195,7 @@ class TestStatistics:
         )
 
     def test_midend_counters_advance_under_optimize(self):
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         run_source(UNROLL_SRC, optimize=True)
         delta = STATS.delta_since(before)
         assert delta["loop-unroll.loops-unrolled"] == 1
@@ -191,15 +208,16 @@ class TestStatistics:
             "test-owner", "render-counter", "Things counted"
         )
         stat.inc(7)
-        text = STATS.render_text(
-            {"test-owner.render-counter": 7}
-        )
+        text = render_stats({"test-owner.render-counter": 7})
         assert "... Statistics Collected ..." in text
         assert "7 test-owner - Things counted" in text
 
-    def test_render_json_roundtrip(self):
-        data = STATS.render_json({"a.b": 1, "c.d": 2})
-        assert json.loads(json.dumps(data)) == {"a.b": 1, "c.d": 2}
+    def test_merged_flat_delta_renders_its_name(self):
+        """A worker's statistic the parent never registered merges in
+        as a counter without help text; the dump shows its name."""
+        STATS.merge({"test-owner.merged-only": 4})
+        text = render_stats({"test-owner.merged-only": 4})
+        assert "4 test-owner - merged-only" in text
 
 
 # ======================================================================

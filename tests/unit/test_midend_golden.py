@@ -31,7 +31,7 @@ import os
 
 import pytest
 
-from repro.instrument import STATS
+from repro.instrument import STATS, render_stats
 from repro.instrument.passinstrument import PassInstrumentation
 from repro.midend import default_pass_pipeline
 from repro.pipeline import CompilationError, compile_source
@@ -87,7 +87,7 @@ def all_sources() -> dict[str, str]:
 def midend_outputs(source: str, mode: str) -> dict[str, str]:
     """The observable outputs of one compile; only the diagnostics
     text when *source* does not compile with default flags."""
-    before = STATS.snapshot()
+    before = STATS.counter_values()
     try:
         result = compile_source(
             source,
@@ -112,7 +112,7 @@ def midend_outputs(source: str, mode: str) -> dict[str, str]:
     return {
         **front_end,
         "print-after-all": dump.getvalue(),
-        "print-stats": STATS.render_text(STATS.delta_since(before)),
+        "print-stats": render_stats(STATS.delta_since(before)),
         "remarks": "\n".join(
             r.render(result.source_manager) for r in selected
         ),

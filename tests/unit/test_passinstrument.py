@@ -214,7 +214,7 @@ class TestPassInstrumentation:
         assert len(missed) == 3
 
     def test_skipped_executions_counted_in_stats(self):
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         instrument = PassInstrumentation(
             opt_bisect_limit=0, stream=io.StringIO()
         )
@@ -223,7 +223,7 @@ class TestPassInstrumentation:
         assert delta.get("pass-instrument.executions-skipped") == 5
 
     def test_snapshot_and_diff_stats(self):
-        before = STATS.snapshot()
+        before = STATS.counter_values()
         instrument = PassInstrumentation(
             print_changed=True, stream=io.StringIO()
         )

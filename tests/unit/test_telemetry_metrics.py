@@ -143,6 +143,56 @@ class TestSnapshotAndMerge:
         json.dumps(snap)
 
 
+class TestLabelFreeFastPath:
+    def test_label_free_incs_never_build_a_label_key(self, monkeypatch):
+        """A statistic and the service's ``service_requests_total`` are
+        label-free counters: 1,000 ``inc`` calls on each validate no
+        label set."""
+        from types import SimpleNamespace
+
+        from repro.instrument import get_statistic
+        from repro.instrument.telemetry import metrics
+        from repro.service.service import CompileService
+
+        service = SimpleNamespace(metrics=MetricsRegistry())
+        CompileService._init_instruments(service)
+        requests = service.metrics.get("service_requests_total")
+        statistic = get_statistic("test-owner", "fast-path")
+        calls = []
+        real = metrics._label_key
+        monkeypatch.setattr(
+            metrics,
+            "_label_key",
+            lambda *args: calls.append(args) or real(*args),
+        )
+        for counter in (statistic, requests):
+            for _ in range(1000):
+                counter.inc()
+            assert calls == [], counter.name
+        assert requests.value == 1000
+
+    def test_flat_values_delta_and_merge(self):
+        reg = MetricsRegistry()
+        plain = reg.counter("plain_total")
+        reg.counter("labelled_total", "", ("x",)).labels(x="a").inc()
+        reg.gauge("depth").set(3)
+        before = reg.counter_values()
+        assert before == {"plain_total": 0}
+        plain.inc(2)
+        assert reg.delta_since(before) == {"plain_total": 2}
+        reg.merge({"plain_total": 5, "new.stat": 1})
+        assert reg.counter_values() == {"plain_total": 7, "new.stat": 1}
+
+    def test_untouched_label_free_counter_has_no_series(self):
+        reg = MetricsRegistry()
+        reg.counter("idle_total", "never counted")
+        assert reg.snapshot()["idle_total"]["series"] == []
+        assert reg.render_prometheus().splitlines() == [
+            "# HELP idle_total never counted",
+            "# TYPE idle_total counter",
+        ]
+
+
 class TestPrometheusRendering:
     def test_text_exposition_format(self):
         reg = MetricsRegistry()

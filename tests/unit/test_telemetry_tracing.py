@@ -11,22 +11,15 @@ import os
 from repro.instrument.telemetry import (
     EventLog,
     RequestTrace,
+    SpanRecord,
     TraceRecorder,
+    chrome_events,
     clock_anchor,
     clock_offset_ns,
-    events_to_spans,
     new_span_id,
     new_trace_id,
     read_jsonl,
 )
-from repro.instrument.timetrace import TraceEvent
-
-
-def _event(name, start, dur, detail=""):
-    return TraceEvent(
-        name=name, detail=detail, start_ns=start, duration_ns=dur
-    )
-
 
 class TestIds:
     def test_trace_ids_unique(self):
@@ -55,34 +48,6 @@ class TestClockAlignment:
         assert abs(clock_offset_ns(a, b)) < 1_000_000
 
 
-class TestEventsToSpans:
-    def test_nesting_reconstructed_by_containment(self):
-        events = [
-            _event("child", 10, 20),
-            _event("parent", 0, 100),
-            _event("grandchild", 12, 5),
-            _event("sibling", 50, 10),
-        ]
-        spans = events_to_spans(events, "t1", "root")
-        by_name = {s.name: s for s in spans}
-        assert by_name["parent"].parent_id == "root"
-        assert by_name["child"].parent_id == by_name["parent"].span_id
-        assert (
-            by_name["grandchild"].parent_id == by_name["child"].span_id
-        )
-        assert by_name["sibling"].parent_id == by_name["parent"].span_id
-
-    def test_top_level_parent_may_be_none(self):
-        spans = events_to_spans([_event("a", 0, 1)], "t1", None)
-        assert spans[0].parent_id is None
-
-    def test_equal_start_longer_span_wins_parenthood(self):
-        events = [_event("inner", 0, 5), _event("outer", 0, 50)]
-        spans = events_to_spans(events, "t1", None)
-        by_name = {s.name: s for s in spans}
-        assert by_name["inner"].parent_id == by_name["outer"].span_id
-
-
 class TestRequestTrace:
     def test_worker_spans_aligned_and_clamped(self):
         trace = RequestTrace("t1", "r1")
@@ -90,27 +55,24 @@ class TestRequestTrace:
         # worker timeline: anchor far from the parent's
         worker_anchor = (trace._anchor[0], trace._anchor[1] + 777)
         worker_spans = [
-            {
-                "trace_id": "t1",
-                "span_id": "w.1",
-                "parent_id": None,
-                "name": "Parse",
-                "detail": "",
-                "start_ns": 100,
-                "end_ns": 10**15,  # far past the attempt window
-                "pid": 4242,
-                "tid": 0,
-            }
+            SpanRecord(
+                "t1",
+                "w.1",
+                attempt_id,
+                "Parse",
+                "",
+                100,
+                10**15,  # far past the attempt window
+                4242,
+            )
         ]
-        adopted = trace.merge_worker_spans(
+        trace.merge_worker_spans(
             worker_spans,
             worker_anchor,
-            attempt_id,
             clamp_start_ns=1_000,
             clamp_end_ns=2_000,
         )
-        assert adopted == 1
-        span = trace.spans[-1]
+        (span,) = trace.spans
         assert span.parent_id == attempt_id
         assert 1_000 <= span.start_ns <= span.end_ns <= 2_000
 
@@ -119,20 +81,11 @@ class TestRequestTrace:
         trace.add_span("queue-wait", 0, 50)
         trace.merge_worker_spans(
             [
-                {
-                    "trace_id": "t1",
-                    "span_id": "w.1",
-                    "parent_id": None,
-                    "name": "Parse",
-                    "detail": "",
-                    "start_ns": 10,
-                    "end_ns": 20,
-                    "pid": 4242,
-                    "tid": 0,
-                }
+                SpanRecord(
+                    "t1", "w.1", trace.root_span_id, "Parse", "", 10, 20, 4242
+                )
             ],
             trace._anchor,
-            trace.root_span_id,
             0,
             100,
         )
@@ -157,6 +110,28 @@ class TestRequestTrace:
         assert xs["a"]["ts"] == 0.0
         assert xs["a"]["dur"] == 2.0
         assert xs["root"]["dur"] == 4.0
+        assert xs["root"]["args"]["parent_id"] is None
+        assert xs["a"]["args"]["parent_id"] == trace.root_span_id
+
+
+class TestChromeEvents:
+    def test_enclosing_span_first_and_granularity(self):
+        spans = [
+            SpanRecord("t", "b", "a", "inner", "", 1_000, 2_000, 7),
+            SpanRecord("t", "a", None, "outer", "d", 1_000, 9_000, 7),
+            SpanRecord("t", "c", "a", "tiny", "", 3_000, 3_100, 7),
+        ]
+        events = chrome_events(spans, 1_000, pid=1, granularity_ns=500)
+        assert [e["name"] for e in events] == ["outer", "inner"]
+        assert events[0] == {
+            "ph": "X",
+            "pid": 1,
+            "tid": 0,
+            "ts": 0.0,
+            "dur": 8.0,
+            "name": "outer",
+            "args": {"span_id": "a", "parent_id": None, "detail": "d"},
+        }
 
 
 class TestTraceRecorder:
