@@ -17,6 +17,7 @@ from repro.service import (
     STATUS_ERROR,
     STATUS_OK,
     STATUS_RESOURCE_EXHAUSTED,
+    STATUS_TIMEOUT,
     CompileRequest,
     CompileService,
     RetryPolicy,
@@ -324,6 +325,41 @@ class TestAdmissionControl:
         for shed in responses[2:]:
             assert shed.attempts == 0
             assert "capacity" in shed.detail
+
+
+class TestDeadlineBudget:
+    def test_retry_that_cannot_fit_the_budget_is_suppressed(self):
+        """An always-ICE input whose first backoff alone outlasts the
+        propagated budget: the service answers ``timeout`` at once
+        instead of scheduling a retry nobody will wait for."""
+        from repro.instrument.stats import STATS
+
+        before = STATS.counter_values()
+        with make_service(
+            retry=RetryPolicy(
+                max_attempts=3, base_delay_s=5.0, max_delay_s=5.0
+            ),
+        ) as svc:
+            [response] = svc.process_batch(
+                [
+                    CompileRequest(
+                        source=HELLO,
+                        budget_s=2.0,
+                        allow_degraded=False,
+                        inject_faults=("service-worker",),
+                        fault_attempts=-1,
+                    )
+                ]
+            )
+        delta = STATS.delta_since(before)
+        assert response.status == STATUS_TIMEOUT
+        assert response.attempts == 1
+        assert (
+            "remaining retries suppressed by deadline budget"
+            in response.detail
+        )
+        assert delta.get("service.budget-suppressed-retries", 0) >= 1
+        assert "service.retries" not in delta
 
 
 class TestHedging:
