@@ -253,6 +253,43 @@ class TestParallelApplications:
             counts[b] for b in range(4)
         ]
 
+    @pytest.mark.parametrize("optimize", [False, True])
+    def test_plain_parallel_data_sharing_clauses(
+        self, optimize, exec_engine
+    ):
+        """``reduction``, ``private`` and ``firstprivate`` on a plain
+        ``parallel`` (no worksharing loop): every team member works on
+        its own copy and the partial sums are combined (GCC: 6 3 5)."""
+        src = r"""
+        int main(void) {
+          int total = 0;
+          #pragma omp parallel num_threads(3) reduction(+: total)
+          total += omp_get_thread_num() + 1;
+          int x = 5;
+          int ids = 0;
+          #pragma omp parallel num_threads(3) private(x)
+          {
+            x = omp_get_thread_num();
+            #pragma omp critical
+            ids += x;
+          }
+          int seed = 10;
+          int seen = 0;
+          #pragma omp parallel num_threads(3) firstprivate(seed)
+          {
+            seed += 1;
+            #pragma omp critical
+            seen += seed;
+          }
+          printf("%d %d %d %d %d\n", total, ids, x, seen, seed);
+          return 0;
+        }
+        """
+        legacy, _ = run_both(
+            src, exec_engine=exec_engine, optimize=optimize
+        )
+        assert legacy.stdout == "6 3 5 33 10\n"
+
     def test_parallel_pi_estimate(self, exec_engine):
         src = r"""
         int main(void) {
