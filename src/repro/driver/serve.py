@@ -560,7 +560,21 @@ def _run_batch(args, flags) -> int:
     return code
 
 
+def _register_worker_statistics() -> None:
+    """Register the statistics only workers increment.
+
+    The parent renders every statistic its workers ship back, but an
+    owner module the parent never imported leaves its counters without
+    a description (``loop-unroll - copies-made``).  Imported here, not
+    at ``repro.service`` import time, so library users and the import
+    cost of the service package do not pay for the mid-end and the
+    OpenMP runtime."""
+    import repro.midend  # noqa: F401
+    import repro.runtime  # noqa: F401
+
+
 def main(argv: list[str] | None = None) -> int:
+    _register_worker_statistics()
     argv = list(sys.argv[1:] if argv is None else argv)
     argv, flags = scan_f_flags(
         argv,

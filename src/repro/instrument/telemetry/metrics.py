@@ -13,10 +13,9 @@ Design constraints, in order:
 * **exact cross-process merging** — histograms use *fixed* bucket
   boundaries (log-spaced, chosen at registration), so merging two
   histograms is element-wise addition of bucket counts: associative,
-  commutative, and lossless.  Workers snapshot their registry into each
-  :class:`~repro.service.request.WorkOutcome` and the service parent
-  folds it in with :meth:`MetricsRegistry.merge` — the merged p99 is
-  exactly the p99 of the union stream (to bucket resolution);
+  commutative, and lossless.  Shard registries fold together with
+  :meth:`MetricsRegistry.merge` — the merged p99 is exactly the p99 of
+  the union stream (to bucket resolution);
 * **bounded error quantiles** — :meth:`Histogram.quantile` returns the
   upper boundary of the bucket holding the target rank, so the estimate
   is within one bucket width of the exact order statistic (the classic

@@ -903,14 +903,12 @@ def run_net_chaos(args) -> int:
         load: dict[int, list[tuple[bool, object]]] = {}
 
         def client_load(tag: int) -> None:
-            # One client hedges cross-shard; the rest retry plainly.
             client = NetClient(
                 address,
                 deadline_s=max(20.0, args.deadline * 4),
                 retry=RetryPolicy(
                     max_attempts=3, base_delay_s=0.05, max_delay_s=0.5
                 ),
-                hedge_delay_s=2.0 if tag == 0 else None,
             )
             clients.append(client)
             results = []

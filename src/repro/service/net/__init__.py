@@ -20,9 +20,8 @@ network, not just in-process:
   connection with a ``draining`` frame;
 * :mod:`repro.service.net.client` — a retrying client with *deadline
   propagation* (the remaining budget, not the full budget, crosses the
-  wire on every attempt), exponential backoff reusing
-  :mod:`repro.service.retry`, and hedged second attempts that naturally
-  land on another shard.
+  wire on every attempt) and exponential backoff reusing
+  :mod:`repro.service.retry`.
 """
 
 from __future__ import annotations

@@ -13,11 +13,6 @@ and wraps every request in the full resilience treatment:
   connection with the exponential-jitter schedule of
   :class:`repro.service.retry.RetryPolicy`, seeded from the request
   fingerprint (deterministic timing, no retry storms);
-* **hedging** — with ``hedge_delay_s`` set, a primary attempt that has
-  not answered in time gets a duplicate fired over a *second*
-  connection; first answer wins.  Because the router routes by least
-  queue depth and the primary already inflated its shard, the hedge
-  naturally lands on a different shard;
 * **no exceptions** — like the service itself, the client never raises
   for runtime trouble: every failure mode comes back as a structured
   :class:`~repro.service.request.CompileResponse` (status
@@ -27,7 +22,6 @@ and wraps every request in the full resilience treatment:
 
 from __future__ import annotations
 
-import queue
 import random
 import socket
 import threading
@@ -54,17 +48,15 @@ from repro.service.retry import RetryPolicy
 #: (refused, reset, evicted, or draining on every attempt)
 STATUS_UNAVAILABLE = "unavailable"
 
+#: upper bound on one TCP connect (the attempt's remaining budget may
+#: cut it shorter)
+_CONNECT_TIMEOUT_S = 5.0
+
 _ATTEMPTS = get_statistic(
     "net", "client-attempts", "Network attempts dispatched"
 )
 _CLIENT_RETRIES = get_statistic(
     "net", "client-retries", "Network attempts retried with backoff"
-)
-_CLIENT_HEDGES = get_statistic(
-    "net", "client-hedges", "Hedged duplicate network attempts"
-)
-_CLIENT_HEDGE_WINS = get_statistic(
-    "net", "client-hedge-wins", "Requests won by the hedged attempt"
 )
 _DUPLICATES = get_statistic(
     "net",
@@ -130,8 +122,6 @@ class NetClient:
         address: Union[str, tuple[str, int]],
         deadline_s: float = 30.0,
         retry: Optional[RetryPolicy] = None,
-        hedge_delay_s: Optional[float] = None,
-        connect_timeout_s: float = 5.0,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
         self.address = (
@@ -141,8 +131,6 @@ class NetClient:
         )
         self.deadline_s = deadline_s
         self.retry = retry if retry is not None else RetryPolicy()
-        self.hedge_delay_s = hedge_delay_s
-        self.connect_timeout_s = connect_timeout_s
         self.max_frame_bytes = max_frame_bytes
         self._seq = 0
         self._seq_lock = threading.Lock()
@@ -159,7 +147,7 @@ class NetClient:
     def _connect(self, timeout_s: float) -> socket.socket:
         return socket.create_connection(
             self.address,
-            timeout=max(0.05, min(self.connect_timeout_s, timeout_s)),
+            timeout=max(0.05, min(_CONNECT_TIMEOUT_S, timeout_s)),
         )
 
     # ------------------------------------------------------------------
@@ -194,10 +182,7 @@ class NetClient:
 
     # ------------------------------------------------------------------
     def _attempt(
-        self,
-        request: CompileRequest,
-        remaining_s: float,
-        hedge: bool,
+        self, request: CompileRequest, remaining_s: float
     ) -> _AttemptOutcome:
         """One connection, one request frame, one answer (or failure).
 
@@ -216,10 +201,7 @@ class NetClient:
             sock.sendall(
                 encode_frame(
                     request_message(
-                        msg_id,
-                        request,
-                        deadline_s=remaining_s,
-                        hedge=hedge,
+                        msg_id, request, deadline_s=remaining_s
                     ),
                     max_frame_bytes=self.max_frame_bytes,
                 )
@@ -301,66 +283,6 @@ class NetClient:
         return None
 
     # ------------------------------------------------------------------
-    def _hedged_attempt(
-        self,
-        request: CompileRequest,
-        remaining_s: float,
-    ) -> _AttemptOutcome:
-        """Primary attempt + a delayed duplicate on a second
-        connection; first settled outcome wins.  Responses beat errors
-        when both are already in."""
-        results: "queue.Queue[tuple[str, _AttemptOutcome]]" = (
-            queue.Queue()
-        )
-        deadline = time.monotonic() + remaining_s
-
-        def run(tag: str, delay: float) -> None:
-            if delay > 0:
-                time.sleep(delay)
-            left = deadline - time.monotonic()
-            if left <= 0:
-                return
-            if tag == "hedge":
-                _CLIENT_HEDGES.inc()
-            results.put(
-                (tag, self._attempt(request, left, tag == "hedge"))
-            )
-
-        threads = [
-            threading.Thread(
-                target=run, args=("primary", 0.0), daemon=True
-            ),
-            threading.Thread(
-                target=run,
-                args=("hedge", self.hedge_delay_s),
-                daemon=True,
-            ),
-        ]
-        for t in threads:
-            t.start()
-        first: Optional[tuple[str, _AttemptOutcome]] = None
-        for _ in range(2):
-            left = deadline - time.monotonic()
-            if left <= 0:
-                break
-            try:
-                tag, outcome = results.get(timeout=left)
-            except queue.Empty:
-                break
-            if outcome.kind == "response":
-                if tag == "hedge":
-                    _CLIENT_HEDGE_WINS.inc()
-                return outcome
-            if first is None:
-                first = (tag, outcome)
-        if first is not None:
-            return first[1]
-        return _AttemptOutcome(
-            "error",
-            detail="hedged attempts both expired with no response",
-        )
-
-    # ------------------------------------------------------------------
     def request(
         self,
         request: CompileRequest,
@@ -380,13 +302,7 @@ class NetClient:
                 return self._give_up(
                     request, STATUS_TIMEOUT, budget, failures
                 )
-            if (
-                self.hedge_delay_s is not None
-                and remaining > self.hedge_delay_s
-            ):
-                outcome = self._hedged_attempt(request, remaining)
-            else:
-                outcome = self._attempt(request, remaining, False)
+            outcome = self._attempt(request, remaining)
             if outcome.kind == "response":
                 response = outcome.response
                 assert response is not None

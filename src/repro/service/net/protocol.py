@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from repro.service.request import CompileRequest
@@ -121,10 +121,6 @@ class FrameDecoder:
         """True when bytes of an incomplete frame are pending — the
         signal the server's slow-loris timer keys on."""
         return len(self._buffer) > 0 or self._skip is not None
-
-    @property
-    def buffered_bytes(self) -> int:
-        return len(self._buffer)
 
     # ------------------------------------------------------------------
     def _emit_error(
@@ -252,7 +248,6 @@ def request_message(
     msg_id: str,
     request: CompileRequest,
     deadline_s: Optional[float] = None,
-    hedge: bool = False,
 ) -> dict:
     """A ``request`` frame.  ``deadline_s`` is the caller's *remaining*
     deadline budget — gRPC-style propagation: every hop (and every
@@ -265,8 +260,6 @@ def request_message(
     }
     if deadline_s is not None:
         msg["deadline_s"] = round(float(deadline_s), 6)
-    if hedge:
-        msg["hedge"] = True
     return msg
 
 
@@ -344,13 +337,6 @@ _WIRE_FIELDS: dict[str, tuple] = {
     "fault_attempts": (int,),
     "trace_id": (str, type(None)),
 }
-
-_REQUEST_DEFAULTS = {
-    f.name: f
-    for f in dc_fields(CompileRequest)
-    if f.name in _WIRE_FIELDS
-}
-
 
 def request_to_wire(request: CompileRequest) -> dict:
     """The JSON-safe projection of a request for a ``request`` frame."""

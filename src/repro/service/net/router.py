@@ -8,9 +8,7 @@ isolation means a poison input quarantined on shard 2 cannot poison
 shard 0's view of the same traffic until it lands there.
 
 Routing is least-queue-depth: a new request goes to the shard with the
-fewest unresolved requests, ties broken round-robin.  A hedged request
-naturally lands on a different shard than its primary because the
-primary already inflated its shard's depth.
+fewest unresolved requests, ties broken round-robin.
 
 Thread model: callers (the asyncio server thread) call :meth:`submit`;
 the request is appended to the shard's locked inbox and a wakeup byte is
@@ -296,11 +294,6 @@ class ShardRouter:
         """Unresolved requests across all shards."""
         with self._lock:
             return sum(s.depth for s in self._shards)
-
-    @property
-    def depths(self) -> list[int]:
-        with self._lock:
-            return [s.depth for s in self._shards]
 
     @property
     def draining(self) -> bool:

@@ -103,6 +103,10 @@ _INFLIGHT_REJECTS = get_statistic(
     "Request frames refused at the per-connection in-flight cap",
 )
 
+#: per-connection cap on unanswered request frames (excess get a
+#: retryable ``too-many-inflight`` error frame)
+MAX_INFLIGHT_PER_CONN = 64
+
 
 @dataclass
 class NetServerConfig:
@@ -113,8 +117,6 @@ class NetServerConfig:
     #: hard cap on concurrent connections (excess get a retryable
     #: ``server-busy`` error frame and are closed)
     max_connections: int = 64
-    #: per-connection cap on unanswered request frames
-    max_inflight_per_conn: int = 64
     #: a connection with no pending frame bytes may sit idle this long
     idle_timeout_s: float = 300.0
     #: the slow-loris guard: once a frame has *started*, the rest of it
@@ -183,10 +185,6 @@ class NetServer:
     @property
     def draining(self) -> bool:
         return self._draining
-
-    @property
-    def connection_count(self) -> int:
-        return len(self._conns)
 
     # ------------------------------------------------------------------
     # Writing
@@ -369,14 +367,14 @@ class NetServer:
                 ),
             )
             return
-        if len(conn.inflight) >= self.config.max_inflight_per_conn:
+        if len(conn.inflight) >= MAX_INFLIGHT_PER_CONN:
             _INFLIGHT_REJECTS.inc()
             await self._send(
                 conn,
                 error_message(
                     "too-many-inflight",
                     "per-connection in-flight cap "
-                    f"({self.config.max_inflight_per_conn}) reached",
+                    f"({MAX_INFLIGHT_PER_CONN}) reached",
                     msg_id=msg_id,
                     retryable=True,
                 ),

@@ -8,10 +8,11 @@ optimization, execution parameters) and the service-level controls
 for every admitted request — success, degraded success, or a structured
 error — never silence.
 
-Everything here is plain picklable data: requests cross the parent →
-worker pipe as :class:`WorkPayload` and outcomes come back as
-:class:`WorkOutcome` (wrapping :class:`repro.pipeline.RequestOutcome`
-fields), so a worker death can never strand unpicklable state.
+Everything here is plain picklable data: a request crosses the parent →
+worker pipe inside a :class:`WorkPayload` and its outcome comes back as
+a :class:`WorkOutcome` (a :class:`repro.pipeline.RequestOutcome` plus
+attempt telemetry), so a worker death can never strand unpicklable
+state.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from typing import Optional
+
+from repro.pipeline import RequestOutcome
 
 # ----------------------------------------------------------------------
 # Terminal response statuses
@@ -167,25 +170,16 @@ class CompileResponse:
         return self.status in (STATUS_OK, STATUS_DEGRADED)
 
     def to_dict(self) -> dict:
-        return {
-            "request_id": self.request_id,
-            "status": self.status,
-            "output": self.output,
-            "exit_code": self.exit_code,
-            "diagnostics": self.diagnostics,
-            "detail": self.detail,
-            "mode_used": self.mode_used,
-            "degraded": self.degraded,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "hedged": self.hedged,
-            "duration_s": round(self.duration_s, 6),
-            "queue_wait_s": round(self.queue_wait_s, 6),
-            "trace_id": self.trace_id,
-            "reproducer_path": self.reproducer_path,
-            "cache_hit": self.cache_hit,
-            "coalesced": self.coalesced,
+        """Every field but ``stats``, in declaration order, with the
+        two durations rounded to the microsecond."""
+        data = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "stats"
         }
+        data["duration_s"] = round(self.duration_s, 6)
+        data["queue_wait_s"] = round(self.queue_wait_s, 6)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompileResponse":
@@ -202,55 +196,36 @@ class CompileResponse:
 # ----------------------------------------------------------------------
 @dataclass
 class WorkPayload:
-    """One attempt, as sent to a worker."""
+    """One attempt, as sent to a worker.
 
-    request_id: str
+    ``request`` is the admitted request with this attempt's ``mode``,
+    its armed ``inject_faults`` and its trace context filled in: a set
+    ``trace_id`` makes the worker run the attempt under a time-trace
+    session and ship the spans back, parented under
+    ``parent_span_id`` (the parent's attempt span)."""
+
+    request: CompileRequest
     attempt: int
-    source: str
-    filename: str
-    action: str
-    mode: str
-    optimize: bool
-    num_threads: int
-    entry: str
-    defines: dict[str, str]
-    fuel: Optional[int]
-    strip_omp_transforms: bool
-    inject_faults: tuple[str, ...]
     #: directory of the shared on-disk compilation cache; None disables
     #: worker-side artifact caching for this attempt
     cache_dir: Optional[str] = None
     #: fsync cache writes before rename (``-fcache-durable``)
     cache_durable: bool = False
-    #: distributed-tracing context propagated across the process
-    #: boundary: when ``trace_id`` is set the worker runs the attempt
-    #: under a time-trace session and ships the completed spans back,
-    #: parented under ``parent_span_id`` (the parent's attempt span)
-    trace_id: Optional[str] = None
     parent_span_id: Optional[str] = None
 
 
 @dataclass
-class WorkOutcome:
-    """One attempt's result, as received from a worker."""
+class WorkOutcome(RequestOutcome):
+    """One attempt's result, as received from a worker: the pipeline's
+    outcome plus the attempt's telemetry."""
 
-    request_id: str
-    attempt: int
-    kind: str  # RequestOutcome.kind
-    output: str = ""
-    exit_code: Optional[int] = None
-    diagnostics: str = ""
-    detail: str = ""
-    stats: dict[str, int] = field(default_factory=dict)
+    #: wall time of the attempt inside the worker
     duration_s: float = 0.0
     #: the worker profiler's pipeline spans
     #: (:class:`~repro.instrument.telemetry.SpanRecord`), parented under
     #: ``WorkPayload.parent_span_id``; empty when the attempt was not
     #: traced
     spans: list = field(default_factory=list)
-    #: the worker's metrics snapshot for this attempt, merged exactly
-    #: into the parent registry (fixed-bucket histograms)
-    metrics: dict = field(default_factory=dict)
     #: worker OS pid plus its (wall_ns, perf_ns) clock anchor — what
     #: the parent needs to align span timestamps onto its own timeline
     pid: int = 0

@@ -63,29 +63,3 @@ class RetryPolicy:
             self.max_delay_s,
         )
         return raw * (1.0 - self.jitter), raw * (1.0 + self.jitter)
-
-    def schedule(
-        self,
-        rng: Optional[random.Random] = None,
-        budget_s: Optional[float] = None,
-    ) -> list[float]:
-        """The full delay schedule (one entry per possible retry).
-
-        With *budget_s* the cumulative delay is clamped so that sleeping
-        through the whole schedule never exceeds the budget — the
-        "retries never exceed the deadline" invariant: a retry that
-        cannot fit is dropped (possibly after truncating the last delay
-        to the remaining budget).
-        """
-        delays: list[float] = []
-        spent = 0.0
-        for i in range(self.max_attempts - 1):
-            delay = self.backoff(i, rng)
-            if budget_s is not None:
-                remaining = budget_s - spent
-                if remaining <= 0.0:
-                    break
-                delay = min(delay, remaining)
-            delays.append(delay)
-            spent += delay
-        return delays

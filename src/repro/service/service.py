@@ -218,11 +218,8 @@ class ServiceConfig:
             "MINICLANG_QUARANTINE_DIR", "service-quarantine"
         )
     )
-    start_method: Optional[str] = None
-    #: a :class:`repro.cache.CompilationCache` to memoize terminal
-    #: responses in (None disables response caching); built from
-    #: ``cache_dir`` when ``enable_cache`` is set and no instance given
-    cache: Optional[CompilationCache] = None
+    #: memoize terminal responses in a
+    #: :class:`repro.cache.CompilationCache` built from ``cache_dir``
     enable_cache: bool = False
     #: shared on-disk cache directory: the parent's response cache and
     #: every worker's artifact cache root here (None = parent-memory
@@ -314,9 +311,7 @@ class CompileService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
-        self.pool = WorkerPool(
-            self.config.workers, self.config.start_method
-        )
+        self.pool = WorkerPool(self.config.workers)
         # Explicit None check: an empty injected registry is falsy
         # (``__len__`` == 0) and ``or`` would silently replace it.
         self.metrics = (
@@ -348,8 +343,8 @@ class CompileService:
         self.on_response = None
         self._seq = 0
         self._clock = time.monotonic
-        self._cache: Optional[CompilationCache] = self.config.cache
-        if self._cache is None and self.config.enable_cache:
+        self._cache: Optional[CompilationCache] = None
+        if self.config.enable_cache:
             self._cache = CompilationCache(
                 self.config.cache_dir,
                 max_entries=self.config.cache_max_entries,
@@ -960,28 +955,21 @@ class CompileService:
             new_span_id() if state.trace is not None else None
         )
         payload = WorkPayload(
-            request_id=request.request_id,
+            request=replace(
+                request,
+                mode=state.mode,
+                inject_faults=request.faults_for_attempt(attempt),
+                trace_id=(
+                    request.trace_id if state.trace is not None else None
+                ),
+            ),
             attempt=attempt,
-            source=request.source,
-            filename=request.filename,
-            action=request.action,
-            mode=state.mode,
-            optimize=request.optimize,
-            num_threads=request.num_threads,
-            entry=request.entry,
-            defines=dict(request.defines),
-            fuel=request.fuel,
-            strip_omp_transforms=request.strip_omp_transforms,
-            inject_faults=request.faults_for_attempt(attempt),
             cache_dir=(
                 self.config.cache_dir
                 if self._cache is not None
                 else None
             ),
             cache_durable=self.config.cache_durable,
-            trace_id=(
-                request.trace_id if state.trace is not None else None
-            ),
             parent_span_id=attempt_span_id,
         )
         if not worker.send(payload):
@@ -1030,7 +1018,7 @@ class CompileService:
             mode=state.mode,
             worker=worker.worker_id,
             hedge=hedge or None,
-            faults=list(payload.inject_faults) or None,
+            faults=list(payload.request.inject_faults) or None,
         )
         return True
 
@@ -1100,15 +1088,28 @@ class CompileService:
                 end_ns,
             )
 
-    def _absorb_worker_telemetry(self, outcome: WorkOutcome) -> None:
-        """Fold a worker's compile-stat deltas and metrics snapshot into
-        the parent registries through :meth:`MetricsRegistry.merge`.
-        Runs for EVERY received outcome — failed and stale attempts did
-        real compiler work too; dropping their counters made parent-side
-        -print-stats systematically undercount."""
+    def _absorb_worker_telemetry(
+        self, outcome: WorkOutcome, mode: str
+    ) -> None:
+        """Fold a worker's compile-stat deltas into the parent's
+        statistics and record the attempt in the worker metrics (the
+        families appear with the first outcome).  Runs for EVERY
+        received outcome — failed and stale attempts did real compiler
+        work too; dropping their counters made parent-side -print-stats
+        systematically undercount."""
         STATS.merge(outcome.stats)
-        if outcome.metrics:
-            self.metrics.merge(outcome.metrics)
+        self.metrics.histogram(
+            "worker_attempt_duration_seconds",
+            "Per-attempt wall time inside the worker process",
+            ("kind", "mode"),
+        ).labels(kind=outcome.kind, mode=mode).observe(
+            outcome.duration_s
+        )
+        self.metrics.counter(
+            "worker_attempts_total",
+            "Attempts executed by worker processes",
+            ("kind",),
+        ).labels(kind=outcome.kind).inc()
 
     def _on_worker_ready(self, worker: WorkerHandle) -> None:
         state, attempt, _deadline = worker.busy
@@ -1124,7 +1125,9 @@ class CompileService:
             died = True
         state.outstanding.pop(attempt, None)
         if outcome is not None:
-            self._absorb_worker_telemetry(outcome)
+            # state.mode is still this attempt's mode: a fallback only
+            # switches it while no attempt is outstanding.
+            self._absorb_worker_telemetry(outcome, state.mode)
             self._emit(
                 "attempt-complete",
                 request_id=state.request.request_id,

@@ -9,9 +9,10 @@ worker, one request at a time — crash isolation comes from the process
 boundary, not from shared-state discipline.
 
 Per-payload fault arming: the parent decides which ``-finject-fault``
-specs apply to each attempt and the worker arms exactly those around the
-execution, so chaos failures are a deterministic function of
-``(request, attempt)`` even across worker restarts.  Three service-level
+specs apply to each attempt (the payload request's ``inject_faults``)
+and the worker arms exactly those around the execution, so chaos
+failures are a deterministic function of ``(request, attempt)`` even
+across worker restarts.  Three service-level
 sites are interpreted here rather than inside the pipeline:
 
 * ``service-worker-exit`` — ``os._exit``: a hard death the parent sees
@@ -29,11 +30,12 @@ import os
 import time
 
 from repro.instrument.faultinject import FAULTS, InjectedFault
-from repro.instrument.telemetry import MetricsRegistry, clock_anchor
+from repro.instrument.telemetry import clock_anchor
 from repro.instrument.timetrace import (
     disable_time_trace,
     enable_time_trace,
 )
+from repro.pipeline import RequestOutcome, execute_request
 from repro.service.request import WorkOutcome, WorkPayload
 
 #: how long a "hung" worker sleeps — effectively forever next to any
@@ -66,118 +68,80 @@ def _attempt_cache(payload: WorkPayload):
     when every armed site is a ``storage`` one: those live inside the
     disk tier, so bypassing the cache would be bypassing the fault.
     """
-    if payload.inject_faults:
-        sites = (spec.partition(":")[0] for spec in payload.inject_faults)
+    faults = payload.request.inject_faults
+    if faults:
+        sites = (spec.partition(":")[0] for spec in faults)
         if any(FAULTS.scope_of(site) != "storage" for site in sites):
             return None
-    return _cache_for(
-        getattr(payload, "cache_dir", None),
-        getattr(payload, "cache_durable", False),
-    )
+    return _cache_for(payload.cache_dir, payload.cache_durable)
 
 
-def _finalize(payload: WorkPayload, outcome: WorkOutcome) -> WorkOutcome:
-    """Attach the telemetry sidecar to an outgoing outcome: this
-    worker's pid and clock anchor (for span alignment in the parent),
-    any captured pipeline spans, and the per-attempt metrics snapshot
-    the parent merges exactly (fixed-bucket histograms)."""
-    outcome.pid = os.getpid()
-    outcome.wall_anchor_ns, outcome.perf_anchor_ns = clock_anchor()
-    metrics = MetricsRegistry()
-    metrics.histogram(
-        "worker_attempt_duration_seconds",
-        "Per-attempt wall time inside the worker process",
-        ("kind", "mode"),
-    ).labels(kind=outcome.kind, mode=payload.mode).observe(
-        outcome.duration_s
+def _run_attempt(payload: WorkPayload) -> RequestOutcome:
+    """The attempt itself: the service-level fault sites, then the
+    pipeline."""
+    request = payload.request
+    try:
+        FAULTS.hit("service-worker-exit")
+    except InjectedFault:
+        os._exit(9)  # simulate SIGKILL (OOM killer)
+    try:
+        FAULTS.hit("service-worker-hang")
+    except InjectedFault:
+        time.sleep(_HANG_SLEEP_S)
+    try:
+        FAULTS.hit("service-worker")
+        FAULTS.hit(
+            "service-irbuilder"
+            if request.mode == "irbuilder"
+            else "service-shadow"
+        )
+    except InjectedFault as exc:
+        return RequestOutcome(kind="ice", detail=str(exc))
+    return execute_request(
+        request.source,
+        filename=request.filename,
+        action=request.action,
+        mode=request.mode,
+        optimize=request.optimize,
+        num_threads=request.num_threads,
+        entry=request.entry,
+        defines=request.defines,
+        fuel=request.fuel,
+        strip_omp_transforms=request.strip_omp_transforms,
+        cache=_attempt_cache(payload),
     )
-    metrics.counter(
-        "worker_attempts_total",
-        "Attempts executed by worker processes",
-        ("kind",),
-    ).labels(kind=outcome.kind).inc()
-    outcome.metrics = metrics.snapshot()
-    return outcome
 
 
 def execute_payload(payload: WorkPayload) -> WorkOutcome:
-    """Run one attempt in this process and classify the outcome."""
-    from repro.pipeline import execute_request
+    """Run one attempt in this process and classify the outcome.
 
+    With a propagated trace context the whole attempt runs under a
+    fresh time-trace session opened on that context, and its spans
+    ship back with the outcome."""
+    request = payload.request
     FAULTS.disarm_all()
-    for spec in payload.inject_faults:
+    for spec in request.inject_faults:
         FAULTS.arm_spec(spec)
+    profiler = None
+    if request.trace_id is not None:
+        disable_time_trace()  # defensive: never inherit a session
+        profiler = enable_time_trace(
+            trace_id=request.trace_id,
+            parent_id=payload.parent_span_id,
+        )
     started = time.perf_counter()
     try:
-        try:
-            FAULTS.hit("service-worker-exit")
-        except InjectedFault:
-            os._exit(9)  # simulate SIGKILL (OOM killer)
-        try:
-            FAULTS.hit("service-worker-hang")
-        except InjectedFault:
-            time.sleep(_HANG_SLEEP_S)
-        try:
-            FAULTS.hit("service-worker")
-            FAULTS.hit(
-                "service-irbuilder"
-                if payload.mode == "irbuilder"
-                else "service-shadow"
-            )
-        except InjectedFault as exc:
-            return _finalize(
-                payload,
-                WorkOutcome(
-                    request_id=payload.request_id,
-                    attempt=payload.attempt,
-                    kind="ice",
-                    detail=str(exc),
-                    duration_s=time.perf_counter() - started,
-                ),
-            )
-        # Distributed tracing: with a propagated trace context, run the
-        # whole attempt under a fresh time-trace session opened on that
-        # context and ship its spans back alongside the result.
-        traced = payload.trace_id is not None
-        if traced:
-            disable_time_trace()  # defensive: never inherit a session
-            profiler = enable_time_trace(
-                trace_id=payload.trace_id,
-                parent_id=payload.parent_span_id,
-            )
-        try:
-            outcome = execute_request(
-                payload.source,
-                filename=payload.filename,
-                action=payload.action,
-                mode=payload.mode,
-                optimize=payload.optimize,
-                num_threads=payload.num_threads,
-                entry=payload.entry,
-                defines=payload.defines,
-                fuel=payload.fuel,
-                strip_omp_transforms=payload.strip_omp_transforms,
-                cache=_attempt_cache(payload),
-            )
-        finally:
-            if traced:
-                disable_time_trace()
-        result = WorkOutcome(
-            request_id=payload.request_id,
-            attempt=payload.attempt,
-            kind=outcome.kind,
-            output=outcome.output,
-            exit_code=outcome.exit_code,
-            diagnostics=outcome.diagnostics,
-            detail=outcome.detail,
-            stats=outcome.stats,
-            duration_s=time.perf_counter() - started,
-        )
-        if traced:
-            result.spans = profiler.spans
-        return _finalize(payload, result)
+        result = WorkOutcome(**vars(_run_attempt(payload)))
     finally:
+        if profiler is not None:
+            disable_time_trace()
         FAULTS.disarm_all()
+    result.duration_s = time.perf_counter() - started
+    if profiler is not None:
+        result.spans = profiler.spans
+    result.pid = os.getpid()
+    result.wall_anchor_ns, result.perf_anchor_ns = clock_anchor()
+    return result
 
 
 def worker_main(conn, worker_id: int) -> None:

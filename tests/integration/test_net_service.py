@@ -111,14 +111,6 @@ class TestRequestResponse:
         assert response.ok
         assert response.attempts >= 2
 
-    def test_hedged_request_single_answer(self, host):
-        client = NetClient(
-            host.address, deadline_s=30.0, hedge_delay_s=0.05
-        )
-        response = client.request(_request("hedge"))
-        assert response.ok
-        assert client.duplicate_responses == 0
-
     def test_concurrent_clients_spread_over_shards(self, host):
         import threading
 

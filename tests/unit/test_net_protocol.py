@@ -194,12 +194,6 @@ class TestMessages:
         assert msg["type"] == "request"
         assert msg["id"] == "m1"
         assert msg["deadline_s"] == pytest.approx(1.234568)
-        assert "hedge" not in msg
-
-    def test_hedge_flag(self):
-        request = CompileRequest(source="int main(){return 0;}")
-        msg = request_message("m2", request, hedge=True)
-        assert msg["hedge"] is True
 
     def test_response_and_error_messages(self):
         msg = response_message("m1", {"status": "ok"}, shard=3)

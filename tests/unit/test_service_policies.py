@@ -11,8 +11,6 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.service import (
     STATUS_OK,
@@ -70,34 +68,6 @@ class TestRetryPolicy:
         assert lo == pytest.approx(0.75)
         assert hi == pytest.approx(1.25)
 
-    def test_same_seed_same_schedule(self):
-        policy = RetryPolicy(max_attempts=5)
-        a = policy.schedule(random.Random(7))
-        b = policy.schedule(random.Random(7))
-        assert a == b
-
-    def test_schedule_length_is_retries_not_attempts(self):
-        assert len(RetryPolicy(max_attempts=3).schedule()) == 2
-        assert RetryPolicy(max_attempts=1).schedule() == []
-
-    def test_budget_truncates_last_delay(self):
-        policy = RetryPolicy(
-            max_attempts=3,
-            base_delay_s=1.0,
-            multiplier=2.0,
-            max_delay_s=10.0,
-            jitter=0.0,
-        )
-        # unclamped schedule would be [1.0, 2.0]
-        assert policy.schedule(budget_s=1.5) == [1.0, 0.5]
-
-    def test_budget_drops_unfittable_retries(self):
-        policy = RetryPolicy(
-            max_attempts=4, base_delay_s=1.0, jitter=0.0
-        )
-        assert policy.schedule(budget_s=1.0) == [1.0]
-        assert policy.schedule(budget_s=0.0) == []
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -111,31 +81,6 @@ class TestRetryPolicy:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             RetryPolicy(**kwargs)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        base=st.floats(0.001, 2.0),
-        multiplier=st.floats(1.0, 4.0),
-        max_attempts=st.integers(1, 8),
-        jitter=st.floats(0.0, 0.9),
-        budget=st.floats(0.0, 5.0),
-    )
-    def test_schedule_never_exceeds_budget(
-        self, seed, base, multiplier, max_attempts, jitter, budget
-    ):
-        """The invariant the service deadline math leans on: sleeping
-        through the whole retry schedule never exceeds the budget."""
-        policy = RetryPolicy(
-            max_attempts=max_attempts,
-            base_delay_s=base,
-            multiplier=multiplier,
-            jitter=jitter,
-        )
-        delays = policy.schedule(random.Random(seed), budget_s=budget)
-        assert sum(delays) <= budget + 1e-9
-        assert all(d >= 0 for d in delays)
-        assert len(delays) <= max_attempts - 1
 
 
 # ----------------------------------------------------------------------

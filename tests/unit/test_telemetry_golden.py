@@ -21,6 +21,7 @@ regenerates the file with
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -128,6 +129,7 @@ def cli_outputs() -> dict[str, str]:
     }
 
 
+@functools.lru_cache(maxsize=None)
 def serve_outputs() -> dict[str, object]:
     with tempfile.TemporaryDirectory() as tmp:
         prom = os.path.join(tmp, "metrics.prom")
@@ -204,6 +206,21 @@ def test_miniclang_stats_match_golden():
 
 def test_serve_batch_stats_and_metric_families_match_golden():
     assert serve_outputs() == _golden()["miniclang-serve"]
+
+
+def test_serve_batch_stats_all_have_descriptions():
+    """Statistics that only workers increment are still described in
+    the parent's dump (the fallback for an unregistered key is its bare
+    name)."""
+    outputs = serve_outputs()
+    keys = sorted(json.loads(outputs["stats-json"]))
+    rows = outputs["print-stats"].splitlines()[3:]
+    assert len(rows) == len(keys)
+    for key, row in zip(keys, rows):
+        owner, _, name = key.partition(".")
+        desc = row.split(" - ", 1)[1]
+        assert row.split()[1] == owner
+        assert desc and desc != name, key
 
 
 def test_merged_prometheus_matches_golden():
