@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.astlib import exprs as e
 from repro.astlib import omp
@@ -95,11 +95,14 @@ class CodeGenFunction:
         self,
         name: str,
         captured: s.CapturedStmt,
-        with_thread_ids: bool,
+        body_emitter: Callable[["CodeGenFunction"], None],
     ) -> Function:
         """Emit a CapturedStmt as an outlined function
         ``void name(ptr gtid, ptr btid, ptr context)`` (early outlining,
-        paper §1)."""
+        paper §1).  The body is produced by *body_emitter* (clang's
+        callback chaining: a combined directive's `parallel` part
+        replaces the body code generation function —
+        "callback-ception", paper §1.3)."""
         params = [ir_ty.ptr, ir_ty.ptr, ir_ty.ptr]
         fn = self.cgm.module.add_function(
             name, ir_ty.FunctionType(ir_ty.void_t, params)
@@ -125,9 +128,8 @@ class CodeGenFunction:
                 self.local_vars[id(pdecl)] = fn.args[0]
             elif pdecl.name == ".bound_tid.":
                 self.local_vars[id(pdecl)] = fn.args[1]
-        body = captured.captured_decl.body
-        assert body is not None
-        self.emit_stmt(body)
+        body_emitter(self)
+        self.ensure_insert_point()
         if self.builder.insert_block.terminator is None:
             self.builder.ret()
         from repro.ir.utils import remove_unreachable_blocks
