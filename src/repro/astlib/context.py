@@ -48,7 +48,7 @@ class ASTContext:
     def __init__(self, target: TargetInfo | None = None) -> None:
         self.target = target or TargetInfo()
         self.translation_unit = TranslationUnitDecl()
-        self._builtins: dict[BuiltinKind, BuiltinType] = {}
+        self._builtins: dict[BuiltinKind, QualType] = {}
         self._pointers: dict[tuple, PointerType] = {}
         self._references: dict[tuple, ReferenceType] = {}
         self._const_arrays: dict[tuple, ConstantArrayType] = {}
@@ -62,11 +62,12 @@ class ASTContext:
     # Uniqued type constructors
     # ------------------------------------------------------------------
     def get_builtin(self, kind: BuiltinKind) -> QualType:
-        ty = self._builtins.get(kind)
-        if ty is None:
-            ty = BuiltinType(kind)
-            self._builtins[kind] = ty
-        return QualType(ty)
+        """The one unqualified ``QualType`` of builtin *kind*."""
+        qt = self._builtins.get(kind)
+        if qt is None:
+            qt = QualType(BuiltinType(kind))
+            self._builtins[kind] = qt
+        return qt
 
     # Convenience accessors --------------------------------------------
     @property

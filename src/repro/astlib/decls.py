@@ -81,6 +81,8 @@ class ValueDecl(NamedDecl):
 
 
 class StorageClass(enum.Enum):
+    __hash__ = object.__hash__  # a hot dictionary key
+
     NONE = "none"
     STATIC = "static"
     EXTERN = "extern"

@@ -20,6 +20,8 @@ if TYPE_CHECKING:
 
 
 class ValueCategory(enum.Enum):
+    __hash__ = object.__hash__  # a hot dictionary key
+
     LVALUE = "lvalue"
     RVALUE = "rvalue"  # C's rvalue == C++ prvalue; sufficient for MiniC
 
@@ -201,6 +203,8 @@ def contains_errors(*exprs: Optional[Expr]) -> bool:
 # Operators
 # ---------------------------------------------------------------------------
 class UnaryOperatorKind(enum.Enum):
+    __hash__ = object.__hash__  # a hot dictionary key
+
     POST_INC = "++ (post)"
     POST_DEC = "-- (post)"
     PRE_INC = "++"
@@ -248,6 +252,8 @@ class UnaryOperator(Expr):
 
 
 class BinaryOperatorKind(enum.Enum):
+    __hash__ = object.__hash__  # a hot dictionary key
+
     MUL = "*"
     DIV = "/"
     REM = "%"
@@ -444,6 +450,8 @@ class MemberExpr(Expr):
 # Casts
 # ---------------------------------------------------------------------------
 class CastKind(enum.Enum):
+    __hash__ = object.__hash__  # a hot dictionary key
+
     LVALUE_TO_RVALUE = "LValueToRValue"
     INTEGRAL_CAST = "IntegralCast"
     INTEGRAL_TO_FLOATING = "IntegralToFloating"

@@ -25,12 +25,15 @@ if TYPE_CHECKING:
 
 _stmt_ids = itertools.count(0x8000)
 
+#: the location of a node built without one (locations are immutable)
+_NO_LOCATION = SourceLocation()
+
 
 class Stmt:
     """Base class of every statement (and, transitively, expression)."""
 
     def __init__(self, location: SourceLocation | None = None) -> None:
-        self.location = location or SourceLocation()
+        self.location = location or _NO_LOCATION
         self.node_id = next(_stmt_ids)
 
     def children(self) -> Iterable[Optional["Stmt"]]:

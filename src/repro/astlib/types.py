@@ -21,6 +21,8 @@ if TYPE_CHECKING:
 
 
 class BuiltinKind(enum.Enum):
+    __hash__ = object.__hash__  # a hot dictionary key
+
     VOID = "void"
     BOOL = "bool"
     CHAR = "char"
@@ -183,12 +185,49 @@ class QualType:
     def with_const(self) -> "QualType":
         return QualType(self.type, True, self.is_volatile, self.is_restrict)
 
-    # Forwarders so callers rarely need ``.type`` -----------------------
-    def __getattr__(self, item: str):
-        # Only forward the is_* classification predicates and rank.
-        if item.startswith("is_") or item == "integer_rank":
-            return getattr(self.type, item)
-        raise AttributeError(item)
+    # Forwarders so callers rarely need ``.type``: one for each
+    # classification predicate of :class:`Type` and for its rank.
+    def is_void(self) -> bool:
+        return self.type.is_void()
+
+    def is_bool(self) -> bool:
+        return self.type.is_bool()
+
+    def is_integer(self) -> bool:
+        return self.type.is_integer()
+
+    def is_signed_integer(self) -> bool:
+        return self.type.is_signed_integer()
+
+    def is_unsigned_integer(self) -> bool:
+        return self.type.is_unsigned_integer()
+
+    def is_floating(self) -> bool:
+        return self.type.is_floating()
+
+    def is_arithmetic(self) -> bool:
+        return self.type.is_arithmetic()
+
+    def is_scalar(self) -> bool:
+        return self.type.is_scalar()
+
+    def is_pointer(self) -> bool:
+        return self.type.is_pointer()
+
+    def is_array(self) -> bool:
+        return self.type.is_array()
+
+    def is_record(self) -> bool:
+        return self.type.is_record()
+
+    def is_function(self) -> bool:
+        return self.type.is_function()
+
+    def is_reference(self) -> bool:
+        return self.type.is_reference()
+
+    def integer_rank(self) -> int:
+        return self.type.integer_rank()
 
     def same_type(self, other: "QualType") -> bool:
         """Canonical unqualified type equality."""
@@ -199,15 +238,53 @@ class QualType:
 
 
 class BuiltinType(Type):
+    """A builtin type; its width, rank and classification are computed
+    once, here, from the tables above."""
+
     def __init__(self, kind: BuiltinKind) -> None:
         self.kind = kind
+        self.width = BUILTIN_WIDTH[kind]
+        self._rank = _RANK.get(kind)
+        self._signed = kind in _SIGNED_INTS
+        self._unsigned = kind in _UNSIGNED_INTS
+        self._integer = self._signed or self._unsigned
+        self._floating = kind in _FLOATS
+        self._arithmetic = self._integer or self._floating
 
     def spelling(self) -> str:
         return self.kind.value
 
-    @property
-    def width(self) -> int:
-        return BUILTIN_WIDTH[self.kind]
+    def is_void(self) -> bool:
+        return self.kind is BuiltinKind.VOID
+
+    def is_bool(self) -> bool:
+        return self.kind is BuiltinKind.BOOL
+
+    def is_integer(self) -> bool:
+        return self._integer
+
+    def is_signed_integer(self) -> bool:
+        return self._signed
+
+    def is_unsigned_integer(self) -> bool:
+        return self._unsigned
+
+    def is_floating(self) -> bool:
+        return self._floating
+
+    def is_arithmetic(self) -> bool:
+        return self._arithmetic
+
+    def is_scalar(self) -> bool:
+        return self._arithmetic
+
+    def is_pointer(self) -> bool:
+        return False
+
+    def integer_rank(self) -> int:
+        if self._rank is None:
+            raise KeyError(self.kind)  # not an integer type
+        return self._rank
 
 
 class PointerType(Type):

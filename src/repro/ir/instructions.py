@@ -51,6 +51,8 @@ class Instruction(Value):
 # Arithmetic
 # ---------------------------------------------------------------------------
 class BinOp(enum.Enum):
+    __hash__ = object.__hash__  # a hot dictionary key
+
     ADD = "add"
     SUB = "sub"
     MUL = "mul"
@@ -97,6 +99,8 @@ class BinaryInst(Instruction):
 
 
 class ICmpPred(enum.Enum):
+    __hash__ = object.__hash__  # a hot dictionary key
+
     EQ = "eq"
     NE = "ne"
     SLT = "slt"
@@ -135,6 +139,8 @@ class ICmpInst(Instruction):
 
 
 class FCmpPred(enum.Enum):
+    __hash__ = object.__hash__  # a hot dictionary key
+
     OEQ = "oeq"
     ONE = "one"
     OLT = "olt"
@@ -168,6 +174,8 @@ class FCmpInst(Instruction):
 # Casts
 # ---------------------------------------------------------------------------
 class CastOp(enum.Enum):
+    __hash__ = object.__hash__  # a hot dictionary key
+
     TRUNC = "trunc"
     ZEXT = "zext"
     SEXT = "sext"

@@ -83,21 +83,19 @@ def verify_function(fn: Function) -> None:
                     raise VerificationError(
                         f"{fn.name}: {inst.opcode} has a None operand"
                     )
-                if isinstance(op, (Constant, Argument, BasicBlock)):
-                    continue
-                if isinstance(op, GlobalValue):
-                    continue
                 if isinstance(op, Instruction):
                     if id(op) not in defined:
                         raise VerificationError(
                             f"{fn.name}: {inst.opcode} uses an "
                             "instruction from another function"
                         )
-                    continue
-                raise VerificationError(
-                    f"{fn.name}: {inst.opcode} has invalid operand "
-                    f"{op!r}"
-                )
+                elif not isinstance(
+                    op, (Constant, Argument, BasicBlock, GlobalValue)
+                ):
+                    raise VerificationError(
+                        f"{fn.name}: {inst.opcode} has invalid operand "
+                        f"{op!r}"
+                    )
             if isinstance(inst, PhiInst):
                 if index > phi_end:
                     raise VerificationError(

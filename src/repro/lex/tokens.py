@@ -14,6 +14,8 @@ from repro.sourcemgr.location import SourceLocation
 
 
 class TokenKind(enum.Enum):
+    __hash__ = object.__hash__  # a hot dictionary key
+
     # Special
     EOF = "eof"
     UNKNOWN = "unknown"

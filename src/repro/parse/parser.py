@@ -97,6 +97,18 @@ _BINOPS: dict[TokenKind, tuple[e.BinaryOperatorKind, int]] = {
     K.PIPEPIPE: (e.BinaryOperatorKind.LOR, 1),
 }
 
+#: prefix operator token -> UnaryOperatorKind.
+_PREFIX_OPS: dict[TokenKind, e.UnaryOperatorKind] = {
+    K.PLUSPLUS: e.UnaryOperatorKind.PRE_INC,
+    K.MINUSMINUS: e.UnaryOperatorKind.PRE_DEC,
+    K.AMP: e.UnaryOperatorKind.ADDR_OF,
+    K.STAR: e.UnaryOperatorKind.DEREF,
+    K.PLUS: e.UnaryOperatorKind.PLUS,
+    K.MINUS: e.UnaryOperatorKind.MINUS,
+    K.TILDE: e.UnaryOperatorKind.NOT,
+    K.EXCLAIM: e.UnaryOperatorKind.LNOT,
+}
+
 _ASSIGN_OPS: dict[TokenKind, e.BinaryOperatorKind] = {
     K.EQUAL: e.BinaryOperatorKind.ASSIGN,
     K.PLUSEQUAL: e.BinaryOperatorKind.ADD_ASSIGN,
@@ -136,18 +148,21 @@ class Parser:
     # ==================================================================
     # Token plumbing
     # ==================================================================
+    # ``self.pos`` never passes the EOF token that ends ``self.tokens``
+    # (``next`` stops there), so the current token is always in range.
     def peek(self, ahead: int = 0) -> Token:
-        idx = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
+        if ahead == 0:
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != K.EOF:
+        tok = self.tokens[self.pos]
+        if tok.kind is not K.EOF:
             self.pos += 1
         return tok
 
     def at(self, kind: TokenKind) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.pos].kind is kind
 
     def accept(self, kind: TokenKind) -> Token | None:
         if self.at(kind):
@@ -999,23 +1014,11 @@ class Parser:
     def parse_unary_expression(self) -> e.Expr:
         tok = self.peek()
         kind = tok.kind
-        U = e.UnaryOperatorKind
-        prefix_map = {
-            K.PLUSPLUS: U.PRE_INC,
-            K.MINUSMINUS: U.PRE_DEC,
-            K.AMP: U.ADDR_OF,
-            K.STAR: U.DEREF,
-            K.PLUS: U.PLUS,
-            K.MINUS: U.MINUS,
-            K.TILDE: U.NOT,
-            K.EXCLAIM: U.LNOT,
-        }
-        if kind in prefix_map:
+        op = _PREFIX_OPS.get(kind)
+        if op is not None:
             self.next()
             operand = self.parse_cast_expression()
-            return self.sema.act_on_unary_op(
-                prefix_map[kind], operand, tok.location
-            )
+            return self.sema.act_on_unary_op(op, operand, tok.location)
         if kind == K.KW_SIZEOF:
             self.next()
             if self.at(K.L_PAREN) and self.at_type_start(1):

@@ -187,12 +187,13 @@ class Preprocessor:
 
     def _raw_lex(self) -> Token:
         """Next raw token, popping finished include levels."""
-        while self._levels:
-            tok = self._level.lex()
-            if tok.kind != TokenKind.EOF or len(self._levels) == 1:
-                if tok.kind == TokenKind.EOF:
+        levels = self._levels
+        while levels:
+            level = levels[-1]
+            tok = level.lex()
+            if tok.kind is not TokenKind.EOF or len(levels) == 1:
+                if tok.kind is TokenKind.EOF:
                     # Main-file EOF: diagnose conditionals left open.
-                    level = self._level
                     for cond in level.conditionals:
                         self.diags.report(
                             Severity.ERROR,
@@ -201,7 +202,7 @@ class Preprocessor:
                         )
                     level.conditionals.clear()
                 return tok
-            level = self._levels.pop()
+            level = levels.pop()
             for cond in level.conditionals:
                 self.diags.report(
                     Severity.ERROR,
@@ -232,12 +233,15 @@ class Preprocessor:
             if self._pending:
                 return self._pending.popleft()
             tok = self._raw_lex()
-            if tok.kind == TokenKind.HASH and tok.at_line_start:
+            if tok.kind is TokenKind.HASH and tok.at_line_start:
                 self._handle_directive()
                 continue
-            if self._is_expandable(tok):
-                if self._expand_macro(tok):
-                    continue
+            if (
+                tok.kind is TokenKind.IDENTIFIER
+                and tok.spelling in self.macros
+                and self._expand_macro(tok)
+            ):
+                continue
             return tok
 
     def lex_all(self) -> list[Token]:
@@ -248,18 +252,13 @@ class Preprocessor:
                     FAULTS.hit("preprocessor")
                 tok = self.lex()
                 tokens.append(tok)
-                if tok.kind == TokenKind.EOF:
+                if tok.kind is TokenKind.EOF:
                     _TOKENS_LEXED.inc(len(tokens))
                     return tokens
 
     # ------------------------------------------------------------------
     # Macro expansion
     # ------------------------------------------------------------------
-    def _is_expandable(self, tok: Token) -> bool:
-        return (
-            tok.kind == TokenKind.IDENTIFIER and tok.spelling in self.macros
-        )
-
     def _expand_macro(self, tok: Token) -> bool:
         """Expand *tok* if it names a macro invocation.
 

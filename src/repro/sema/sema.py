@@ -30,6 +30,7 @@ from repro.astlib.types import (
     ArrayType,
     BuiltinKind,
     ConstantArrayType,
+    EnumType,
     FunctionType,
     PointerType,
     QualType,
@@ -341,8 +342,6 @@ class Sema:
         return expr
 
     def integer_promotion(self, expr: e.Expr) -> e.Expr:
-        from repro.astlib.types import EnumType
-
         canonical = desugar(expr.type)
         if isinstance(canonical.type, EnumType):
             # Enumerations promote to int in expressions.

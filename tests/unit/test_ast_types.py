@@ -3,8 +3,9 @@
 import pytest
 
 from repro.astlib.context import ASTContext
-from repro.astlib.decls import FieldDecl, RecordDecl, TypedefDecl
-from repro.astlib.types import BuiltinKind, QualType, desugar
+from repro.astlib.decls import EnumDecl, FieldDecl, RecordDecl, TypedefDecl
+from repro.astlib import types
+from repro.astlib.types import BuiltinKind, QualType, Type, desugar
 
 
 @pytest.fixture
@@ -59,6 +60,80 @@ class TestClassification:
 
     def test_bool_is_unsigned_integer(self, ctx):
         assert ctx.bool_type.is_unsigned_integer()
+
+
+#: every classification method of Type that QualType forwards
+TYPE_PREDICATES = sorted(
+    name for name in vars(Type) if name.startswith("is_")
+) + ["integer_rank"]
+
+
+class TestPrecomputedPredicates:
+    """BuiltinType computes its width, rank and classification once, in
+    ``__init__``; they must agree with the tables they come from."""
+
+    @pytest.mark.parametrize("kind", list(BuiltinKind))
+    def test_builtin_predicates_match_tables(self, ctx, kind):
+        ty = ctx.get_builtin(kind).type
+        signed = kind in types._SIGNED_INTS
+        unsigned = kind in types._UNSIGNED_INTS
+        floating = kind in types._FLOATS
+        assert ty.is_void() == (kind is BuiltinKind.VOID)
+        assert ty.is_bool() == (kind is BuiltinKind.BOOL)
+        assert ty.is_signed_integer() == signed
+        assert ty.is_unsigned_integer() == unsigned
+        assert ty.is_integer() == (signed or unsigned)
+        assert ty.is_floating() == floating
+        assert ty.is_arithmetic() == (signed or unsigned or floating)
+        assert ty.is_scalar() == (signed or unsigned or floating)
+        assert ty.width == types.BUILTIN_WIDTH[kind]
+        if kind in types._RANK:
+            assert ty.integer_rank() == types._RANK[kind]
+        else:
+            with pytest.raises(KeyError):
+                ty.integer_rank()
+
+    @pytest.mark.parametrize("kind", list(BuiltinKind))
+    @pytest.mark.parametrize("name", TYPE_PREDICATES)
+    def test_builtin_overrides_agree_with_type(self, ctx, kind, name):
+        """An override answers what the generic Type method answers."""
+        ty = ctx.get_builtin(kind).type
+        generic = getattr(Type, name)
+        if name == "integer_rank" and kind not in types._RANK:
+            with pytest.raises(KeyError):
+                generic(ty)
+            return
+        assert getattr(ty, name)() == generic(ty)
+
+    def test_qualtype_defines_a_forwarder_for_every_predicate(self):
+        assert "__getattr__" not in vars(QualType)
+        missing = [n for n in TYPE_PREDICATES if n not in vars(QualType)]
+        assert missing == []
+
+    def test_forwarders_answer_what_the_type_answers(self, ctx):
+        qualified = [
+            ctx.int_type.with_const(),
+            ctx.get_pointer(ctx.char_type),
+            ctx.get_reference(ctx.int_type),
+            ctx.get_constant_array(ctx.double_type, 4),
+            ctx.get_function(ctx.void_type, []),
+            ctx.get_record(RecordDecl("S")),
+            ctx.get_enum(EnumDecl("E")),
+            ctx.get_typedef(TypedefDecl("T", ctx.long_type)),
+        ] + [ctx.get_builtin(kind) for kind in BuiltinKind]
+        for qt in qualified:
+            for name in TYPE_PREDICATES:
+                if name == "integer_rank":
+                    if isinstance(qt.type, types.BuiltinType) and (
+                        qt.type.kind in types._RANK
+                    ):
+                        assert qt.integer_rank() == qt.type.integer_rank()
+                    continue
+                assert getattr(qt, name)() == getattr(qt.type, name)()
+
+    def test_builtin_qualtype_is_interned(self, ctx):
+        assert ctx.get_builtin(BuiltinKind.INT) is ctx.int_type
+        assert ctx.int_type.with_const() is not ctx.int_type
 
 
 class TestLP64Layout:

@@ -127,8 +127,32 @@ class TestTriviaHandling:
 
     def test_has_leading_space(self):
         toks = tokenize_string("a b")[:-1]
-        assert not toks[0].has_leading_space or toks[0].at_line_start
+        assert not toks[0].has_leading_space
         assert toks[1].has_leading_space
+        toks = tokenize_string(" a b")[:-1]
+        assert toks[0].has_leading_space
+        assert toks[1].has_leading_space
+
+    def test_bare_cr_in_block_comment_sets_line_start(self):
+        # A bare CR ends a line wherever it appears, a block comment
+        # included, just as a newline in a block comment does.
+        toks = tokenize_string("a /* c\r */#")[:-1]
+        assert toks[1].spelling == "#"
+        assert toks[1].at_line_start
+
+    def test_directive_after_bare_cr_comment(self):
+        from repro.pipeline import run_source
+
+        source = (
+            "int printf(const char *fmt, ...);\n"
+            "int main(void) {\n"
+            "  int s = 0; /* c\r */#pragma omp unroll partial(2)\n"
+            "  for (int i = 0; i < 4; i++) s += i;\n"
+            '  printf("%d\\n", s);\n'
+            "  return 0;\n"
+            "}\n"
+        )
+        assert run_source(source).stdout == "6\n"
 
 
 class TestLocations:
