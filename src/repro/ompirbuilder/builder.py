@@ -12,7 +12,8 @@ OpenMPIRBuilder):
   (including the logical-iteration-number -> user-variable conversions).
 * Transformations may modify and return the input canonical loops or
   abandon the old handles and create new loops; old handles are
-  invalidated (paper §3.2).
+  invalidated (paper §3.2).  The abandoning ones share one replacement
+  protocol: ``_detach``, ``_splice``, ``_retire``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Callable, Optional, Sequence
 from repro.ir.instructions import (
     BinOp,
     BranchInst,
+    CastOp,
     ICmpPred,
 )
 from repro.ir.irbuilder import IRBuilder
@@ -36,15 +38,11 @@ from repro.ir.types import (
     ptr,
     void_t,
 )
-from repro.ir.utils import (
-    remove_unreachable_blocks,
-    replace_all_uses,
-)
+from repro.ir.utils import redirect_branch, replace_all_uses_map
 from repro.instrument import RemarkEmitter, get_statistic
 from repro.ir.values import ConstantInt, ConstantPointerNull, Value
 from repro.ompirbuilder.canonical_loop_info import (
     CanonicalLoopInfo,
-    SkeletonError,
     create_loop_skeleton,
 )
 
@@ -103,6 +101,107 @@ RUNTIME_SIGNATURES: dict[str, tuple] = {
     "__kmpc_end_single": (void_t, [ptr, i32]),
     "__kmpc_reduce_combine": (void_t, [ptr, i32, ptr, ptr, i64, i32]),
 }
+
+
+# ======================================================================
+# Nest replacement (paper §3.2: a transformation may "abandon the old
+# handles and create new loops using the skeleton").  tile, collapse,
+# fuse and interchange differ only in their new trip counts, skeletons
+# and induction-variable mapping; the steps around those are these:
+#
+#   detach  -> the old loops are unhooked from their preheader, where
+#              the replacement is built;
+#   splice  -> the new innermost body runs the old body region, whose
+#              edges to the old latch move to the new latch;
+#   retire  -> old induction variables are replaced, the new loops
+#              continue where the old ones did, and the old control
+#              blocks nothing branches to any more are deleted.
+# ======================================================================
+def _detach(builder: IRBuilder, loops: Sequence[CanonicalLoopInfo]) -> None:
+    """Check the handles and erase the outermost preheader's branch into
+    the old loops; the builder is left at the end of that preheader."""
+    for cli in loops:
+        cli.assert_ok()
+    preheader = loops[0].preheader
+    term = preheader.terminator
+    assert term is not None
+    term.erase()
+    builder.set_insert_point(preheader)
+
+
+def _retarget(fn: Function, old: BasicBlock, new: BasicBlock) -> None:
+    """Move every edge into *old* to *new*."""
+    for block in fn.blocks:
+        redirect_branch(block, old, new)
+
+
+def _splice(old: CanonicalLoopInfo, new: CanonicalLoopInfo) -> None:
+    """Make *new*'s body run the body region of *old*, the innermost
+    loop being replaced."""
+    term = new.body.terminator
+    assert isinstance(term, BranchInst)
+    term.target = old.body
+    _retarget(old.function, old.latch, new.latch)
+
+
+def _retire(
+    builder: IRBuilder,
+    loops: Sequence[CanonicalLoopInfo],
+    new_ivs: Sequence[Value],
+    new_after: BasicBlock,
+    continuation: BasicBlock,
+) -> None:
+    """Replace each old induction variable with its *new_ivs* entry,
+    branch *new_after* to *continuation*, invalidate the old handles and
+    delete their abandoned control blocks.
+
+    Candidates are every old control block except the outermost
+    preheader, which the replacement reuses.  Only those that no
+    surviving block branches to are deleted, as LLVM's
+    ``removeUnusedBlocksFromParent(OldControlBBs)`` does.  Deleting
+    every unreachable block instead would also take blocks of an
+    enclosing construct whose body is still being emitted: its latch or
+    ``for.inc`` has no predecessor until that body is finished.
+    """
+    fn = loops[0].function
+    replace_all_uses_map(
+        fn, {id(cli.indvar): iv for cli, iv in zip(loops, new_ivs)}
+    )
+    builder.set_insert_point(new_after)
+    builder.br(continuation)
+    reused = loops[0].preheader
+    unused: dict[int, BasicBlock] = {}
+    for cli in loops:
+        cli.invalidate()
+        for block in (
+            cli.preheader, cli.header, cli.cond, cli.latch, cli.exit,
+            cli.after,
+        ):
+            if block is not reused:
+                unused[id(block)] = block
+    # A candidate survives if a block outside the set, or a surviving
+    # candidate, branches to it.
+    work = [block for block in fn.blocks if id(block) not in unused]
+    while work:
+        for succ in work.pop().successors():
+            if unused.pop(id(succ), None) is not None:
+                work.append(succ)
+    # No surviving phi names a deleted block: only the old headers hold
+    # phis, and only old preheaders and latches branch to them.
+    for block in unused.values():
+        fn.remove_block(block)
+
+
+def _widen_trip_counts(
+    builder: IRBuilder, loops: Sequence[CanonicalLoopInfo], name: str
+) -> list[Value]:
+    """Each loop's trip count zero-extended to the widest induction
+    type of *loops* (the k-th cast named ``name.format(k=k)``)."""
+    ty = max((cli.indvar_type for cli in loops), key=lambda t: t.bits)
+    return [
+        builder.cast(CastOp.ZEXT, cli.trip_count, ty, name.format(k=k))
+        for k, cli in enumerate(loops)
+    ]
 
 
 class OpenMPIRBuilder:
@@ -198,9 +297,10 @@ class OpenMPIRBuilder:
         cli: CanonicalLoopInfo,
         factor: int,
     ) -> CanonicalLoopInfo:
-        """Partial unroll: strip-mine by *factor* via :meth:`tile_loops`,
-        mark the intra-tile loop for complete unrolling by the mid-end,
-        and return the (consumable) outer tile-count loop.
+        """Partial unroll: strip-mine by *factor* with the tiling core of
+        :meth:`tile_loops`, mark the intra-tile loop for complete
+        unrolling by the mid-end, and return the (consumable) outer
+        tile-count loop.
 
         This mirrors LLVM's ``unrollLoopPartial``: "Partial unrolling can
         be understood as first tiling the loop by an unroll-factor, then
@@ -208,9 +308,7 @@ class OpenMPIRBuilder:
         """
         assert factor >= 1
         fn_name = cli.function.name
-        floor_cli, tile_cli = self.tile_loops(
-            builder, [cli], [factor], _emit_remark=False
-        )
+        floor_cli, tile_cli = self._tile(builder, [cli], [factor])
         term = tile_cli.latch.terminator
         assert term is not None
         term.metadata["llvm.loop"] = loop_metadata(
@@ -235,59 +333,55 @@ class OpenMPIRBuilder:
         builder: IRBuilder,
         loops: Sequence[CanonicalLoopInfo],
         sizes: Sequence[int | Value],
-        _emit_remark: bool = True,
     ) -> list[CanonicalLoopInfo]:
         """Tile a perfect rectangular nest; returns 2n new canonical
         loops (n floor loops iterating tile origins, then n intra-tile
         loops).  The old handles are invalidated."""
+        fn_name = loops[0].function.name
+        result = self._tile(builder, loops, sizes)
+        _IR_TRANSFORMS.inc()
+        shown = tuple(
+            s if isinstance(s, int) else f"%{s.name}" for s in sizes
+        )
+        self.remarks.passed(
+            "tile",
+            f"tiled loop nest of depth {len(loops)} with sizes "
+            f"({', '.join(str(s) for s in shown)})",
+            function=fn_name,
+            sizes=shown,
+        )
+        return result
+
+    def _tile(
+        self,
+        builder: IRBuilder,
+        loops: Sequence[CanonicalLoopInfo],
+        sizes: Sequence[int | Value],
+    ) -> list[CanonicalLoopInfo]:
+        """The tiling shared by :meth:`tile_loops` and
+        :meth:`unroll_loop_partial`, which each report it."""
         assert loops and len(loops) == len(sizes)
         n = len(loops)
-        for cli in loops:
-            cli.assert_ok()
-        fn = loops[0].function
-
-        outer = loops[0]
-        inner = loops[-1]
-        entry_preheader = outer.preheader
-        final_after = outer.after
-        body_entry = inner.body
-        old_inner_latch = inner.latch
-
+        _detach(builder, loops)
         trip_counts = [cli.trip_count for cli in loops]
-        iv_types: list[IntType] = [cli.indvar_type for cli in loops]
         size_values: list[Value] = [
-            ConstantInt(iv_types[k], s) if isinstance(s, int) else s
-            for k, s in enumerate(sizes)
+            ConstantInt(cli.indvar_type, s) if isinstance(s, int) else s
+            for cli, s in zip(loops, sizes)
         ]
-        old_indvars = [cli.indvar for cli in loops]
-
-        # The innermost body region keeps its own terminator to the old
-        # latch; detach the nest by removing the old preheader's branch.
-        old_term = entry_preheader.terminator
-        assert old_term is not None
-        old_term.erase()
 
         # --- floor trip counts: ceil(tc / size), unsigned --------------
-        builder.set_insert_point(entry_preheader)
         floor_trips: list[Value] = []
         for k in range(n):
-            ty = iv_types[k]
             tc, size = trip_counts[k], size_values[k]
-            num = builder.add(
-                tc,
-                builder.sub(size, builder.const_int(ty, 1), "szm1"),
-                "tile.num",
-            )
+            one = builder.const_int(loops[k].indvar_type, 1)
+            num = builder.add(tc, builder.sub(size, one, "szm1"), "tile.num")
             floor_trips.append(builder.udiv(num, size, "floor.tc"))
 
         # --- floor loops ------------------------------------------------
-        floor_clis: list[CanonicalLoopInfo] = []
-        for k in range(n):
-            cli = create_loop_skeleton(
-                builder, floor_trips[k], f"floor.{k}"
-            )
-            floor_clis.append(cli)
-            builder.set_insert_point(cli.body, 0)
+        floor_clis = [
+            create_loop_skeleton(builder, floor_trips[k], f"floor.{k}")
+            for k in range(n)
+        ]
 
         # --- tile loops ---------------------------------------------------
         # In each tile-loop preheader compute: origin = floor_iv * size,
@@ -295,7 +389,6 @@ class OpenMPIRBuilder:
         tile_clis: list[CanonicalLoopInfo] = []
         origins: list[Value] = []
         for k in range(n):
-            ty = iv_types[k]
             origin = builder.mul(
                 floor_clis[k].indvar, size_values[k], f"origin.{k}"
             )
@@ -309,64 +402,20 @@ class OpenMPIRBuilder:
                 is_partial, remaining, size_values[k], f"tile.tc.{k}"
             )
             origins.append(origin)
-            cli = create_loop_skeleton(builder, tile_tc, f"tile.{k}")
-            tile_clis.append(cli)
-            builder.set_insert_point(cli.body, 0)
-
-        # --- new logical ivs and body splice ----------------------------
-        innermost = tile_clis[-1]
-        new_ivs: list[Value] = []
-        for k in range(n):
-            new_ivs.append(
-                builder.add(
-                    origins[k], tile_clis[k].indvar, f"tiled.iv.{k}"
-                )
+            tile_clis.append(
+                create_loop_skeleton(builder, tile_tc, f"tile.{k}")
             )
-        # Replace the innermost tile body's `br latch` with a branch into
-        # the original body region.
-        body_term = innermost.body.terminator
-        assert isinstance(body_term, BranchInst)
-        body_term.target = body_entry
-        # The original body region's exits targeted the old inner latch;
-        # retarget them to the innermost tile latch.
-        for block in fn.blocks:
-            term = block.terminator
-            if term is None or block is innermost.latch:
-                continue
-            for succ in list(term.successors()):
-                if succ is old_inner_latch and block is not old_inner_latch:
-                    from repro.ir.utils import redirect_branch
 
-                    redirect_branch(block, old_inner_latch, innermost.latch)
-
-        # Old induction variables now come from the tiled ivs.
-        for old_iv, new_iv in zip(old_indvars, new_ivs):
-            replace_all_uses(fn, old_iv, new_iv)
-
-        # Chain the outermost after to the code following the old nest.
-        builder.set_insert_point(floor_clis[0].after)
-        builder.br(final_after)
-
-        for cli in loops:
-            cli.invalidate()
-        remove_unreachable_blocks(fn)
-
+        # --- new logical ivs, at the innermost tile body's entry --------
+        new_ivs = [
+            builder.add(origins[k], tile_clis[k].indvar, f"tiled.iv.{k}")
+            for k in range(n)
+        ]
+        _splice(loops[-1], tile_clis[-1])
+        _retire(builder, loops, new_ivs, floor_clis[0].after, loops[0].after)
         result = [*floor_clis, *tile_clis]
         for cli in result:
             cli.assert_ok()
-        if _emit_remark:
-            _IR_TRANSFORMS.inc()
-            shown = tuple(
-                s if isinstance(s, int) else f"%{s.name}"
-                for s in sizes
-            )
-            self.remarks.passed(
-                "tile",
-                f"tiled loop nest of depth {n} with sizes "
-                f"({', '.join(str(s) for s in shown)})",
-                function=fn.name,
-                sizes=shown,
-            )
         return result
 
     # ==================================================================
@@ -383,47 +432,14 @@ class OpenMPIRBuilder:
         assert loops
         if len(loops) == 1:
             return loops[0]  # nothing to do
-        for cli in loops:
-            cli.assert_ok()
         n = len(loops)
         fn = loops[0].function
-        outer, inner = loops[0], loops[-1]
-        entry_preheader = outer.preheader
-        final_after = outer.after
-        body_entry = inner.body
-        old_inner_latch = inner.latch
-
-        trip_counts = [cli.trip_count for cli in loops]
-        # Widest indvar type wins.
-        ty = max(
-            (cli.indvar_type for cli in loops), key=lambda t: t.bits
-        )
-        old_indvars = [cli.indvar for cli in loops]
-
-        old_term = entry_preheader.terminator
-        assert old_term is not None
-        old_term.erase()
-
-        builder.set_insert_point(entry_preheader)
-        widened = [
-            builder.cast(
-                __import__(
-                    "repro.ir.instructions", fromlist=["CastOp"]
-                ).CastOp.ZEXT,
-                tc,
-                ty,
-                "wide.tc",
-            )
-            if isinstance(tc.type, IntType) and tc.type.bits < ty.bits
-            else tc
-            for tc in trip_counts
-        ]
+        _detach(builder, loops)
+        widened = _widen_trip_counts(builder, loops, "wide.tc")
         total: Value = widened[0]
         for tc in widened[1:]:
             total = builder.mul(total, tc, "collapsed.tc")
-
         cli = create_loop_skeleton(builder, total, "collapsed")
-        builder.set_insert_point(cli.body, 0)
 
         # iv_k = (iv / prod_{j>k} tc_j) % tc_k
         new_ivs: list[Value] = []
@@ -441,37 +457,14 @@ class OpenMPIRBuilder:
             value = builder.binop(
                 BinOp.UREM, value, widened[k], f"iv.{k}"
             )
-            if loops[k].indvar_type.bits < ty.bits:
-                from repro.ir.instructions import CastOp
-
-                value = builder.cast(
+            new_ivs.append(
+                builder.cast(
                     CastOp.TRUNC, value, loops[k].indvar_type, "narrow"
                 )
-            new_ivs.append(value)
+            )
 
-        body_term = cli.body.terminator
-        assert isinstance(body_term, BranchInst)
-        body_term.target = body_entry
-        from repro.ir.utils import redirect_branch
-
-        for block in fn.blocks:
-            if block is cli.latch:
-                continue
-            term = block.terminator
-            if term is None:
-                continue
-            if old_inner_latch in term.successors():
-                redirect_branch(block, old_inner_latch, cli.latch)
-
-        for old_iv, new_iv in zip(old_indvars, new_ivs):
-            replace_all_uses(fn, old_iv, new_iv)
-
-        builder.set_insert_point(cli.after)
-        builder.br(final_after)
-
-        for old in loops:
-            old.invalidate()
-        remove_unreachable_blocks(fn)
+        _splice(loops[-1], cli)
+        _retire(builder, loops, new_ivs, cli.after, loops[0].after)
         cli.assert_ok()
         _IR_TRANSFORMS.inc()
         self.remarks.passed(
@@ -498,35 +491,11 @@ class OpenMPIRBuilder:
         ``max(tc...)``, each original body guarded by ``iv < tc_k`` —
         the OpenMP 6.0 semantics mirrored from the shadow-AST
         ``build_fuse``.  The old handles are invalidated."""
-        from repro.ir.instructions import CastOp
-        from repro.ir.utils import redirect_branch
-
         assert len(loops) >= 2
-        for cli in loops:
-            cli.assert_ok()
         n = len(loops)
         fn = loops[0].function
-        entry_preheader = loops[0].preheader
-        final_after = loops[-1].after
-        body_entries = [cli.body for cli in loops]
-        old_latches = [cli.latch for cli in loops]
-        old_indvars = [cli.indvar for cli in loops]
-
-        # Widest induction type wins (as in collapse_loops).
-        ty = max(
-            (cli.indvar_type for cli in loops), key=lambda t: t.bits
-        )
-
-        old_term = entry_preheader.terminator
-        assert old_term is not None
-        old_term.erase()
-        builder.set_insert_point(entry_preheader)
-        widened: list[Value] = []
-        for k, old in enumerate(loops):
-            tc: Value = old.trip_count
-            if isinstance(tc.type, IntType) and tc.type.bits < ty.bits:
-                tc = builder.cast(CastOp.ZEXT, tc, ty, f"fuse.tc.{k}")
-            widened.append(tc)
+        _detach(builder, loops)
+        widened = _widen_trip_counts(builder, loops, "fuse.tc.{k}")
         total: Value = widened[0]
         for tc in widened[1:]:
             is_less = builder.icmp(
@@ -543,38 +512,23 @@ class OpenMPIRBuilder:
         assert isinstance(body_term, BranchInst)
         body_term.erase()
         builder.set_insert_point(cli.body)
-        narrowed: list[Value] = []
+        narrowed = [
+            builder.cast(
+                CastOp.TRUNC, cli.indvar, old.indvar_type, f"fuse.iv.{k}"
+            )
+            for k, old in enumerate(loops)
+        ]
         for k, old in enumerate(loops):
-            iv: Value = cli.indvar
-            if old.indvar_type.bits < ty.bits:
-                iv = builder.cast(
-                    CastOp.TRUNC, iv, old.indvar_type, f"fuse.iv.{k}"
-                )
-            narrowed.append(iv)
-        for k in range(n):
             join = fn.append_block(f"fused.join.{k}")
             guard = builder.icmp(
                 ICmpPred.ULT, cli.indvar, widened[k], f"fuse.guard.{k}"
             )
-            builder.cond_br(guard, body_entries[k], join)
-            for block in fn.blocks:
-                term = block.terminator
-                if term is None or block is old_latches[k]:
-                    continue
-                if old_latches[k] in term.successors():
-                    redirect_branch(block, old_latches[k], join)
+            builder.cond_br(guard, old.body, join)
+            _retarget(fn, old.latch, join)
             builder.set_insert_point(join)
         builder.br(cli.latch)
 
-        for old_iv, new_iv in zip(old_indvars, narrowed):
-            replace_all_uses(fn, old_iv, new_iv)
-
-        builder.set_insert_point(cli.after)
-        builder.br(final_after)
-
-        for old in loops:
-            old.invalidate()
-        remove_unreachable_blocks(fn)
+        _retire(builder, loops, narrowed, cli.after, loops[-1].after)
         cli.assert_ok()
         _IR_TRANSFORMS.inc()
         self.remarks.passed(
@@ -642,56 +596,19 @@ class OpenMPIRBuilder:
         new loop's.  Old handles are abandoned.
         """
         assert sorted(permutation) == list(range(len(loops)))
-        for cli in loops:
-            cli.assert_ok()
         fn = loops[0].function
-        outer, inner = loops[0], loops[-1]
-        entry_preheader = outer.preheader
-        final_after = outer.after
-        body_entry = inner.body
-        old_inner_latch = inner.latch
-        trip_counts = [cli.trip_count for cli in loops]
-        old_indvars = [cli.indvar for cli in loops]
-
-        old_term = entry_preheader.terminator
-        assert old_term is not None
-        old_term.erase()
-
-        builder.set_insert_point(entry_preheader)
+        _detach(builder, loops)
         new_by_level: dict[int, CanonicalLoopInfo] = {}
         for position, original_index in enumerate(permutation):
-            cli = create_loop_skeleton(
+            new_by_level[original_index] = create_loop_skeleton(
                 builder,
-                trip_counts[original_index],
+                loops[original_index].trip_count,
                 f"interchange.{position}",
             )
-            new_by_level[original_index] = cli
-            builder.set_insert_point(cli.body, 0)
-
-        innermost = new_by_level[permutation[-1]]
-        body_term = innermost.body.terminator
-        assert isinstance(body_term, BranchInst)
-        body_term.target = body_entry
-        from repro.ir.utils import redirect_branch
-
-        for block in list(fn.blocks):
-            if block is innermost.latch:
-                continue
-            term = block.terminator
-            if term is not None and old_inner_latch in term.successors():
-                redirect_branch(block, old_inner_latch, innermost.latch)
-
-        for k, old_iv in enumerate(old_indvars):
-            replace_all_uses(fn, old_iv, new_by_level[k].indvar)
-
-        outermost = new_by_level[permutation[0]]
-        builder.set_insert_point(outermost.after)
-        builder.br(final_after)
-
-        for cli in loops:
-            cli.invalidate()
-        remove_unreachable_blocks(fn)
         result = [new_by_level[i] for i in permutation]
+        _splice(loops[-1], result[-1])
+        new_ivs = [new_by_level[k].indvar for k in range(len(loops))]
+        _retire(builder, loops, new_ivs, result[0].after, loops[0].after)
         for cli in result:
             cli.assert_ok()
         _IR_TRANSFORMS.inc()

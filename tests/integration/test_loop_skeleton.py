@@ -247,3 +247,39 @@ class TestTileLoopsInvariants:
         collapsed.assert_ok()
         assert not outer.is_valid and not inner.is_valid
         verify_module(mod)
+
+    def test_tile_deletes_only_abandoned_control_blocks(self, env):
+        """A nest transformed while the enclosing body is still being
+        emitted: the enclosing latch has no predecessor yet, like an
+        unrelated unreachable block, and both must survive; only the
+        replaced loop's own control blocks are deleted."""
+        mod, fn, b, ompb = env
+        sink = mod.add_function("sink", FunctionType(void_t, [i64]))
+        outer = ompb.create_canonical_loop(
+            b, fn.args[0], None, "omp_loop.0"
+        )
+        b.set_insert_point(outer.after)
+        b.ret()
+        # Open the enclosing body as CodeGen does: drop its `br latch`.
+        outer.body.terminator.erase()
+        b.set_insert_point(outer.body)
+        inner = ompb.create_canonical_loop(
+            b, fn.args[0], lambda bld, iv: bld.call(sink, [iv]), "inner"
+        )
+        unrelated = fn.append_block("unrelated")
+        b.set_insert_point(unrelated)
+        b.ret()
+        old_blocks = [inner.header, inner.cond, inner.latch, inner.exit]
+
+        ompb.tile_loops(IRBuilder(mod), [inner], [4])
+
+        assert outer.latch in fn.blocks
+        assert unrelated in fn.blocks
+        for block in old_blocks:
+            assert block not in fn.blocks, block.name
+        # Close the enclosing body; the whole function is well formed.
+        b.set_insert_point(inner.after)
+        b.br(outer.latch)
+        fn.remove_block(unrelated)
+        outer.assert_ok()
+        verify_module(mod)
