@@ -43,6 +43,10 @@ _TOKEN = re.compile(
 #: A run of whitespace; group 1 is set when the run holds a newline.
 _WHITESPACE = re.compile(r"[ \t\f\v]*(?:([\r\n])[ \t\f\v\r\n]*)?")
 
+#: The rest of a line: up to a newline or a bare CR, which ends a line
+#: too.
+_REST_OF_LINE = re.compile(r"[^\r\n]*")
+
 _IDENTIFIER = TokenKind.IDENTIFIER
 _NUMERIC_CONSTANT = TokenKind.NUMERIC_CONSTANT
 
@@ -137,8 +141,7 @@ class Lexer:
             elif ch == "/" and self.pos + 1 < n:
                 nxt = text[self.pos + 1]
                 if nxt == "/":
-                    while self.pos < n and text[self.pos] != "\n":
-                        self.pos += 1
+                    self.pos = _REST_OF_LINE.match(text, self.pos).end()
                     skipped_space = True
                 elif nxt == "*":
                     end = text.find("*/", self.pos + 2)
@@ -224,7 +227,7 @@ class Lexer:
                 return Token(
                     TokenKind.STRING_LITERAL, text[start : self.pos]
                 )
-            if ch == "\n":
+            if ch in "\r\n":
                 break
             self.pos += 1
         self.diags.report(
@@ -246,7 +249,7 @@ class Lexer:
                 return Token(
                     TokenKind.CHAR_CONSTANT, text[start : self.pos]
                 )
-            if ch == "\n":
+            if ch in "\r\n":
                 break
             self.pos += 1
         self.diags.report(

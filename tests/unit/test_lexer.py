@@ -140,6 +140,27 @@ class TestTriviaHandling:
         assert toks[1].spelling == "#"
         assert toks[1].at_line_start
 
+    def test_bare_cr_ends_line_comment(self):
+        toks = tokenize_string("a // c\rb")[:-1]
+        assert [t.spelling for t in toks] == ["a", "b"]
+        assert toks[1].at_line_start
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [('"ab\rcd"', K.STRING_LITERAL), ("'a\rb'", K.CHAR_CONSTANT)],
+        ids=["string", "char"],
+    )
+    def test_bare_cr_ends_literal(self, text, kind):
+        # A literal cannot span lines: it ends unterminated at a bare CR
+        # as at a newline.
+        diags = DiagnosticsEngine()
+        toks = tokenize_string(text, diags=diags)[:-1]
+        assert diags.error_count == 2
+        assert toks[0].kind == K.UNKNOWN
+        assert toks[0].spelling == text[:text.index("\r")]
+        assert toks[1].at_line_start
+        assert all(t.kind != kind for t in toks)
+
     def test_directive_after_bare_cr_comment(self):
         from repro.pipeline import run_source
 
