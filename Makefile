@@ -4,13 +4,18 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test conformance fuzz fuzz-smoke fuzz-cache fuzz-exec \
-	cache-bench exec-bench fault-sweep service-chaos storage-chaos \
-	net-chaos service-bench check-all
+.PHONY: test perfbench-test conformance fuzz fuzz-smoke fuzz-cache \
+	fuzz-exec cache-bench exec-bench fault-sweep service-chaos \
+	storage-chaos net-chaos service-bench check-all
 
 # Tier-1: the unit/integration/property pytest suite.
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# perfbench's own tests: the compiler entry points perfbench/spans.py
+# wraps still exist, and the traced drive matches execute_request.
+perfbench-test:
+	$(PYTHON) -m pytest perfbench -q
 
 # lit/FileCheck conformance suite (tests/conformance/**).
 conformance:
@@ -104,6 +109,6 @@ service-bench:
 	    $(BENCH_ARGS)
 
 # Everything CI runs, in one shot.
-check-all: test conformance fuzz-smoke fuzz-exec fault-sweep \
+check-all: test perfbench-test conformance fuzz-smoke fuzz-exec fault-sweep \
 	service-chaos storage-chaos net-chaos cache-bench exec-bench \
 	service-bench

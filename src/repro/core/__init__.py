@@ -13,11 +13,7 @@ representations.
   (:mod:`repro.ompirbuilder`).
 """
 
-from repro.core.shadow import (
-    ShadowTransformBuilder,
-    build_tile_transform,
-    build_unroll_transform,
-)
+from repro.core.shadow import ShadowTransformBuilder
 from repro.core.canonical import (
     CanonicalLoopBuilder,
     build_canonical_loop,
@@ -27,6 +23,4 @@ __all__ = [
     "CanonicalLoopBuilder",
     "ShadowTransformBuilder",
     "build_canonical_loop",
-    "build_tile_transform",
-    "build_unroll_transform",
 ]

@@ -15,11 +15,15 @@ leaks into diagnostics when a consuming context constant-evaluates the
 shadow AST (the paper's ``read of non-const variable '.capture_expr.'``
 example), which the tests reproduce.
 
-Partial unrolling does **not** clone the body: the inner loop is kept and
-annotated with ``LoopHintAttr(UnrollCount, factor)``; the code generator
-lowers that to ``llvm.loop.unroll.count`` metadata and the mid-end
-``LoopUnroll`` pass performs the duplication ("No duplication takes place
-until that point").
+Every generated loop is built by one constructor,
+``for (iv; [iv < floor + size &&] iv < trip; ++iv | iv += step)``, over
+per-loop ``.capture_expr.`` trip counts and a body that re-declares the
+user variables before the copied loop body.  Partial unrolling is the
+tiling core run on one loop: it does **not** clone the body, the inner
+loop is kept and annotated with ``LoopHintAttr(UnrollCount, factor)``;
+the code generator lowers that to ``llvm.loop.unroll.count`` metadata and
+the mid-end ``LoopUnroll`` pass performs the duplication ("No duplication
+takes place until that point").
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ from repro.sema.canonical_loop import (
 _SHADOW_NODES = get_statistic(
     "shadow", "nodes-built", "Shadow AST nodes constructed"
 )
-_SHADOW_TRANSFORMS = get_statistic(
+#: counted once per transformation directive Sema builds in this
+#: representation
+TRANSFORMS_BUILT = get_statistic(
     "shadow", "transforms-built", "Shadow-AST loop transformations built"
 )
 
@@ -225,13 +231,14 @@ class ShadowTransformBuilder:
             logical,
         )
 
-    def materialize_trip_count(
-        self, analysis: CanonicalLoopAnalysis
-    ) -> tuple[VarDecl, s.Stmt]:
-        """Bind the trip count to a ``.capture_expr.`` variable evaluated
-        once before the generated loops (clang materializes such bounds the
-        same way — and its internal name is what leaks into diagnostics,
-        paper §2).
+    def _capture_trip_counts(
+        self, analyses: list[CanonicalLoopAnalysis]
+    ) -> tuple[list[VarDecl], list[s.Stmt]]:
+        """Bind each loop's trip count to a ``.capture_expr.`` variable
+        evaluated once before the generated loops (clang materializes such
+        bounds the same way — and its internal name is what leaks into
+        diagnostics, paper §2).  Returns the variables and their
+        declarations.
 
         When the trip count folds to a constant the variable is declared
         ``const`` with a literal initializer, so an enclosing directive
@@ -242,15 +249,16 @@ class ShadowTransformBuilder:
         """
         from repro.sema.expr_eval import IntExprEvaluator
 
-        trip = self.build_trip_count_expr(analysis)
-        folded = IntExprEvaluator(self.ctx).try_evaluate(trip)
-        ty = analysis.logical_type
-        if folded is not None:
-            trip = e.IntegerLiteral(folded, ty)
-            ty = ty.with_const()
-        decl = VarDecl(".capture_expr.", ty, trip)
-        decl.is_implicit = True
-        return decl, s.DeclStmt([decl])
+        decls: list[VarDecl] = []
+        for analysis in analyses:
+            trip = self.build_trip_count_expr(analysis)
+            folded = IntExprEvaluator(self.ctx).try_evaluate(trip)
+            ty = analysis.logical_type
+            if folded is not None:
+                trip = e.IntegerLiteral(folded, ty)
+                ty = ty.with_const()
+            decls.append(self._implicit_var(".capture_expr.", ty, trip))
+        return decls, [s.DeclStmt([decl]) for decl in decls]
 
     # ------------------------------------------------------------------
     # User iteration variable reconstruction
@@ -324,115 +332,163 @@ class ShadowTransformBuilder:
             pairs.append((loop_var, new_loop_var))
         return stmts, subs, pairs
 
-    def _remap_body(
+    def _copy_body(
         self,
-        analysis: CanonicalLoopAnalysis,
-        subs: dict[int, VarDecl],
-    ) -> s.Stmt:
-        """Copy the loop body, remapping the old iteration/user variables
-        to the freshly declared ones (TreeTransform, paper §1.3/§2)."""
+        analyses: list[CanonicalLoopAnalysis],
+        logical_refs: list[e.Expr],
+    ) -> s.CompoundStmt:
+        """``{ T1 i = ...; T2 j = ...; body }``: re-declare the user
+        variables of *analyses* from their logical iteration numbers, then
+        copy the innermost body with the old variables remapped to the new
+        ones (TreeTransform, paper §1.3/§2)."""
         transform = TreeTransform(self.rebuild_directive)
-        for key, new_var in subs.items():
-            transform.decl_substitutions[key] = new_var
-        body = transform.transform_stmt(analysis.body)
+        stmts: list[s.Stmt] = []
+        for analysis, logical_ref in zip(analyses, logical_refs):
+            env_stmts, subs, _ = self._rebuild_user_env(
+                analysis, logical_ref
+            )
+            transform.decl_substitutions.update(subs)
+            stmts.extend(env_stmts)
+        body = transform.transform_stmt(analyses[-1].body)
         assert body is not None
-        return body
+        return s.CompoundStmt([*stmts, body])
+
+    # ------------------------------------------------------------------
+    # Generated loops
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _implicit_var(
+        name: str, ty: QualType, init: e.Expr | None
+    ) -> VarDecl:
+        """An implicit variable: a generated loop's logical IV or a
+        materialized bound."""
+        var = VarDecl(name, ty, init)
+        var.is_implicit = True
+        return var
+
+    def _loop(
+        self,
+        iv: VarDecl,
+        trip: VarDecl,
+        body: s.Stmt,
+        step: int | None = None,
+        tile: tuple[VarDecl, int] | None = None,
+    ) -> s.ForStmt:
+        """The one generated loop::
+
+            for (iv; [iv < floor + size &&] iv < trip; ++iv | iv += step)
+
+        *tile* is the ``(floor, size)`` pair of an intra-tile loop: the
+        ``min(floor + size, trip)`` bound is the conjunction.
+        """
+        B = e.BinaryOperatorKind
+        logical = iv.type
+        cond = self._bin(B.LT, self._load(iv), self._load(trip))
+        if tile is not None:
+            floor, size = tile
+            upper = self._bin(
+                B.ADD,
+                self._load(floor),
+                e.IntegerLiteral(size, logical),
+                logical,
+            )
+            cond = self._bin(
+                B.LAND,
+                self._bin(B.LT, self._load(iv), upper),
+                cond,
+                self.ctx.int_type,
+            )
+        if step is None:
+            inc: e.Expr = e.UnaryOperator(
+                e.UnaryOperatorKind.PRE_INC, self._ref(iv), logical
+            )
+        else:
+            inc = e.CompoundAssignOperator(
+                B.ADD_ASSIGN,
+                self._ref(iv),
+                e.IntegerLiteral(step, logical),
+                logical,
+                logical,
+            )
+        return s.ForStmt(s.DeclStmt([iv]), cond, inc, body)
+
+    def _tile(
+        self,
+        analyses: list[CanonicalLoopAnalysis],
+        sizes: list[int],
+        floor_name: str,
+        tile_name: str,
+    ) -> tuple[s.ForStmt, list[s.Stmt]]:
+        """Strip-mine each loop of a perfect nest: the floor loops step
+        over tile origins, then the tile loops run one tile.  The names
+        are formats of the nest level ``k`` and the user variable
+        ``name``.  Returns the nest and the trip-count declarations."""
+        trips, pre_inits = self._capture_trip_counts(analyses)
+        floors: list[VarDecl] = []
+        tiles: list[VarDecl] = []
+        for k, analysis in enumerate(analyses):
+            logical = analysis.logical_type
+            name = analysis.iter_var.name
+            floor = self._implicit_var(
+                floor_name.format(k=k, name=name),
+                logical,
+                e.IntegerLiteral(0, logical),
+            )
+            floors.append(floor)
+            tiles.append(
+                self._implicit_var(
+                    tile_name.format(k=k, name=name),
+                    logical,
+                    self._load(floor),
+                )
+            )
+        nest: s.Stmt = self._copy_body(
+            analyses, [self._load(tile) for tile in tiles]
+        )
+        for k in reversed(range(len(analyses))):
+            nest = self._loop(
+                tiles[k], trips[k], nest, tile=(floors[k], sizes[k])
+            )
+        for k in reversed(range(len(analyses))):
+            nest = self._loop(floors[k], trips[k], nest, step=sizes[k])
+        assert isinstance(nest, s.ForStmt)
+        return nest, pre_inits
 
     # ------------------------------------------------------------------
     # Unroll (paper §2.1, Listing "transformedast")
     # ------------------------------------------------------------------
-    def build_unroll_partial(
+    def build_unroll(
         self,
         analysis: CanonicalLoopAnalysis,
-        factor: int,
+        factor: int | None,
     ) -> TransformResult:
-        """Strip-mine by *factor*; keep the inner loop and annotate it with
+        """``unroll partial(factor)`` strip-mines the loop by *factor* (a
+        one-loop tile) and annotates the inner loop with
         ``LoopHintAttr(UnrollCount, factor)`` instead of cloning the body.
+
+        Full and heuristic unrolling pass ``factor=None``: there is **no
+        generated loop** that another directive could be associated with
+        (paper §1.1), so no transformed AST is produced; CodeGen emits the
+        loop with ``llvm.loop.unroll`` metadata and the mid-end pass
+        performs the expansion (paper §2.2).
         """
+        if factor is None:
+            return TransformResult(None, None, 0)
         assert factor >= 1
-        B = e.BinaryOperatorKind
-        logical = analysis.logical_type
-        var_name = analysis.iter_var.name
-
-        trip_decl, pre_inits = self.materialize_trip_count(analysis)
-
-        # Outer loop: for (L unrolled.iv.i = 0; iv < trip; iv += factor)
-        outer_var = VarDecl(
-            f"unrolled.iv.{var_name}",
-            logical,
-            e.IntegerLiteral(0, logical),
+        outer, pre_inits = self._tile(
+            [analysis], [factor], "unrolled.iv.{name}",
+            "unroll_inner.iv.{name}",
         )
-        outer_var.is_implicit = True
-        outer_cond = self._bin(
-            B.LT, self._load(outer_var), self._load(trip_decl)
-        )
-        outer_inc = e.CompoundAssignOperator(
-            B.ADD_ASSIGN,
-            self._ref(outer_var),
-            e.IntegerLiteral(factor, logical),
-            logical,
-            logical,
-        )
-
-        # Inner loop:
-        # for (L unroll_inner.iv.i = unrolled.iv.i;
-        #      inner < unrolled.iv.i + factor && inner < trip; ++inner)
-        inner_var = VarDecl(
-            f"unroll_inner.iv.{var_name}", logical, self._load(outer_var)
-        )
-        inner_var.is_implicit = True
-        inner_cond = self._bin(
-            B.LAND,
-            self._bin(
-                B.LT,
-                self._load(inner_var),
-                self._bin(
-                    B.ADD,
-                    self._load(outer_var),
-                    e.IntegerLiteral(factor, logical),
-                    logical,
-                ),
-            ),
-            self._bin(B.LT, self._load(inner_var), self._load(trip_decl)),
-            self.ctx.int_type,
-        )
-        inner_inc = e.UnaryOperator(
-            e.UnaryOperatorKind.PRE_INC,
-            self._ref(inner_var),
-            logical,
-        )
-
-        env_stmts, subs, _ = self._rebuild_user_env(
-            analysis, self._load(inner_var)
-        )
-        body = self._remap_body(analysis, subs)
-        inner_body = s.CompoundStmt([*env_stmts, body])
-        inner_loop = s.ForStmt(
-            s.DeclStmt([inner_var]), inner_cond, inner_inc, inner_body
-        )
-        annotated = s.AttributedStmt(
+        outer.body = s.AttributedStmt(
             [
                 s.LoopHintAttr(
                     s.LoopHintAttr.UNROLL_COUNT,
                     e.IntegerLiteral(factor, self.ctx.int_type),
                 )
             ],
-            inner_loop,
+            outer.body,
         )
-        outer_loop = s.ForStmt(
-            s.DeclStmt([outer_var]), outer_cond, outer_inc, annotated
-        )
-        return TransformResult(outer_loop, pre_inits, 1)
-
-    def build_unroll_full(
-        self, analysis: CanonicalLoopAnalysis
-    ) -> TransformResult:
-        """Full unroll: there is **no generated loop** that another
-        directive could be associated with (paper §1.1), so no transformed
-        AST is produced; CodeGen emits the loop with
-        ``llvm.loop.unroll.enable``/full metadata and the mid-end pass
-        performs the expansion (paper §2.2)."""
-        return TransformResult(None, None, 0)
+        return TransformResult(outer, pre_inits[0], 1)
 
     # ------------------------------------------------------------------
     # Tile (paper §1.1: generates twice as many loops)
@@ -456,96 +512,12 @@ class ShadowTransformBuilder:
         the shadow-AST unroll does.
         """
         assert len(analyses) == len(sizes) and analyses
-        B = e.BinaryOperatorKind
-        n = len(analyses)
-
-        pre_stmts: list[s.Stmt] = []
-        trip_decls: list[VarDecl] = []
-        for analysis in analyses:
-            decl, stmt = self.materialize_trip_count(analysis)
-            trip_decls.append(decl)
-            pre_stmts.append(stmt)
-
-        floor_vars: list[VarDecl] = []
-        tile_vars: list[VarDecl] = []
-        for k, (analysis, size) in enumerate(zip(analyses, sizes)):
-            logical = analysis.logical_type
-            name = analysis.iter_var.name
-            fv = VarDecl(
-                f".floor.{k}.iv.{name}",
-                logical,
-                e.IntegerLiteral(0, logical),
-            )
-            fv.is_implicit = True
-            floor_vars.append(fv)
-            tv = VarDecl(f".tile.{k}.iv.{name}", logical, None)
-            tv.is_implicit = True
-            tile_vars.append(tv)
-
-        # Innermost body: re-materialize each user variable then the body.
-        transform = TreeTransform(self.rebuild_directive)
-        body_stmts: list[s.Stmt] = []
-        for k, analysis in enumerate(analyses):
-            env_stmts, subs, _ = self._rebuild_user_env(
-                analysis, self._load(tile_vars[k])
-            )
-            for key, new_var in subs.items():
-                transform.decl_substitutions[key] = new_var
-            body_stmts.extend(env_stmts)
-        innermost_body = transform.transform_stmt(analyses[-1].body)
-        assert innermost_body is not None
-        body_stmts.append(innermost_body)
-        current: s.Stmt = s.CompoundStmt(body_stmts)
-
-        # Tile loops, innermost outwards.
-        for k in range(n - 1, -1, -1):
-            analysis, size = analyses[k], sizes[k]
-            logical = analysis.logical_type
-            tv = tile_vars[k]
-            tv.init = self._load(floor_vars[k])
-            cond = self._bin(
-                B.LAND,
-                self._bin(
-                    B.LT,
-                    self._load(tv),
-                    self._bin(
-                        B.ADD,
-                        self._load(floor_vars[k]),
-                        e.IntegerLiteral(size, logical),
-                        logical,
-                    ),
-                ),
-                self._bin(
-                    B.LT, self._load(tv), self._load(trip_decls[k])
-                ),
-                self.ctx.int_type,
-            )
-            inc = e.UnaryOperator(
-                e.UnaryOperatorKind.PRE_INC, self._ref(tv), logical
-            )
-            current = s.ForStmt(s.DeclStmt([tv]), cond, inc, current)
-
-        # Floor loops, innermost outwards.
-        for k in range(n - 1, -1, -1):
-            analysis, size = analyses[k], sizes[k]
-            logical = analysis.logical_type
-            fv = floor_vars[k]
-            cond = self._bin(
-                B.LT, self._load(fv), self._load(trip_decls[k])
-            )
-            inc = e.CompoundAssignOperator(
-                B.ADD_ASSIGN,
-                self._ref(fv),
-                e.IntegerLiteral(size, logical),
-                logical,
-                logical,
-            )
-            current = s.ForStmt(s.DeclStmt([fv]), cond, inc, current)
-
-        return TransformResult(
-            current, s.CompoundStmt(pre_stmts), 2 * n
+        nest, pre_inits = self._tile(
+            analyses, sizes, ".floor.{k}.iv.{name}", ".tile.{k}.iv.{name}"
         )
-
+        return TransformResult(
+            nest, s.CompoundStmt(pre_inits), 2 * len(analyses)
+        )
 
     # ------------------------------------------------------------------
     # OpenMP 6.0 extensions (paper §4 future work)
@@ -564,41 +536,27 @@ class ShadowTransformBuilder:
         """
         B = e.BinaryOperatorKind
         logical = analysis.logical_type
-        name = analysis.iter_var.name
-        trip_decl, pre_inits = self.materialize_trip_count(analysis)
-
-        rev_var = VarDecl(
-            f"reversed.iv.{name}",
+        (trip,), pre_inits = self._capture_trip_counts([analysis])
+        rev_var = self._implicit_var(
+            f"reversed.iv.{analysis.iter_var.name}",
             logical,
             e.IntegerLiteral(0, logical),
-        )
-        rev_var.is_implicit = True
-        cond = self._bin(
-            B.LT, self._load(rev_var), self._load(trip_decl)
-        )
-        inc = e.UnaryOperator(
-            e.UnaryOperatorKind.PRE_INC, self._ref(rev_var), logical
         )
         mirrored = self._bin(
             B.SUB,
             self._bin(
                 B.SUB,
-                self._load(trip_decl),
+                self._load(trip),
                 e.IntegerLiteral(1, logical),
                 logical,
             ),
             self._load(rev_var),
             logical,
         )
-        env_stmts, subs, _ = self._rebuild_user_env(analysis, mirrored)
-        body = self._remap_body(analysis, subs)
-        loop = s.ForStmt(
-            s.DeclStmt([rev_var]),
-            cond,
-            inc,
-            s.CompoundStmt([*env_stmts, body]),
+        loop = self._loop(
+            rev_var, trip, self._copy_body([analysis], [mirrored])
         )
-        return TransformResult(loop, pre_inits, 1)
+        return TransformResult(loop, pre_inits[0], 1)
 
     def build_fuse(
         self, analyses: list[CanonicalLoopAnalysis]
@@ -620,18 +578,11 @@ class ShadowTransformBuilder:
             (a.logical_type for a in analyses),
             key=lambda t: self.ctx.type_width(t),
         )
-        pre_stmts: list[s.Stmt] = []
-        trip_decls: list[VarDecl] = []
-        for analysis in analyses:
-            decl, stmt = self.materialize_trip_count(analysis)
-            trip_decls.append(decl)
-            pre_stmts.append(stmt)
+        trips, pre_inits = self._capture_trip_counts(analyses)
         # max of the trip counts, via chained conditionals (the AST is
         # immutable, so each use of the running max is a fresh copy).
-        max_expr: e.Expr = self._cast_to(
-            self._load(trip_decls[0]), logical
-        )
-        for decl in trip_decls[1:]:
+        max_expr: e.Expr = self._cast_to(self._load(trips[0]), logical)
+        for decl in trips[1:]:
             running_copy = TreeTransform().transform_expr(max_expr)
             rhs = self._cast_to(self._load(decl), logical)
             max_expr = e.ConditionalOperator(
@@ -640,46 +591,32 @@ class ShadowTransformBuilder:
                 running_copy,
                 logical,
             )
-        max_decl = VarDecl(".fuse.max", logical, max_expr)
-        max_decl.is_implicit = True
-        pre_stmts.append(s.DeclStmt([max_decl]))
+        max_decl = self._implicit_var(".fuse.max", logical, max_expr)
+        pre_inits.append(s.DeclStmt([max_decl]))
 
-        fused_var = VarDecl(
+        fused_var = self._implicit_var(
             "fused.iv", logical, e.IntegerLiteral(0, logical)
         )
-        fused_var.is_implicit = True
-        cond = self._bin(
-            B.LT, self._load(fused_var), self._load(max_decl)
-        )
-        inc = e.UnaryOperator(
-            e.UnaryOperatorKind.PRE_INC, self._ref(fused_var), logical
-        )
-        guarded: list[s.Stmt] = []
-        for k, analysis in enumerate(analyses):
-            guard = self._bin(
-                B.LT,
-                self._cast_to(self._load(fused_var), logical),
-                self._cast_to(self._load(trip_decls[k]), logical),
-            )
-            env_stmts, subs, _ = self._rebuild_user_env(
-                analysis,
-                self._cast_to(
-                    self._load(fused_var), analysis.logical_type
+        guarded: list[s.Stmt] = [
+            s.IfStmt(
+                self._bin(
+                    B.LT,
+                    self._cast_to(self._load(fused_var), logical),
+                    self._cast_to(self._load(trip), logical),
+                ),
+                self._copy_body(
+                    [analysis],
+                    [
+                        self._cast_to(
+                            self._load(fused_var), analysis.logical_type
+                        )
+                    ],
                 ),
             )
-            body = self._remap_body(analysis, subs)
-            guarded.append(
-                s.IfStmt(
-                    guard, s.CompoundStmt([*env_stmts, body])
-                )
-            )
-        loop = s.ForStmt(
-            s.DeclStmt([fused_var]),
-            cond,
-            inc,
-            s.CompoundStmt(guarded),
-        )
-        return TransformResult(loop, s.CompoundStmt(pre_stmts), 1)
+            for analysis, trip in zip(analyses, trips)
+        ]
+        loop = self._loop(fused_var, max_decl, s.CompoundStmt(guarded))
+        return TransformResult(loop, s.CompoundStmt(pre_inits), 1)
 
     def build_interchange(
         self,
@@ -694,129 +631,23 @@ class ShadowTransformBuilder:
         the innermost body, so the permutation is purely an order change.
         """
         assert sorted(permutation) == list(range(len(analyses)))
-        B = e.BinaryOperatorKind
-        pre_stmts: list[s.Stmt] = []
-        trip_decls: list[VarDecl] = []
-        for analysis in analyses:
-            decl, stmt = self.materialize_trip_count(analysis)
-            trip_decls.append(decl)
-            pre_stmts.append(stmt)
-
-        new_vars: list[VarDecl] = []
-        for k, analysis in enumerate(analyses):
-            logical = analysis.logical_type
-            var = VarDecl(
+        trips, pre_inits = self._capture_trip_counts(analyses)
+        ivs = [
+            self._implicit_var(
                 f"interchanged.iv.{analysis.iter_var.name}",
-                logical,
-                e.IntegerLiteral(0, logical),
+                analysis.logical_type,
+                e.IntegerLiteral(0, analysis.logical_type),
             )
-            var.is_implicit = True
-            new_vars.append(var)
-
-        transform_subs: dict[int, VarDecl] = {}
-        body_stmts: list[s.Stmt] = []
-        for k, analysis in enumerate(analyses):
-            env_stmts, subs, _ = self._rebuild_user_env(
-                analysis, self._load(new_vars[k])
-            )
-            transform_subs.update(subs)
-            body_stmts.extend(env_stmts)
-        body = self._remap_body(analyses[-1], transform_subs)
-        body_stmts.append(body)
-        current: s.Stmt = s.CompoundStmt(body_stmts)
-
-        for k in reversed(permutation):
-            analysis = analyses[k]
-            logical = analysis.logical_type
-            var = new_vars[k]
-            cond = self._bin(
-                B.LT, self._load(var), self._load(trip_decls[k])
-            )
-            inc = e.UnaryOperator(
-                e.UnaryOperatorKind.PRE_INC, self._ref(var), logical
-            )
-            current = s.ForStmt(s.DeclStmt([var]), cond, inc, current)
-
-        return TransformResult(
-            current, s.CompoundStmt(pre_stmts), len(analyses)
+            for analysis in analyses
+        ]
+        nest: s.Stmt = self._copy_body(
+            analyses, [self._load(iv) for iv in ivs]
         )
-
-
-# ---------------------------------------------------------------------------
-# Convenience entry points (used by OpenMPSema and by library users)
-# ---------------------------------------------------------------------------
-def build_unroll_transform(
-    ctx: ASTContext,
-    analysis: CanonicalLoopAnalysis,
-    factor: int | None,
-    full: bool,
-    rebuild_directive: DirectiveRebuilder | None = None,
-) -> TransformResult:
-    """Build the shadow transformed AST for ``omp unroll``.
-
-    ``factor=None`` with ``full=False`` is the heuristic mode; when the
-    result must be consumable the caller passes the implementation-chosen
-    factor (the current implementation uses two — paper §2.2).
-    *rebuild_directive* rebuilds directives nested in the loop body
-    (every builder below takes it too).
-    """
-    _SHADOW_TRANSFORMS.inc()
-    builder = ShadowTransformBuilder(ctx, rebuild_directive)
-    if full:
-        return builder.build_unroll_full(analysis)
-    if factor is None:
-        return TransformResult(None, None, 0)
-    return builder.build_unroll_partial(analysis, factor)
-
-
-def build_tile_transform(
-    ctx: ASTContext,
-    analyses: list[CanonicalLoopAnalysis],
-    sizes: list[int],
-    rebuild_directive: DirectiveRebuilder | None = None,
-) -> TransformResult:
-    """Build the shadow transformed AST for ``omp tile sizes(...)``."""
-    _SHADOW_TRANSFORMS.inc()
-    return ShadowTransformBuilder(ctx, rebuild_directive).build_tile(
-        analyses, sizes
-    )
-
-
-def build_reverse_transform(
-    ctx: ASTContext,
-    analysis: CanonicalLoopAnalysis,
-    rebuild_directive: DirectiveRebuilder | None = None,
-) -> TransformResult:
-    """Build the shadow transformed AST for ``omp reverse`` (6.0 ext)."""
-    _SHADOW_TRANSFORMS.inc()
-    return ShadowTransformBuilder(ctx, rebuild_directive).build_reverse(
-        analysis
-    )
-
-
-def build_fuse_transform(
-    ctx: ASTContext,
-    analyses: list[CanonicalLoopAnalysis],
-    rebuild_directive: DirectiveRebuilder | None = None,
-) -> TransformResult:
-    """Build the shadow transformed AST for ``omp fuse`` (6.0 ext)."""
-    _SHADOW_TRANSFORMS.inc()
-    return ShadowTransformBuilder(ctx, rebuild_directive).build_fuse(
-        analyses
-    )
-
-
-def build_interchange_transform(
-    ctx: ASTContext,
-    analyses: list[CanonicalLoopAnalysis],
-    permutation: list[int],
-    rebuild_directive: DirectiveRebuilder | None = None,
-) -> TransformResult:
-    """Build the shadow transformed AST for ``omp interchange`` (6.0)."""
-    _SHADOW_TRANSFORMS.inc()
-    return ShadowTransformBuilder(ctx, rebuild_directive).build_interchange(
-        analyses, permutation
-    )
+        for k in reversed(permutation):
+            nest = self._loop(ivs[k], trips[k], nest)
+        return TransformResult(
+            nest, s.CompoundStmt(pre_inits), len(analyses)
+        )
 
 
 #: The unroll factor chosen when a consumed ``omp unroll`` has no

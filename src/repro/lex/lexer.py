@@ -43,9 +43,10 @@ _TOKEN = re.compile(
 #: A run of whitespace; group 1 is set when the run holds a newline.
 _WHITESPACE = re.compile(r"[ \t\f\v]*(?:([\r\n])[ \t\f\v\r\n]*)?")
 
-#: The rest of a line: up to a newline or a bare CR, which ends a line
-#: too.
-_REST_OF_LINE = re.compile(r"[^\r\n]*")
+#: The rest of a line comment: up to a newline or a bare CR, which ends
+#: a line too, that no line splice (a backslash right before ``\n``,
+#: ``\r\n`` or a bare ``\r``) joins to the next line.
+_REST_OF_LINE = re.compile(r"(?:[^\r\n\\]+|\\(?:\r\n?|\n)?)*")
 
 _IDENTIFIER = TokenKind.IDENTIFIER
 _NUMERIC_CONSTANT = TokenKind.NUMERIC_CONSTANT
@@ -203,9 +204,13 @@ class Lexer:
             )
         ch = self.text[start]
         if ch == '"':
-            tok = self._lex_string()
+            tok = self._lex_quoted(
+                '"', TokenKind.STRING_LITERAL, "string literal"
+            )
         elif ch == "'":
-            tok = self._lex_char()
+            tok = self._lex_quoted(
+                "'", TokenKind.CHAR_CONSTANT, "character constant"
+            )
         else:
             tok = self._lex_stray_character()
         tok.at_line_start = at_line_start
@@ -213,49 +218,26 @@ class Lexer:
         tok.location = SourceLocation(self._base + start)
         return tok
 
-    def _lex_string(self) -> Token:
+    def _lex_quoted(self, quote: str, kind: TokenKind, what: str) -> Token:
+        """A string literal or character constant; it ends unterminated
+        at a newline or a bare CR."""
         start = self.pos
         text, n = self.text, len(self.text)
         self.pos += 1  # opening quote
         while self.pos < n:
             ch = text[self.pos]
             if ch == "\\" and self.pos + 1 < n:
-                self.pos += 2
+                # An escape, or a line splice: CR LF is one newline.
+                self.pos += 3 if text.startswith("\r\n", self.pos + 1) else 2
                 continue
-            if ch == '"':
+            if ch == quote:
                 self.pos += 1
-                return Token(
-                    TokenKind.STRING_LITERAL, text[start : self.pos]
-                )
+                return Token(kind, text[start : self.pos])
             if ch in "\r\n":
                 break
             self.pos += 1
         self.diags.report(
-            Severity.ERROR, "unterminated string literal", self._loc(start)
-        )
-        return Token(TokenKind.UNKNOWN, text[start : self.pos])
-
-    def _lex_char(self) -> Token:
-        start = self.pos
-        text, n = self.text, len(self.text)
-        self.pos += 1
-        while self.pos < n:
-            ch = text[self.pos]
-            if ch == "\\" and self.pos + 1 < n:
-                self.pos += 2
-                continue
-            if ch == "'":
-                self.pos += 1
-                return Token(
-                    TokenKind.CHAR_CONSTANT, text[start : self.pos]
-                )
-            if ch in "\r\n":
-                break
-            self.pos += 1
-        self.diags.report(
-            Severity.ERROR,
-            "unterminated character constant",
-            self._loc(start),
+            Severity.ERROR, f"unterminated {what}", self._loc(start)
         )
         return Token(TokenKind.UNKNOWN, text[start : self.pos])
 

@@ -37,13 +37,9 @@ from repro.instrument import time_trace_scope
 from repro.instrument.remarks import RemarkKind
 from repro.core.shadow import (
     DEFAULT_CONSUMED_UNROLL_FACTOR,
+    TRANSFORMS_BUILT,
     ShadowTransformBuilder,
     TransformResult,
-    build_fuse_transform,
-    build_interchange_transform,
-    build_reverse_transform,
-    build_tile_transform,
-    build_unroll_transform,
 )
 from repro.sema.canonical_loop import (
     CanonicalLoopAnalysis,
@@ -116,8 +112,7 @@ class _Transform:
     params: Callable[..., Optional[_Params]]
     #: one canonical loop, a perfect nest of ``depth``, or a sequence
     loops: str
-    #: the ``core/shadow.py`` builder: (ctx, analyses, params,
-    #: directive rebuilder) -> result
+    #: the ``core/shadow.py`` build: (builder, analyses, params) -> result
     build_shadow: Callable[..., TransformResult]
     #: (params, analyses) -> (kind, message, args) of the remark on a
     #: successful build
@@ -232,9 +227,7 @@ TRANSFORMS: dict[str, _Transform] = {
         omp.OMPUnrollDirective,
         _unroll_params,
         _LOOP,
-        lambda ctx, analyses, p, rebuild: build_unroll_transform(
-            ctx, analyses[0], p.factor, p.full, rebuild
-        ),
+        lambda b, analyses, p: b.build_unroll(analyses[0], p.factor),
         _unroll_remark,
         missed=lambda depth: (
             "unroll not applied: associated loop is not in "
@@ -246,9 +239,7 @@ TRANSFORMS: dict[str, _Transform] = {
         omp.OMPTileDirective,
         _tile_params,
         _NEST,
-        lambda ctx, analyses, p, rebuild: build_tile_transform(
-            ctx, analyses, p.sizes, rebuild
-        ),
+        lambda b, analyses, p: b.build_tile(analyses, p.sizes),
         lambda p, analyses: (
             RemarkKind.PASSED,
             f"tiled loop nest of depth {p.depth} with sizes "
@@ -266,9 +257,7 @@ TRANSFORMS: dict[str, _Transform] = {
         omp.OMPReverseDirective,
         _no_params,
         _LOOP,
-        lambda ctx, analyses, p, rebuild: build_reverse_transform(
-            ctx, analyses[0], rebuild
-        ),
+        lambda b, analyses, p: b.build_reverse(analyses[0]),
         lambda p, analyses: (
             RemarkKind.PASSED, "reversed loop iteration order", {}
         ),
@@ -277,8 +266,8 @@ TRANSFORMS: dict[str, _Transform] = {
         omp.OMPInterchangeDirective,
         _interchange_params,
         _NEST,
-        lambda ctx, analyses, p, rebuild: build_interchange_transform(
-            ctx, analyses, p.permutation, rebuild
+        lambda b, analyses, p: b.build_interchange(
+            analyses, p.permutation
         ),
         lambda p, analyses: (
             RemarkKind.PASSED,
@@ -296,9 +285,7 @@ TRANSFORMS: dict[str, _Transform] = {
         omp.OMPFuseDirective,
         _no_params,
         _SEQUENCE,
-        lambda ctx, analyses, p, rebuild: build_fuse_transform(
-            ctx, analyses, rebuild
-        ),
+        lambda b, analyses, p: b.build_fuse(analyses),
         lambda p, analyses: (
             RemarkKind.PASSED,
             f"fused {len(analyses)} loops into one",
@@ -748,9 +735,7 @@ class OpenMPSema:
         logical = primary.logical_type
 
         def mkvar(name_suffix: str, init: e.Expr | None) -> VarDecl:
-            var = VarDecl(f".omp.{name_suffix}", logical, init)
-            var.is_implicit = True
-            return var
+            return x._implicit_var(f".omp.{name_suffix}", logical, init)
 
         # Combined trip count over the collapsed nest: product of per-loop
         # trip counts, computed in the widest logical type.
@@ -768,10 +753,9 @@ class OpenMPSema:
         )
         ub = mkvar("ub", last_iter_expr)
         stride = mkvar("stride", e.IntegerLiteral(1, logical))
-        is_last = VarDecl(
+        is_last = x._implicit_var(
             ".omp.is_last", ctx.int_type, e.IntegerLiteral(0, ctx.int_type)
         )
-        is_last.is_implicit = True
 
         h = directive.helpers
         h.pre_init = s.DeclStmt([lb, ub, stride, is_last])
@@ -970,8 +954,11 @@ class OpenMPSema:
             )
             directive.canonical_loops = canonical_loops
         else:
+            TRANSFORMS_BUILT.inc()
             result = kind.build_shadow(
-                self.ctx, analyses, params, self.rebuild_directive
+                ShadowTransformBuilder(self.ctx, self.rebuild_directive),
+                analyses,
+                params,
             )
             self._remark(name, kind.remark(params, analyses), loc)
             # Note: the associated code is deliberately NOT wrapped in a

@@ -161,6 +161,28 @@ class TestTriviaHandling:
         assert toks[1].at_line_start
         assert all(t.kind != kind for t in toks)
 
+    @pytest.mark.parametrize(
+        "newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"]
+    )
+    def test_splice_continues_line_comment(self, newline):
+        # Translation phase 2 joins the spliced lines before comments
+        # are removed, so `b` is still inside the comment.
+        toks = tokenize_string(f"a // c \\{newline}b{newline}d")[:-1]
+        assert [t.spelling for t in toks] == ["a", "d"]
+        assert toks[1].at_line_start
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [('"ab\\\r\ncd"', K.STRING_LITERAL), ("'a\\\r\nb'", K.CHAR_CONSTANT)],
+        ids=["string", "char"],
+    )
+    def test_crlf_splice_inside_literal(self, text, kind):
+        # A CRLF splice is one newline, as a bare LF splice is.
+        diags = DiagnosticsEngine()
+        toks = tokenize_string(text, diags=diags)[:-1]
+        assert diags.error_count == 0
+        assert [(t.kind, t.spelling) for t in toks] == [(kind, text)]
+
     def test_directive_after_bare_cr_comment(self):
         from repro.pipeline import run_source
 
