@@ -32,7 +32,6 @@ from repro.ir.metadata import loop_metadata
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import (
     FunctionType,
-    IntType,
     i32,
     i64,
     ptr,
@@ -630,38 +629,33 @@ class OpenMPIRBuilder:
         cli: CanonicalLoopInfo,
         schedule: WorksharedSchedule = WorksharedSchedule.STATIC,
         chunk: Value | int | None = None,
-        nowait: bool = False,
-    ) -> CanonicalLoopInfo:
-        """Apply a worksharing schedule to a canonical loop.
+    ) -> Value:
+        """Apply a worksharing schedule to a canonical loop; returns the
+        ``p.lastiter`` alloca, which holds nonzero in the thread that
+        ran the last iteration.  No barrier is emitted: the caller adds
+        one after its own epilogue unless ``nowait`` is given.
 
         Static: one ``__kmpc_for_static_init`` call in the preheader
         computes this thread's [lower, upper] slice; the loop's trip
         count becomes the slice span and body uses of the indvar are
         shifted by the slice start (LLVM's ``applyStaticWorkshareLoop``).
         Dynamic/guided: a dispatch loop around the canonical loop pulls
-        chunks from the runtime until exhausted.
+        chunks from the runtime until exhausted; the skeleton
+        invariants no longer hold, so the handle is consumed ("abandon
+        the old handles", paper §3.2).
         """
         cli.assert_ok()
         if schedule == WorksharedSchedule.STATIC:
-            self._apply_static_workshare(
-                builder, cli, schedule, chunk, nowait
-            )
+            p_last = self._apply_static_workshare(builder, cli, chunk)
             cli.assert_ok()
         else:
-            # Chunked/dynamic/guided wrap the canonical loop in a
-            # dispatch loop; the skeleton invariants no longer hold, so
-            # the handle is consumed ("abandon the old handles",
-            # paper §3.2).
-            self._apply_dynamic_workshare(
-                builder, cli, schedule, chunk, nowait
+            p_last = self._apply_dynamic_workshare(
+                builder, cli, schedule, chunk
             )
             cli.invalidate()
-        return cli
+        return p_last
 
     # ------------------------------------------------------------------
-    def _runtime_suffix(self, ty: IntType) -> str:
-        return "4u" if ty.bits <= 32 else "8u"
-
     def _shift_indvar_uses(
         self,
         builder: IRBuilder,
@@ -674,7 +668,6 @@ class OpenMPIRBuilder:
         indvar = cli.indvar
         builder.set_insert_point(cli.body, 0)
         shifted = builder.add(indvar, offset, "omp.shifted.iv")
-        skeleton_insts = set()
         # Keep the skeleton's own uses: the latch increment, the cond
         # compare, and the shift itself.
         term_cmp = cli.compare
@@ -685,52 +678,66 @@ class OpenMPIRBuilder:
             if any(op is indvar for op in inst.operands()):
                 inst.replace_operand(indvar, shifted)
 
+    def _workshare_prologue(
+        self,
+        builder: IRBuilder,
+        cli: CanonicalLoopInfo,
+        entry_points: tuple[str, str],
+        chunk: Value | int | None,
+    ) -> tuple[list[Function], Value, list[Value], Value]:
+        """What both schedules start with: the runtime *entry_points*
+        (``{}`` is the induction type's suffix), then at the end of the
+        preheader the thread id and the ``p.lastiter``,
+        ``p.lowerbound``, ``p.upperbound`` and ``p.stride`` allocas.
+        Returns those and the chunk size (default 1) as a value."""
+        ty = cli.indvar_type
+        suffix = "4u" if ty.bits <= 32 else "8u"
+        fns = [
+            self.get_runtime_function(name.format(suffix))
+            for name in entry_points
+        ]
+        builder.set_insert_point_before(cli.preheader.terminator)
+        gtid = self.get_global_thread_num(builder)
+        slots = [
+            builder.alloca(i32, name="p.lastiter"),
+            builder.alloca(ty, name="p.lowerbound"),
+            builder.alloca(ty, name="p.upperbound"),
+            builder.alloca(ty, name="p.stride"),
+        ]
+        if chunk is None:
+            chunk = 1
+        if isinstance(chunk, int):
+            chunk = builder.const_int(ty, chunk)
+        return fns, gtid, slots, chunk
+
     def _apply_static_workshare(
         self,
         builder: IRBuilder,
         cli: CanonicalLoopInfo,
-        schedule: WorksharedSchedule,
         chunk: Value | int | None,
-        nowait: bool,
-    ) -> None:
-        ty = cli.indvar_type
-        suffix = self._runtime_suffix(ty)
-        init_fn = self.get_runtime_function(
-            f"__kmpc_for_static_init_{suffix}"
+    ) -> Value:
+        (init_fn, fini_fn), gtid, slots, chunk_val = self._workshare_prologue(
+            builder,
+            cli,
+            ("__kmpc_for_static_init_{}", "__kmpc_for_static_fini"),
+            chunk,
         )
-        fini_fn = self.get_runtime_function("__kmpc_for_static_fini")
+        p_last, p_lower, p_upper, p_stride = slots
+        ty = cli.indvar_type
         loc = self.default_loc(builder)
-
-        builder.set_insert_point_before(cli.preheader.terminator)
-        gtid = self.get_global_thread_num(builder)
-        p_last = builder.alloca(i32, name="p.lastiter")
-        p_lower = builder.alloca(ty, name="p.lowerbound")
-        p_upper = builder.alloca(ty, name="p.upperbound")
-        p_stride = builder.alloca(ty, name="p.stride")
         zero = builder.const_int(ty, 0)
         one = builder.const_int(ty, 1)
-        trip = cli.trip_count
         builder.store(builder.const_int(i32, 0), p_last)
         builder.store(zero, p_lower)
-        builder.store(builder.sub(trip, one, "omp.ub"), p_upper)
+        builder.store(builder.sub(cli.trip_count, one, "omp.ub"), p_upper)
         builder.store(one, p_stride)
-        chunk_val = (
-            builder.const_int(ty, chunk)
-            if isinstance(chunk, int)
-            else chunk
-            if chunk is not None
-            else one
-        )
         builder.call(
             init_fn,
             [
                 loc,
                 gtid,
-                builder.const_int(i32, schedule.value),
-                p_last,
-                p_lower,
-                p_upper,
-                p_stride,
+                builder.const_int(i32, WorksharedSchedule.STATIC.value),
+                *slots,
                 one,
                 chunk_val,
             ],
@@ -749,12 +756,10 @@ class OpenMPIRBuilder:
         span = builder.select(nonempty, span, zero, "omp.tc.thread")
         cli.set_trip_count(span)
         self._shift_indvar_uses(builder, cli, lower)
-
-        # Finalization + implicit barrier in the after block.
+        # Finalization in the after block.
         builder.set_insert_point(cli.after, 0)
         builder.call(fini_fn, [loc, gtid])
-        if not nowait:
-            self.create_barrier(builder, gtid)
+        return p_last
 
     def _apply_dynamic_workshare(
         self,
@@ -762,43 +767,26 @@ class OpenMPIRBuilder:
         cli: CanonicalLoopInfo,
         schedule: WorksharedSchedule,
         chunk: Value | int | None,
-        nowait: bool,
-    ) -> None:
+    ) -> Value:
+        (init_fn, next_fn), gtid, slots, chunk_val = self._workshare_prologue(
+            builder,
+            cli,
+            ("__kmpc_dispatch_init_{}", "__kmpc_dispatch_next_{}"),
+            chunk,
+        )
+        p_last, p_lower, p_upper, _ = slots
         ty = cli.indvar_type
-        suffix = self._runtime_suffix(ty)
-        init_fn = self.get_runtime_function(
-            f"__kmpc_dispatch_init_{suffix}"
-        )
-        next_fn = self.get_runtime_function(
-            f"__kmpc_dispatch_next_{suffix}"
-        )
         loc = self.default_loc(builder)
         fn = cli.function
-
-        builder.set_insert_point_before(cli.preheader.terminator)
-        gtid = self.get_global_thread_num(builder)
-        p_last = builder.alloca(i32, name="p.lastiter")
-        p_lower = builder.alloca(ty, name="p.lowerbound")
-        p_upper = builder.alloca(ty, name="p.upperbound")
-        p_stride = builder.alloca(ty, name="p.stride")
-        zero = builder.const_int(ty, 0)
         one = builder.const_int(ty, 1)
-        trip = cli.trip_count
-        chunk_val = (
-            builder.const_int(ty, chunk)
-            if isinstance(chunk, int)
-            else chunk
-            if chunk is not None
-            else one
-        )
         builder.call(
             init_fn,
             [
                 loc,
                 gtid,
                 builder.const_int(i32, schedule.value),
-                zero,
-                builder.sub(trip, one, "omp.ub"),
+                builder.const_int(ty, 0),
+                builder.sub(cli.trip_count, one, "omp.ub"),
                 one,
                 chunk_val,
             ],
@@ -813,11 +801,7 @@ class OpenMPIRBuilder:
         pre_term.target = dispatch_cond
 
         builder.set_insert_point(dispatch_cond)
-        more = builder.call(
-            next_fn,
-            [loc, gtid, p_last, p_lower, p_upper, p_stride],
-            "omp.more",
-        )
+        more = builder.call(next_fn, [loc, gtid, *slots], "omp.more")
         has_chunk = builder.icmp(
             ICmpPred.NE, more, builder.const_int(i32, 0), "omp.haschunk"
         )
@@ -839,10 +823,8 @@ class OpenMPIRBuilder:
         exit_term = cli.exit.terminator
         assert isinstance(exit_term, BranchInst)
         exit_term.target = dispatch_cond
-
         builder.set_insert_point(cli.after, 0)
-        if not nowait:
-            self.create_barrier(builder, gtid)
+        return p_last
 
     # ==================================================================
     # Parallel regions / synchronization
