@@ -43,10 +43,21 @@ _TOKEN = re.compile(
 #: A run of whitespace; group 1 is set when the run holds a newline.
 _WHITESPACE = re.compile(r"[ \t\f\v]*(?:([\r\n])[ \t\f\v\r\n]*)?")
 
+#: A line splice: a backslash, then a newline (``\n``, ``\r\n`` or a
+#: bare ``\r``).  Horizontal space between the two is allowed, as in
+#: clang and GCC; group 1 holds it, which clang warns about.
+_SPLICE = re.compile(r"\\([ \t\f\v]*)(?:\r\n?|\n)")
+_SPLICES = re.compile(r"(?:\\[ \t\f\v]*(?:\r\n?|\n))*")
+
 #: The rest of a line comment: up to a newline or a bare CR, which ends
-#: a line too, that no line splice (a backslash right before ``\n``,
-#: ``\r\n`` or a bare ``\r``) joins to the next line.
-_REST_OF_LINE = re.compile(r"(?:[^\r\n\\]+|\\(?:\r\n?|\n)?)*")
+#: a line too, that no line splice joins to the next line.
+_REST_OF_LINE = re.compile(
+    r"(?:[^\r\n\\]+|\\[ \t\f\v]*(?:\r\n?|\n)|\\)*"
+)
+
+#: The end of a block comment; a line splice may separate ``*`` and
+#: ``/``.
+_BLOCK_COMMENT_END = re.compile(r"\*" + _SPLICES.pattern + "/")
 
 _IDENTIFIER = TokenKind.IDENTIFIER
 _NUMERIC_CONSTANT = TokenKind.NUMERIC_CONSTANT
@@ -125,28 +136,26 @@ class Lexer:
             if self.pos >= n:
                 break
             ch = text[self.pos]
-            if (
-                ch == "\\"
-                and self.pos + 1 < n
-                and text[self.pos + 1] in "\r\n"
-            ):
+            if ch == "\\":
+                splice = _SPLICE.match(text, self.pos)
+                if splice is None:
+                    break
                 # Line splice: backslash-newline vanishes entirely.
-                self.pos += 2
-                if (
-                    text[self.pos - 1] == "\r"
-                    and self.pos < n
-                    and text[self.pos] == "\n"
-                ):
-                    self.pos += 1
+                self._warn_spaced_splices(self.pos, splice.end())
+                self.pos = splice.end()
                 skipped_space = True
-            elif ch == "/" and self.pos + 1 < n:
-                nxt = text[self.pos + 1]
+            elif ch == "/":
+                # A line splice may separate the two opener characters.
+                opener = _SPLICES.match(text, self.pos + 1).end()
+                nxt = text[opener : opener + 1]
                 if nxt == "/":
-                    self.pos = _REST_OF_LINE.match(text, self.pos).end()
+                    self._warn_spaced_splices(self.pos, opener)
+                    self.pos = _REST_OF_LINE.match(text, opener + 1).end()
                     skipped_space = True
                 elif nxt == "*":
-                    end = text.find("*/", self.pos + 2)
-                    if end == -1:
+                    self._warn_spaced_splices(self.pos, opener)
+                    close = _BLOCK_COMMENT_END.search(text, opener + 1)
+                    if close is None:
                         self.diags.report(
                             Severity.ERROR,
                             "unterminated /* comment",
@@ -154,16 +163,28 @@ class Lexer:
                         )
                         self.pos = n
                     else:
-                        body = text[self.pos : end]
+                        body = text[self.pos : close.start()]
                         if "\n" in body or "\r" in body:
                             self._at_line_start = True
-                        self.pos = end + 2
+                        self._warn_spaced_splices(close.start(), close.end())
+                        self.pos = close.end()
                     skipped_space = True
                 else:
                     break
             else:
                 break
         return skipped_space
+
+    def _warn_spaced_splices(self, start: int, end: int) -> None:
+        """Clang's warning for each line splice in ``[start, end)`` whose
+        backslash and newline are separated by space."""
+        for splice in _SPLICE.finditer(self.text, start, end):
+            if splice.group(1):
+                self.diags.report(
+                    Severity.WARNING,
+                    "backslash and newline separated by space",
+                    self._loc(splice.start()),
+                )
 
     # ------------------------------------------------------------------
     # Token producers

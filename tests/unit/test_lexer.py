@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.diagnostics import DiagnosticsEngine
+from repro.diagnostics import DiagnosticsEngine, Severity
 from repro.lex import Token, TokenKind
 from repro.lex.lexer import tokenize_string
 
@@ -182,6 +182,53 @@ class TestTriviaHandling:
         toks = tokenize_string(text, diags=diags)[:-1]
         assert diags.error_count == 0
         assert [(t.kind, t.spelling) for t in toks] == [(kind, text)]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a /* c *\\\n/ b", "a /\\\n/ c\nb", "a /\\\n* c */ b",
+         "a /\\\r\n\\\n/ c\nb"],
+        ids=["block-end", "line-open", "block-open", "two-splices"],
+    )
+    def test_splice_inside_comment_delimiter(self, text):
+        # Phase 2 joins the lines before comments are recognized, so a
+        # splice may separate the two characters of `/*`, `*/` or `//`.
+        diags = DiagnosticsEngine()
+        assert [t.spelling for t in tokenize_string(text, diags=diags)][
+            :-1
+        ] == ["a", "b"]
+        assert len(diags) == 0
+
+    @pytest.mark.parametrize(
+        "text, expected, warned",
+        [
+            ("a \\ \nb", ["a", "b"], True),
+            ("a\\\t \r\nb", ["a", "b"], True),
+            ("a /\\ \n/ c\nb", ["a", "b"], True),
+            ("a /* c *\\ \n/ b", ["a", "b"], True),
+            # Comment text is not lexed, so clang does not warn there.
+            ("a // c \\ \nb", ["a"], False),
+        ],
+        ids=["between-tokens", "tab-crlf", "line-open", "block-end",
+             "line-comment"],
+    )
+    def test_backslash_space_newline_is_splice(self, text, expected, warned):
+        # Clang and GCC take backslash, horizontal space, newline as a
+        # line splice, warning "backslash and newline separated by
+        # space".
+        diags = DiagnosticsEngine()
+        toks = tokenize_string(text, diags=diags)[:-1]
+        assert [t.spelling for t in toks] == expected
+        assert [(d.severity, d.message) for d in diags.diagnostics] == (
+            [(Severity.WARNING, "backslash and newline separated by space")]
+            if warned
+            else []
+        )
+
+    def test_spaced_splice_joins_lines(self):
+        toks = tokenize_string("a \\  \nb")[:-1]
+        assert [t.spelling for t in toks] == ["a", "b"]
+        assert not toks[1].at_line_start
+        assert toks[1].has_leading_space
 
     def test_directive_after_bare_cr_comment(self):
         from repro.pipeline import run_source
