@@ -1,5 +1,6 @@
-"""The compiler driver: a clang-like command line over the pipeline."""
+"""The compiler driver: a clang-like command line over the pipeline.
 
-from repro.driver.cli import main
-
-__all__ = ["main"]
+Entry points: ``repro.driver.cli`` (``miniclang``), ``repro.driver.serve``
+(``miniclang-serve``) and ``repro.driver.cachectl`` (``miniclang-cache``),
+each runnable with ``python -m``.
+"""

@@ -11,11 +11,16 @@ argparse never sees are pinned through the shared argv scanner.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import tomllib
 
 import pytest
 
 from repro.driver import cli, serve
 from repro.driver.options import DEFAULT_CACHE_DIR, scan_f_flags
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 
 CLI_FLAGS = [
     ("-h", "help", "==SUPPRESS=="),
@@ -197,3 +202,33 @@ def test_scan_f_flags_values(argv, expected):
 def test_scan_f_flags_leaves_other_spellings(arg):
     remaining, _ = scan_f_flags([arg], CLI_SCAN, negatable=("cache",))
     assert remaining == [arg]
+
+
+def test_python_m_driver_writes_nothing_to_stderr(tmp_path):
+    """``python -m repro.driver.cli`` runs the module without runpy's
+    "found in sys.modules" warning, so a clean compile leaves stderr
+    empty (lit's ``2>&1`` checks and CI read it)."""
+    source = tmp_path / "ok.c"
+    source.write_text("int main(void) { return 0; }\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.driver.cli", "-fsyntax-only",
+         str(source)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_every_driver_is_an_installed_script():
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {
+        "miniclang": "repro.driver.cli:main",
+        "miniclang-cache": "repro.driver.cachectl:main",
+        "miniclang-serve": "repro.driver.serve:main",
+    }

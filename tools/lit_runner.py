@@ -177,24 +177,9 @@ def _resolve_tool(argv: list[str]) -> list[str]:
     if os.path.isabs(tool):  # e.g. the substituted %python
         return argv
     if tool == "miniclang":
-        # not `-m repro.driver.cli`: repro.driver re-exports cli, which
-        # makes runpy print a sys.modules RuntimeWarning to stderr and
-        # pollute 2>&1 diagnostics tests.
-        return [
-            sys.executable,
-            "-c",
-            "import sys; from repro.driver.cli import main; "
-            "sys.exit(main())",
-            *argv[1:],
-        ]
+        return [sys.executable, "-m", "repro.driver.cli", *argv[1:]]
     if tool == "miniclang-serve":
-        return [
-            sys.executable,
-            "-c",
-            "import sys; from repro.driver.serve import main; "
-            "sys.exit(main())",
-            *argv[1:],
-        ]
+        return [sys.executable, "-m", "repro.driver.serve", *argv[1:]]
     if tool in ("FileCheck", "filecheck"):
         return [sys.executable, FILECHECK, *argv[1:]]
     if tool == "true":
