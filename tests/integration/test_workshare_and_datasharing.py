@@ -391,3 +391,88 @@ class TestOrphanedWorksharing:
         }
         """
         assert run_c(src).stdout == "after\n"
+
+
+class TestLinearCounters:
+    """OpenMP 5.1 makes the iteration variable of a ``simd`` loop linear
+    (lastprivate under ``collapse``): declared outside its ``for``, it
+    holds its sequential final value after the loop.  ``for`` and
+    ``taskloop`` keep the original value, as GCC does."""
+
+    SRC = r"""
+    int main(void) {
+      int i = 42; int j = 42; int k = 42; int sum = 0;
+      #pragma omp simd reduction(+: sum)
+      for (i = 0; i < 3; i += 1) sum += i;
+      #pragma omp parallel
+      {
+        #pragma omp for simd reduction(+: sum)
+        for (j = 0; j < 5; j += 1) sum += j;
+      }
+      #pragma omp simd
+      for (k = 10; k > 2; k -= 3) sum += k;
+      printf("%d %d %d %d\n", sum, i, j, k);
+      int p = 42; int q = 42; int c = 42;
+      #pragma omp simd collapse(2)
+      for (p = 0; p < 3; p += 1)
+        for (q = 0; q < 2; q += 1) sum += p * q;
+      #pragma omp parallel for simd schedule(dynamic, 2)
+      for (c = 0; c < 7; c += 1) sum += c;
+      printf("%d %d %d\n", p, q, c);
+      int d = 42; int t = 42;
+      #pragma omp parallel for
+      for (d = 0; d < 4; d += 1) sum += d;
+      #pragma omp taskloop
+      for (t = 0; t < 4; t += 1) sum += t;
+      printf("after=%d %d\n", d, t);
+      return 0;
+    }
+    """
+
+    # Zero iterations: nothing is assigned, as in clang (the final
+    # values are emitted under the loop's precondition).
+    ZERO_TRIP_SRC = r"""
+    int main(void) {
+      int n = 0; int a = 42; int b = 42;
+      #pragma omp simd
+      for (a = 0; a < n; a += 1) n += 1;
+      #pragma omp parallel for simd
+      for (b = 5; b < n; b += 1) n += 1;
+      printf("%d %d\n", a, b);
+      return 0;
+    }
+    """
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["O0", "O1"])
+    def test_final_values(self, optimize):
+        legacy, _ = run_both(self.SRC, optimize=optimize)
+        assert legacy.stdout == "34 3 5 1\n3 2 7\nafter=42 42\n"
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["O0", "O1"])
+    def test_zero_trip_keeps_original(self, optimize):
+        legacy, _ = run_both(self.ZERO_TRIP_SRC, optimize=optimize)
+        assert legacy.stdout == "42 42\n"
+
+
+def test_clause_variable_after_loop_in_region():
+    """Inside a parallel region, a variable named in a worksharing
+    loop's data-sharing clause is the shared one again after the loop
+    (it was a fresh copy re-initialized from its declaration)."""
+    src = r"""
+    int main(void) {
+      int x = 5; int y = 7;
+      #pragma omp parallel num_threads(2)
+      {
+        #pragma omp for private(x)
+        for (int i = 0; i < 4; i++) x = i;
+        #pragma omp for lastprivate(y)
+        for (int i = 0; i < 4; i++) y = i * 10;
+        #pragma omp single
+        printf("%d %d\n", x, y);
+      }
+      printf("%d %d\n", x, y);
+      return 0;
+    }
+    """
+    legacy, _ = run_both(src)
+    assert legacy.stdout == "5 30\n5 30\n"
