@@ -12,7 +12,9 @@ an identifiable trip count — no ScalarEvolution-style analysis required
 Methods (each mirroring an LLVM patch cited by the paper):
 
 * ``create_canonical_loop``  (D71226) — emit the Fig. 7 skeleton,
-* ``create_workshare_loop``  (D73111) — apply a worksharing schedule,
+* ``create_workshare_loop``  (D73111) — apply a static or dispatch
+  schedule; returns the ``p.lastiter`` alloca and leaves the barrier
+  to the caller,
 * ``tile_loops``             (D76342) — the tile transformation,
 * ``collapse_loops``         (D83261) — merge a nest into one loop,
 * ``unroll_loop_full / _partial / _heuristic`` — unrolling, deferring
