@@ -340,6 +340,166 @@ class TestNonLocalErrors:
         assert seen[0] == seen[1]
 
 
+#: a pointer to address 0 the optimizer cannot fold (main runs with
+#: argc == 1)
+_NULL_FROM_ARGC = "int *p = (int *)(long)(argc - 1);"
+
+#: (id, source, expected exception type): each raiser sits inside an
+#: O1 serial run (the run after the first printf) at the position the
+#: id names; the serial run of the division and cast cases holds the
+#: raiser between two ops
+RAISE_MID_RUN = [
+    (
+        "load-first",
+        f"""
+        int main(int argc) {{
+          {_NULL_FROM_ARGC}
+          printf("go\\n");
+          int c = *p;
+          return c + argc * 3;
+        }}
+        """,
+        "MemoryError_",
+    ),
+    (
+        "load-middle",
+        f"""
+        int main(int argc) {{
+          {_NULL_FROM_ARGC}
+          printf("go\\n");
+          int a = argc * 7;
+          int c = *p;
+          return a + c * 3;
+        }}
+        """,
+        "MemoryError_",
+    ),
+    (
+        "load-last",
+        f"""
+        int main(int argc) {{
+          {_NULL_FROM_ARGC}
+          printf("go\\n");
+          int a = argc * 7;
+          int b = a + 3;
+          printf("%d %d\\n", b, *p);
+          return 0;
+        }}
+        """,
+        "MemoryError_",
+    ),
+    (
+        "store-first",
+        f"""
+        int main(int argc) {{
+          {_NULL_FROM_ARGC}
+          printf("go\\n");
+          *p = argc;
+          return argc * 3 + 1;
+        }}
+        """,
+        "MemoryError_",
+    ),
+    (
+        "store-middle",
+        f"""
+        int main(int argc) {{
+          {_NULL_FROM_ARGC}
+          printf("go\\n");
+          int a = argc * 7;
+          *p = a;
+          return a + 5;
+        }}
+        """,
+        "MemoryError_",
+    ),
+    (
+        "store-last",
+        f"""
+        int main(int argc) {{
+          {_NULL_FROM_ARGC}
+          printf("go\\n");
+          int a = argc * 7;
+          int b = a + 3;
+          *p = b;
+          printf("done\\n");
+          return 0;
+        }}
+        """,
+        "MemoryError_",
+    ),
+    *(
+        (
+            f"{kind}-by-register-zero",
+            f"""
+            int main(int argc) {{
+              {ty} z = argc - 1;
+              printf("go\\n");
+              {ty} a = argc * 5 + 2;
+              {ty} q = a {op} z;
+              return (int)(q + a);
+            }}
+            """,
+            "Trap",
+        )
+        for kind, ty, op in (
+            ("udiv", "unsigned", "/"),
+            ("sdiv", "int", "/"),
+            ("urem", "unsigned", "%"),
+            ("srem", "int", "%"),
+        )
+    ),
+    (
+        "fptosi-of-inf",
+        """
+        int main(int argc) {
+          double d = argc - 1;
+          printf("go\\n");
+          double inf = 1.0 / d;
+          int a = argc * 9;
+          int k = (int)inf;
+          return k + a;
+        }
+        """,
+        "OverflowError",
+    ),
+]
+
+
+class TestRaiseMidRun:
+    """An op that raises inside a serial run retires exactly the ops
+    before it: same exception, output, instruction count and detailed
+    profile as the reference, which steps one instruction at a time."""
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["O0", "O1"])
+    @pytest.mark.parametrize(
+        "source,expected",
+        [(src, exc) for _, src, exc in RAISE_MID_RUN],
+        ids=[name for name, _, _ in RAISE_MID_RUN],
+    )
+    def test_engines_agree(self, source, expected, optimize):
+        module = compile_source(source, optimize=optimize).module
+        seen = []
+        for engine in ENGINES:
+            interp = create_interpreter(
+                module, engine=engine, profile_detail=True
+            )
+            with pytest.raises(Exception) as exc_info:
+                interp.run("main", [1])
+            seen.append(
+                (
+                    type(exc_info.value).__name__,
+                    str(exc_info.value),
+                    interp.output(),
+                    interp.instruction_count,
+                    profile_fingerprint(interp.profile),
+                )
+            )
+        assert seen[0] == seen[1]
+        assert seen[0][0] == expected
+        assert seen[0][2].startswith("go\n")
+
+
 class TestTeamStepCount:
     def test_most_team_instructions_retire_in_local_runs(self, monkeypatch):
         """Call-count check: a team member retires its thread-local runs
