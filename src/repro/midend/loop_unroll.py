@@ -278,7 +278,12 @@ class LoopUnrollPass(FunctionPass):
     # Eligibility / analysis
     # ==================================================================
     def _unrollable(self, loop: Loop) -> bool:
-        if loop.single_latch is None:
+        latch = loop.single_latch
+        if latch is None:
+            return False
+        # Every strategy re-links the backedge as an unconditional
+        # branch; a ``do`` loop's latch is its exiting conditional one.
+        if not isinstance(latch.terminator, BranchInst):
             return False
         if loop.preheader() is None:
             return False

@@ -22,7 +22,7 @@ from repro.ir.metadata import (
 )
 from repro.midend import LoopInfo, LoopUnrollPass, default_pass_pipeline
 
-from tests.conftest import compile_c, run_c
+from tests.conftest import compile_c, run_both, run_c
 
 
 def loop_metadata_of(result, fn_name="f"):
@@ -219,6 +219,26 @@ class TestE6RemainderLoop:
         fn = result.module.get_function("f")
         assert LoopInfo(fn).loops == []
         assert result.ir_text().count("call void @body") == 5
+
+    @pytest.mark.parametrize(
+        "hint", ["unroll(enable)", "unroll_count(3)"]
+    )
+    def test_hinted_do_loop_is_left_rolled(self, hint):
+        """A ``do`` loop's latch is its exiting conditional branch,
+        which no unroll strategy re-links: the pass skips the loop
+        instead of stopping on it."""
+        src = f"""
+        int main(void) {{
+          int i = 8, s = 0;
+          #pragma clang loop {hint}
+          do {{ i -= 1; s += i; }} while (i > 0);
+          printf("%d\\n", s);
+          return 0;
+        }}
+        """
+        for result in run_both(src, optimize=True):
+            assert result.stdout == "28\n"
+            assert result.exit_code == 0
 
 
 class TestE6UnrollInstructionCounts:

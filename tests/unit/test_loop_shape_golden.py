@@ -269,12 +269,6 @@ int main(void) {
 """,
 }
 
-#: sources pinned at O0 only: the mid-end's LoopUnroll stops with an
-#: internal error on a hinted ``do`` loop, whose latch is its exiting
-#: conditional branch
-O0_ONLY = {"do-loop-hint"}
-
-
 def outputs(name: str, mode: str) -> dict[str, str]:
     """The O0 IR and the -O1 ``-print-after-all`` text of source *name*."""
     result = compile_source(
@@ -283,8 +277,6 @@ def outputs(name: str, mode: str) -> dict[str, str]:
         enable_irbuilder=mode == "irbuilder",
     )
     o0 = result.ir_text()
-    if name in O0_ONLY:
-        return {"o0-ir": o0}
     dump = io.StringIO()
     instrument = PassInstrumentation(print_after_all=True, stream=dump)
     default_pass_pipeline(instrument=instrument).run(
