@@ -942,7 +942,21 @@ class Parser:
             attrs.append(
                 s.LoopHintAttr(mapped, value_expr, is_implicit=False)
             )
+        start = self.peek().location
         sub_stmt = self.parse_statement()
+        loop = sub_stmt
+        while isinstance(loop, s.AttributedStmt):  # stacked hints
+            loop = loop.sub_stmt
+        if not isinstance(
+            loop, (s.ForStmt, s.WhileStmt, s.DoStmt, s.CXXForRangeStmt)
+        ):
+            # Clang drops the hint rather than let it reach a later loop.
+            self.diags.error(
+                "expected a for, while, or do-while loop to follow "
+                "'#pragma clang loop'",
+                start,
+            )
+            return sub_stmt
         return s.AttributedStmt(attrs, sub_stmt, tok.location)
 
     # ==================================================================

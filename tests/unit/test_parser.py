@@ -313,6 +313,62 @@ class TestStatements:
             parse("void f(void) { return 1; }")
 
 
+class TestLoopHintPlacement:
+    """``#pragma clang loop`` must precede a loop, as in clang; before,
+    a hint over anything else landed on the next loop CodeGen emitted."""
+
+    ERROR = (
+        "expected a for, while, or do-while loop to follow "
+        "'#pragma clang loop'"
+    )
+
+    @pytest.mark.parametrize("irbuilder", [False, True])
+    @pytest.mark.parametrize(
+        "stmt",
+        [
+            "#pragma omp simd\n  for (int i = 0; i < 4; i += 1) s += i;",
+            "s = 3;",
+        ],
+        ids=["omp-loop-directive", "expression"],
+    )
+    def test_hint_before_a_non_loop_is_an_error(self, stmt, irbuilder):
+        src = f"""
+        int main(void) {{
+          int s = 0;
+          #pragma clang loop unroll_count(2)
+          {stmt}
+          for (int j = 0; j < 4; j += 1) s += j;
+          return s;
+        }}
+        """
+        with pytest.raises(CompilationError) as err:
+            compile_source(src, enable_irbuilder=irbuilder)
+        assert self.ERROR in str(err.value)
+
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            "for (int j = 0; j < 4; j += 1) s += j;",
+            "while (s < 9) s += 2;",
+            "do s += 1; while (s < 5);",
+            "for (int v : data) s += v;",
+        ],
+        ids=["for", "while", "do", "range-for"],
+    )
+    def test_stacked_hints_before_a_loop_are_accepted(self, loop):
+        src = f"""
+        int main(void) {{
+          int s = 0;
+          int data[3];
+          #pragma clang loop unroll(enable)
+          #pragma clang loop unroll_count(2)
+          {loop}
+          return s;
+        }}
+        """
+        assert "llvm.loop.unroll.count" in compile_source(src).ir_text()
+
+
 class TestPrinterRoundTrip:
     """The pretty-printer output re-parses to an equivalent AST."""
 
