@@ -25,13 +25,22 @@ the run's length.
   own index in ``frame.index``, so the loop still retires exactly the
   ops up to the raiser.
 * A **thread-local run** holds only ops that touch nothing but the
-  frame's registers and cannot raise: integer and floating add/sub/mul,
-  ``fdiv``, bitwise ops and shifts, div/rem by a nonzero constant,
-  ``icmp``/``fcmp``/``select``, constant-shaped ``gep``,
-  ``zext``/``sext``/``trunc`` and branches with their phi copies.  Their
-  order against other threads' instructions is unobservable, so the team
-  scheduler (:meth:`repro.runtime.team.Team.run`) may retire them ahead
-  of its lockstep clock; they need no index bookkeeping.  Loads,
+  frame's registers and the thread's private stack slots and cannot
+  raise: integer and floating add/sub/mul, ``fdiv``, bitwise ops and
+  shifts, div/rem by a nonzero constant, ``icmp``/``fcmp``/``select``,
+  constant-shaped ``gep``, ``zext``/``sext``/``trunc``, branches with
+  their phi copies, and loads and stores of a private slot.  A slot is
+  private when its ``alloca``'s address goes only to loads and stores
+  of the slot's own integer or pointer type and to runtime entry points
+  that do not keep it (:data:`repro.runtime.kmp.NOCAPTURE`, such as
+  ``__kmpc_for_static_init_4u`` filling a thread's ``.omp.lb`` and
+  ``.omp.ub``): no other thread can learn the address, and such an
+  access is in bounds by construction.  (A program that reaches a slot
+  through a pointer to another object, or to a dead frame, has
+  undefined behaviour in C.)  The order of these ops against other
+  threads' instructions is unobservable, so the team scheduler
+  (:meth:`repro.runtime.team.Team.run`) may retire them ahead of its
+  lockstep clock; they need no index bookkeeping.  Other loads and
   stores, ``alloca``, calls, ``ret``, fp->int casts (``int(inf)``
   raises), ``frem`` (``math.fmod`` raises on infinities), f32 narrowing
   (``struct.pack`` overflows) and every compile-time raiser are not
@@ -88,6 +97,7 @@ import builtins
 import math
 import operator
 import struct
+import zlib
 from types import CodeType, FunctionType
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -136,6 +146,7 @@ from repro.ir.values import (
     GlobalVariable,
     UndefValue,
 )
+from repro.runtime.kmp import NOCAPTURE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.engine import ClosureInterpreter
@@ -201,10 +212,14 @@ _RUN_GLOBALS = {
 
 def _factory_code(source: str) -> CodeType:
     """The code object of the ``make`` factory *source* defines,
-    compiled once per process while the table has room."""
+    compiled once per process while the table has room.  Its file name
+    is a CRC of *source*, so a profile has one row per run shape.
+    (``zlib`` is loaded already; ``hashlib`` would load OpenSSL into
+    every process that runs a program.)"""
     code = _RUN_CODE.get(source)
     if code is None:
-        module = compile(source, "<run>", "exec")
+        digest = zlib.crc32(source.encode())
+        module = compile(source, f"<run {digest:08x}>", "exec")
         code = next(c for c in module.co_consts if isinstance(c, CodeType))
         if len(_RUN_CODE) >= RUN_CODE_CAP:
             del _RUN_CODE[next(iter(_RUN_CODE))]
@@ -325,8 +340,9 @@ class ClosureCompiler:
                 n += 1
         code.n_values = n
         code.entry = code.blocks[id(fn.entry_block)]
+        private = _private_slots(fn)
         for block in fn.blocks:
-            self._compile_block(code, block)
+            self._compile_block(code, block, private)
         code.regs_template = [None] * code.n_values + code.consts
 
     # ------------------------------------------------------------------
@@ -394,7 +410,7 @@ class ClosureCompiler:
     # Block compilation
     # ------------------------------------------------------------------
     def _compile_block(
-        self, code: CompiledFunction, block: BasicBlock
+        self, code: CompiledFunction, block: BasicBlock, private: set[int]
     ) -> None:
         bc = code.blocks[id(block)]
         phis = 0
@@ -416,17 +432,22 @@ class ClosureCompiler:
             bc.descs.append(desc)
             srcs.append(src)
         bc.entry_index = phis
-        self._build_runs(bc, srcs)
+        self._build_runs(bc, srcs, private)
         bc.ops.append(_fell_off(block.name))
 
-    def _build_runs(self, bc: BlockCode, srcs: list) -> None:
+    def _build_runs(
+        self, bc: BlockCode, srcs: list, private: set[int]
+    ) -> None:
         """One classification pass over the block fills both run
-        tables (see the module docstring).  Serial runs of one op are
+        tables (see the module docstring); *private* holds the ids of
+        the function's private stack slots.  Serial runs of one op are
         left out: a single step is cheaper."""
         insts = bc.block.instructions
         ops = bc.ops
         n = len(ops)
-        local = [_is_local(inst, op) for inst, op in zip(insts, ops)]
+        local = [
+            _is_local(inst, op, private) for inst, op in zip(insts, ops)
+        ]
         stops = [
             isinstance(inst, (CallInst, ReturnInst, UnreachableInst))
             for inst in insts
@@ -1720,12 +1741,14 @@ _DIV_BINOPS = frozenset({BinOp.UDIV, BinOp.SDIV, BinOp.UREM, BinOp.SREM})
 _LOCAL_CASTS = frozenset({CastOp.ZEXT, CastOp.SEXT, CastOp.TRUNC})
 
 
-def _is_local(inst: Instruction, op) -> bool:
+def _is_local(inst: Instruction, op, private: set[int]) -> bool:
     """Whether *op* (compiled from *inst*) touches nothing but its
-    frame's registers and cannot raise — may it join a thread-local
-    run?"""
+    frame's registers and private stack slots (ids in *private*) and
+    cannot raise — may it join a thread-local run?"""
     if getattr(op, "may_raise", False):
         return False
+    if isinstance(inst, (LoadInst, StoreInst)):
+        return id(inst.pointer) in private
     if isinstance(inst, BinaryInst):
         if inst.op in _LOCAL_BINOPS:
             return True
@@ -1749,6 +1772,56 @@ def _is_local(inst: Instruction, op) -> bool:
             BranchInst, CondBranchInst, SwitchInst,
         ),
     )
+
+
+def _private_slots(fn: Function) -> set[int]:
+    """Ids of *fn*'s private stack slots: integer or pointer allocas
+    whose address goes only to the pointer operand of loads and stores
+    of the slot's own type, and to arguments of the runtime entry
+    points in :data:`~repro.runtime.kmp.NOCAPTURE`.  No other thread
+    can learn such an address, and an access of the slot's own type is
+    in bounds by construction, so it cannot fault either."""
+    slots = {
+        id(inst)
+        for block in fn.blocks
+        for inst in block.instructions
+        if isinstance(inst, AllocaInst)
+        and (
+            isinstance(inst.allocated_type, PointerType)
+            or (
+                isinstance(inst.allocated_type, IntType)
+                and inst.allocated_type.bits in _INT_STRUCTS
+            )
+        )
+    }
+    if not slots:  # mem2reg promoted them all: skip the operand scan
+        return slots
+    for block in fn.blocks:
+        for inst in block.instructions:
+            for value in inst.operands():
+                if isinstance(value, AllocaInst) and not _keeps_private(
+                    inst, value
+                ):
+                    slots.discard(id(value))
+    return slots
+
+
+def _keeps_private(inst: Instruction, slot: AllocaInst) -> bool:
+    """Whether *inst*, an instruction using *slot*'s address, neither
+    hands the address on nor reinterprets the slot's bytes."""
+    ty = slot.allocated_type
+    if isinstance(inst, LoadInst):
+        return inst.type is ty
+    if isinstance(inst, StoreInst):
+        return inst.value is not slot and inst.value.type is ty
+    if isinstance(inst, CallInst):
+        callee = inst.callee
+        return (
+            isinstance(callee, Function)
+            and callee.is_declaration
+            and callee.name in NOCAPTURE
+        )
+    return False
 
 
 def _fell_off(block_name: str):

@@ -34,12 +34,13 @@ one generated function, called once, and its length comes off the
 budget after it returns.  The serial loop runs a serial run only while
 the budget exceeds its length and single-steps the rest; when an op of
 the run raises, it has stored its own index, so exactly the ops up to
-it are charged.  A team member retires a thread-local run ahead of the
-lockstep clock only when the remaining budget proves the exhaustion
-point lies beyond it.  Single steps, the fuel boundary and an armed
-fault injector use the per-op closures: an armed injector forces
-per-instruction stepping, because the fault sweep counts
-``interp-step`` hits.
+it are charged.  A team member retires a thread-local run (register-only
+ops, and loads and stores of its private stack slots such as a
+worksharing loop's ``.omp.ub``) ahead of the lockstep clock only when
+the remaining budget proves the exhaustion point lies beyond it.
+Single steps, the fuel boundary and an armed fault injector use the
+per-op closures: an armed injector forces per-instruction stepping,
+because the fault sweep counts ``interp-step`` hits.
 
 Known (documented) divergence: when *malformed* IR falls off the end of
 a block, the closure engine counts that final fetch as a retired

@@ -7,14 +7,17 @@ Function "addresses" live in a reserved high range so function pointers
 round-trip through memory.
 
 Every address in ``(0, size)`` is valid and reads as zero until
-written, but only a prefix of it is backed: ``data`` covers addresses
-``[0, len(data))`` and grows in place, in 64 KiB zero chunks, when an
-access first touches an address past it (:meth:`Memory.fault`).  A run
-that touches 512 KiB never allocates the rest of its 4 MiB.
+written.  ``data`` is an anonymous private memory map of the whole
+logical size, so the operating system backs a page only when it is
+first written: a 4-thread region's four 512 KiB team stacks cost the
+few pages their threads touch, not 2 MiB.  The map is ``MAP_PRIVATE``
+because growing a shared anonymous map and writing past its old end
+raises ``SIGBUS``.
 """
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import TYPE_CHECKING
 
@@ -42,10 +45,6 @@ class MemoryLimitExceeded(MemoryError_):
 #: Function pseudo-addresses start here (way above any data address).
 FUNCTION_ADDRESS_BASE = 1 << 48
 
-#: growth unit of the backing store
-_CHUNK = 1 << 16
-_ZERO_CHUNK = bytes(_CHUNK)
-
 
 class Memory:
     def __init__(
@@ -53,10 +52,10 @@ class Memory:
     ) -> None:
         #: logical size: addresses in ``(0, size)`` are valid
         self.size = size
-        #: backing store of addresses ``[0, len(data))``.  Never rebound:
-        #: compiled closures hold this bytearray and check ``len(data)``
-        #: before calling :meth:`fault`.
-        self.data = bytearray(min(size, _CHUNK))
+        #: backing store of addresses ``[0, size)``, demand-zero.  Never
+        #: rebound: compiled closures hold this map and check
+        #: ``len(data)`` before calling :meth:`fault`.
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         #: hard ceiling on total guest memory (None = unlimited); the
         #: logical size otherwise grows geometrically on demand
         self.limit = limit
@@ -80,6 +79,7 @@ class Memory:
         if new_brk > self.size:
             # Grow geometrically; the interpreter is bounded by tests.
             self.size += max(self.size, new_brk - self.size)
+            self.data.resize(self.size)
         self._brk = new_brk
         return addr
 
@@ -91,12 +91,13 @@ class Memory:
         self._brk = mark
 
     def release(self) -> None:
-        """Free the whole guest heap once its run is over.  Cleared in
-        place: compiled closures hold the bytearray itself, and the
+        """Free the whole guest heap once its run is over.  The map is
+        closed in place: compiled closures hold it, and the
         interpreter's reference cycles would otherwise keep it alive
-        until a full garbage collection.  No address stays valid."""
-        self.data.clear()
+        until a full garbage collection.  No address stays valid: every
+        accessor checks ``size`` before it touches the closed map."""
         self.size = 0
+        self.data.close()
 
     # ------------------------------------------------------------------
     # Function pseudo-addresses
@@ -117,24 +118,15 @@ class Memory:
     # Raw access
     # ------------------------------------------------------------------
     def _check(self, addr: int, size: int) -> None:
-        if addr <= 0 or addr + size > len(self.data):
+        if addr <= 0 or addr + size > self.size:
             self.fault(addr, size)
 
     def fault(self, addr: int, size: int) -> None:
-        """Slow path of every access check (the closure engine's too):
-        back ``[addr, addr + size)`` with zero bytes, or raise if it is
-        not inside the logical range."""
-        end = addr + size
-        if addr <= 0 or end > self.size:
-            raise MemoryError_(
-                f"out-of-range access: {size} bytes at {addr:#x}"
-            )
-        data = self.data
-        end = min(-(-end // _CHUNK) * _CHUNK, self.size)
-        while len(data) + _CHUNK <= end:
-            data.extend(_ZERO_CHUNK)
-        if len(data) < end:
-            data.extend(bytes(end - len(data)))
+        """Failed access check (the closure engine's too): ``[addr,
+        addr + size)`` is not inside the logical range."""
+        raise MemoryError_(
+            f"out-of-range access: {size} bytes at {addr:#x}"
+        )
 
     def read_bytes(self, addr: int, size: int) -> bytes:
         self._check(addr, size)
@@ -145,21 +137,15 @@ class Memory:
         self.data[addr : addr + len(payload)] = payload
 
     def read_cstring(self, addr: int, limit: int = 1 << 16) -> str:
-        """The NUL-terminated string at *addr* (at most *limit* bytes)."""
-        data, size = self.data, self.size
+        """The NUL-terminated string at *addr* (at most *limit* bytes),
+        indexed like a sequence: from the end when negative, and
+        ``IndexError`` outside the logical range."""
+        data = self.data
+        if data.closed:
+            raise IndexError("read from released memory")
         out = bytearray()
         for i in range(limit):
-            index = addr + i
-            if not 0 <= index < len(data):
-                # Index the logical range as one bytearray of `size`
-                # bytes would be indexed: from the end when negative,
-                # and with the same IndexError outside it.
-                if not -size <= index < size:
-                    bytearray()[index]
-                index %= size
-                if index >= len(data):
-                    break  # never written: reads as NUL
-            b = data[index]
+            b = data[addr + i]
             if b == 0:
                 break
             out.append(b)

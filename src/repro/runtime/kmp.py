@@ -33,6 +33,19 @@ from repro.runtime.team import Team
 if TYPE_CHECKING:
     from repro.interp.interpreter import Interpreter
 
+#: entry points of :meth:`OpenMPRuntime.install` that use their pointer
+#: arguments only until they return (LLVM's ``nocapture``): a stack slot
+#: whose address goes nowhere else stays private to its thread, so the
+#: closure compiler lets its loads and stores join thread-local runs
+NOCAPTURE = frozenset(
+    {
+        "__kmpc_for_static_init_4u",
+        "__kmpc_for_static_init_8u",
+        "__kmpc_dispatch_next_4u",
+        "__kmpc_dispatch_next_8u",
+    }
+)
+
 
 class OpenMPRuntime:
     """Per-interpreter OpenMP runtime state."""

@@ -63,11 +63,12 @@ class Team:
         The result is lockstep's: round after round, one ``step()`` per
         runnable member in thread order.  Each member keeps a clock,
         the lockstep round of its next instruction.  Instructions that
-        touch only the member's own registers and cannot raise (its
-        thread-local runs, see :mod:`repro.exec.compiler`) are invisible
-        to teammates, so the member retires them eagerly and adds their
-        number to its clock; every other instruction retires in (clock,
-        thread index) order, which is lockstep's order.  The end-of-round
+        touch only the member's own registers and private stack slots
+        and cannot raise (its thread-local runs, see
+        :mod:`repro.exec.compiler`) are invisible to teammates, so the
+        member retires them eagerly and adds their number to its clock;
+        every other instruction retires in (clock, thread index) order,
+        which is lockstep's order.  The end-of-round
         checks run once per distinct clock value: barrier release or
         deadlock when nothing is runnable, the lock-deadlock check when
         every runnable member spun.  Reference contexts have no local

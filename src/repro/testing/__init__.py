@@ -20,7 +20,9 @@ package turns that claim into an executable oracle:
 * :mod:`repro.testing.fuzz` — the campaign driver
   (``python -m repro.testing.fuzz --count 200 --seed 1``), writing
   self-contained reproducers in the ``-crash-reproducer-dir`` layout
-  of :mod:`repro.core.crash_recovery`.
+  of :mod:`repro.core.crash_recovery`.  It is not re-exported here:
+  ``python -m`` would then find it imported before it runs as
+  ``__main__`` and warn.
 """
 
 from repro.testing.generator import (
@@ -36,7 +38,6 @@ from repro.testing.oracle import (
     check_source,
 )
 from repro.testing.shrink import shrink_source
-from repro.testing.fuzz import FuzzReport, run_campaign
 
 __all__ = [
     "GeneratedProgram",
@@ -48,6 +49,4 @@ __all__ = [
     "check_program",
     "check_source",
     "shrink_source",
-    "FuzzReport",
-    "run_campaign",
 ]

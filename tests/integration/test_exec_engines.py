@@ -403,7 +403,7 @@ class TestGuestHeapRelease:
         )
         assert outcome.kind == kind
         assert len(heaps) == 1
-        assert len(heaps[0].data) == 0
+        assert heaps[0].data.closed
 
     def test_traced_memory_bounded_over_back_to_back_runs(self):
         import gc

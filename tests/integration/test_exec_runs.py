@@ -8,19 +8,25 @@ boundary could leak: the fuel exhaustion point and scheduler snapshot
 across a team's whole lifetime, racy interleavings, the wall-clock
 deadline inside register-only loops, and errors raised by instructions
 that are deliberately not thread-local.  They also pin the two guardrail
-fixes that came with it: ``fuel`` bounds parallel regions, and a
-region's thread stacks are freed when it ends.
+fixes that came with it (``fuel`` bounds parallel regions, and a
+region's thread stacks are freed when it ends) and which stack slots
+are private enough for their loads and stores to join thread-local
+runs.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
 
 from repro.exec import create_interpreter, profile_fingerprint
-from repro.exec.engine import ClosureContext
+from repro.exec.engine import ClosureContext, ClosureInterpreter
 from repro.interp.interpreter import DeadlockError, ExecutionTimeout
+from repro.ir import FunctionType, IRBuilder, Module, i8, i32, i64, ptr
+from repro.ir.instructions import CastOp
+from repro.ir.values import ConstantInt, ConstantPointerNull
 from repro.pipeline import compile_source, run_source
 
 pytestmark = pytest.mark.exec_differential
@@ -36,6 +42,20 @@ int main(void) {
   for (int i = 0; i < 700; i += 1)
     sum += i * 8 - 8;
   printf("%d\n", (int)(sum % 1000000));
+  return 0;
+}
+"""
+
+#: a dynamic schedule: each chunk's bounds come back from
+#: ``__kmpc_dispatch_next_4u`` through the thread's stack slots
+DYNAMIC = r"""
+int main(void) {
+  long sum = 0;
+  #pragma omp parallel for reduction(+: sum) schedule(dynamic, 7) \
+      num_threads(3)
+  for (int i = 0; i < 200; i += 1)
+    sum += i * 5 - 3;
+  printf("%ld\n", sum);
   return 0;
 }
 """
@@ -119,11 +139,17 @@ class TestFuelSweep:
         "source,optimize,count",
         [
             (WORKSHARING, True, 100),
+            (WORKSHARING, False, 50),
+            (DYNAMIC, False, 50),
+            (DYNAMIC, True, 50),
             (CRITICAL, False, 50),
             (CRITICAL, True, 50),
             (RACY, True, 50),
         ],
-        ids=["worksharing-O1", "critical-O0", "critical-O1", "racy-O1"],
+        ids=[
+            "worksharing-O1", "worksharing-O0", "dynamic-O0", "dynamic-O1",
+            "critical-O0", "critical-O1", "racy-O1",
+        ],
     )
     def test_outcome_identical_at_every_fuel(self, source, optimize, count):
         module = compile_source(source, optimize=optimize).module
@@ -217,9 +243,41 @@ class TestRegionStacksReleased:
         module = compile_source(self.MANY_REGIONS).module
         interp = create_interpreter(module)
         interp.omp.num_threads = 2
+        size = interp.memory.size
         interp.run("main", [])
         assert interp.output() == "600\n"
-        assert len(interp.memory.data) < 4 << 20
+        # 200 regions of two 512 KiB stacks each never grow the logical
+        # size, nor the map behind it.
+        assert interp.memory.size == size == len(interp.memory.data)
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"),
+        reason="counts the minor page faults of Linux's demand paging",
+    )
+    def test_region_touches_only_the_pages_it_uses(self):
+        """Guest memory is demand-zero: a 4-thread region's four 512 KiB
+        stacks cost the pages their threads write, not 2 MiB of
+        zero-fill."""
+        import resource
+
+        source = r"""
+        long cells[4];
+        int main(void) {
+          #pragma omp parallel num_threads(4)
+          { cells[omp_get_thread_num()] = 1; }
+          return 0;
+        }
+        """
+        module = compile_source(source, optimize=True).module
+        faults = []
+        for _ in range(3):  # the first run also warms the allocator
+            interp = create_interpreter(module)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            interp.run("main", [])
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            interp.memory.release()
+            faults.append(after - before)
+        assert min(faults) < 64
 
     def test_region_that_mallocs_keeps_its_memory(self):
         source = r"""
@@ -240,6 +298,178 @@ class TestRegionStacksReleased:
         for engine in ENGINES:
             result = run_source(source, num_threads=2, exec_engine=engine)
             assert result.stdout == "40 41\n"
+
+
+def _local_ops(module: Module, fn_name: str) -> dict[str, set[int]]:
+    """Block name -> indices of the ops in *fn_name*'s thread-local
+    runs under the closure engine."""
+    interp = ClosureInterpreter(module)
+    code = interp.code_for(module.get_function(fn_name))
+    local = {}
+    for block in code.fn.blocks:
+        runs = code.blocks[id(block)].local_runs
+        local[block.name] = {
+            i
+            for start, run in enumerate(runs)
+            if run is not None
+            for i in range(start, start + run[1])
+        }
+    return local
+
+
+def _slot_module(slot_type, escape) -> Module:
+    """``@f`` stores its argument into a stack slot of *slot_type*,
+    loads it back and returns it; ``escape(b, module, slot)`` adds
+    one more use of the slot's address first.  The store and the load
+    are the entry block's last ops but the ``ret``."""
+    module = Module("slots")
+    fn = module.add_function("f", FunctionType(slot_type, [slot_type]))
+    b = IRBuilder(module)
+    b.set_insert_point(fn.append_block("entry"))
+    slot = b.alloca(slot_type, name="slot")
+    escape(b, module, slot)
+    b.store(fn.args[0], slot)
+    b.ret(b.load(slot_type, slot, "back"))
+    return module
+
+
+def _declare(module, name, *params):
+    return module.add_function(name, FunctionType(i32, list(params)))
+
+
+def _define(module, name, *params):
+    """A guest function that returns 0."""
+    fn = _declare(module, name, *params)
+    body = IRBuilder(module)
+    body.set_insert_point(fn.append_block("entry"))
+    body.ret(ConstantInt(i32, 0))
+    return fn
+
+
+def _store_into_memory(b, module, slot):
+    cell = b.alloca(ptr, name="cell")
+    b.store(slot, cell)
+
+
+def _pass_to_guest(b, module, slot):
+    b.call(_define(module, "sink", ptr), [slot])
+
+
+def _pass_to_guest_named_like_the_runtime(b, module, slot):
+    """A guest *definition* that carries a non-capturing runtime entry
+    point's name is still a guest function."""
+    b.call(_define(module, "__kmpc_dispatch_next_4u", ptr), [slot])
+
+
+def _pass_to_fork_call(b, module, slot):
+    outlined = _define(module, "outlined", ptr, ptr, ptr)
+    fork = _declare(module, "__kmpc_fork_call", ptr, i32, ptr, ptr)
+    b.call(fork, [ConstantPointerNull(), ConstantInt(i32, 1), outlined, slot])
+
+
+def _cast(b, module, slot):
+    b.cast(CastOp.PTRTOINT, slot, i64, "addr")
+
+
+def _gep(b, module, slot):
+    b.gep(i8, slot, [ConstantInt(i64, 0)], "same")
+
+
+def _punned_load(b, module, slot):
+    b.load(i8, slot, "low_byte")
+
+
+def _static_init(b, module, slot):
+    init = _declare(
+        module, "__kmpc_for_static_init_8u",
+        ptr, i32, i32, ptr, ptr, ptr, ptr, i64, i64,
+    )
+    null = ConstantPointerNull()
+    b.call(
+        init,
+        [null, ConstantInt(i32, 0), ConstantInt(i32, 34), null, slot,
+         null, null, ConstantInt(i64, 1), ConstantInt(i64, 1)],
+    )
+
+
+class TestPrivateSlots:
+    """A stack slot whose address goes only to its own loads and stores
+    and to non-capturing runtime entry points is private to its thread:
+    those loads and stores join thread-local runs.  Any other use of
+    the address keeps every access of the slot in lockstep."""
+
+    @pytest.mark.parametrize(
+        "escape",
+        [
+            _store_into_memory,
+            _pass_to_guest,
+            _pass_to_guest_named_like_the_runtime,
+            _pass_to_fork_call,
+            _cast,
+            _gep,
+            _punned_load,
+        ],
+        ids=[
+            "stored-to-memory", "guest-function", "guest-runtime-name",
+            "fork-call", "cast", "gep", "punned-load",
+        ],
+    )
+    @pytest.mark.parametrize("slot_type", [i64, ptr], ids=["i64", "ptr"])
+    def test_escaping_slot_stays_in_lockstep(self, escape, slot_type):
+        module = _slot_module(slot_type, escape)
+        n = len(module.get_function("f").blocks[0].instructions)
+        local = _local_ops(module, "f")["entry"]
+        # Neither the store nor the load.
+        assert not {n - 3, n - 2} & local
+
+    @pytest.mark.parametrize(
+        "use", [lambda b, m, s: None, _static_init],
+        ids=["loads-and-stores", "static-init"],
+    )
+    @pytest.mark.parametrize("slot_type", [i64, ptr], ids=["i64", "ptr"])
+    def test_private_slot_joins_local_runs(self, use, slot_type):
+        module = _slot_module(slot_type, use)
+        entry = module.get_function("f").blocks[0]
+        n = len(entry.instructions)
+        # The store and the load, up to the ret.
+        assert {n - 3, n - 2} <= _local_ops(module, "f")["entry"]
+
+    def test_shared_reduction_variable_stays_in_lockstep(self):
+        """``sum``'s address goes into the region's context: its loads
+        and stores in ``main`` are not local."""
+        module = compile_source(WORKSHARING, optimize=True).module
+        main = module.get_function("main")
+        local = _local_ops(module, "main")
+        accesses = [
+            (block.name, i)
+            for block in main.blocks
+            for i, inst in enumerate(block.instructions)
+            if inst.opcode in ("load", "store") and inst.pointer.name == "sum"
+        ]
+        assert accesses
+        for block_name, i in accesses:
+            assert i not in local[block_name]
+
+    def test_worksharing_loop_condition_is_one_local_run(self):
+        """The run-kernels worksharing loop reloads ``%.omp.ub`` in its
+        condition; the slot's address only goes to
+        ``__kmpc_for_static_init_4u``, so the whole block after its phis
+        is one thread-local run."""
+        module = compile_source(WORKSHARING, optimize=True).module
+        (fn,) = [
+            f for f in module.functions.values()
+            if any(b.name == "omp.inner.for.cond" for b in f.blocks)
+        ]
+        interp = ClosureInterpreter(module)
+        code = interp.code_for(fn)
+        (block,) = [b for b in fn.blocks if b.name == "omp.inner.for.cond"]
+        bc = code.blocks[id(block)]
+        assert any(
+            inst.opcode == "load" for inst in block.instructions
+        )
+        run = bc.local_runs[bc.entry_index]
+        assert run is not None
+        assert run[1] == len(block.instructions) - bc.entry_index
 
 
 class TestRacyInterleavings:

@@ -147,10 +147,10 @@ def test_request_heap_is_empty_afterwards(monkeypatch, exec_engine):
     )
     assert outcome.ok
     (heap,) = heaps
-    assert len(heap.data) == 0
+    assert heap.data.closed
     with pytest.raises(MemoryError_, match="out-of-range access"):
         heap.load(i32, 3000016)
-    assert len(heap.data) == 0
+    assert heap.size == 0
 
 
 class TestMemoryAPI:
@@ -213,15 +213,17 @@ class TestMemoryAPI:
         mem = Memory()
         mem.store(i32, 3 * MIB, 1)
         mem.release()
-        assert len(mem.data) == 0
+        assert mem.data.closed
         for access in (
             lambda: mem.load(i32, 16),
             lambda: mem.store(i32, 3 * MIB, 2),
             lambda: mem.zero(16, 8),
             lambda: mem.read_bytes(4 * MIB - 1, 1),
+            lambda: mem.write_bytes(16, b"x"),
         ):
             with pytest.raises(MemoryError_, match="out-of-range"):
                 access()
         with pytest.raises(IndexError):
             mem.read_cstring(16)
-        assert len(mem.data) == 0
+        mem.release()  # a second release is harmless
+        assert mem.data.closed and mem.size == 0

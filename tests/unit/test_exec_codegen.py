@@ -12,13 +12,16 @@ keeps the two equal:
   nan and inf;
 * a function whose block and value names are hostile Python runs
   identically on both engines, and no name reaches the generated
-  source;
+  source; each run's code object is filed under a digest of its
+  source instead;
 * the process-wide code table never grows past its bound.
 """
 
 from __future__ import annotations
 
+import re
 import struct
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -421,6 +424,17 @@ def test_hostile_names_run_identically_and_stay_out_of_the_source():
         for name in HOSTILE:
             assert name not in source
         assert "main" not in source
+    # Each run shape is its own profile row: the run function's file
+    # name is a digest of its source, never an IR name.
+    files = [compiler._RUN_CODE[s].co_filename for s in sources]
+    assert len(set(files)) == len(sources)
+    for file, source in zip(files, sources):
+        assert re.fullmatch(r"<run [0-9a-f]{8}>", file)
+        run = next(
+            c for c in compiler._RUN_CODE[source].co_consts
+            if isinstance(c, types.CodeType)
+        )
+        assert run.co_filename == file and run.co_name == "run"
 
 
 def test_code_table_never_exceeds_its_bound(monkeypatch):

@@ -4,6 +4,10 @@ oracle divergence detection, and the ddmin shrinker."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.testing import (
@@ -146,3 +150,22 @@ class TestCampaign:
         assert report.unshrunk_count == 0
         # clean campaigns write no reproducers
         assert list(tmp_path.iterdir()) == []
+
+    def test_python_m_fuzz_writes_nothing_to_stderr(self, tmp_path):
+        """``python -m repro.testing.fuzz`` runs without runpy's "found
+        in sys.modules" warning: the package does not import the
+        campaign module ahead of its run as ``__main__``."""
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(root, "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.testing.fuzz", "--count", "1",
+             "--seed", "1"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
