@@ -1048,8 +1048,9 @@ class CodeGenFunction:
             if isinstance(ty, ir_ty.FloatType):
                 from repro.ir.values import ConstantFP
 
+                # fsub -0.0, x is LLVM's negation: -(+0.0) is -0.0
                 return self.builder.binop(
-                    BinOp.FSUB, ConstantFP(ty, 0.0), value, "neg"
+                    BinOp.FSUB, ConstantFP(ty, -0.0), value, "neg"
                 )
             assert isinstance(ty, ir_ty.IntType)
             return self.builder.sub(ConstantInt(ty, 0), value, "neg")
