@@ -57,7 +57,6 @@ from repro.interp.interpreter import (
     ExecutionContext,
     ExecutionTimeout,
     Interpreter,
-    InterpreterError,
     ThreadState,
     scheduler_snapshot,
 )
@@ -86,22 +85,8 @@ class ClosureContext(ExecutionContext):
     interp: "ClosureInterpreter"
 
     # ------------------------------------------------------------------
-    def _push_frame(self, fn: Function, args: list[Any]) -> None:
-        if fn.is_declaration:
-            raise InterpreterError(
-                f"call to undefined function @{fn.name}"
-            )
-        if len(self.stack) >= self.interp.max_call_depth:
-            raise InterpreterError(
-                f"guest call depth exceeded the limit of "
-                f"{self.interp.max_call_depth} frames while calling "
-                f"@{fn.name} (runaway recursion?)"
-            )
-        self.stack.append(
-            ClosureFrame(
-                self.interp.code_for(fn), args, self.stack_ptr
-            )
-        )
+    def _new_frame(self, fn: Function, args: list[Any]) -> ClosureFrame:
+        return ClosureFrame(self.interp.code_for(fn), args, self.stack_ptr)
 
     # ------------------------------------------------------------------
     def value_of(self, v) -> Any:

@@ -259,7 +259,8 @@ class ExecutionContext:
         return addr
 
     # ------------------------------------------------------------------
-    def _push_frame(self, fn: Function, args: list[Any]) -> None:
+    def _push_frame(self, fn: Function, args: list[Any]) -> Frame:
+        """Push and return a frame running *fn* on *args*."""
         if fn.is_declaration:
             raise InterpreterError(
                 f"call to undefined function @{fn.name}"
@@ -270,7 +271,12 @@ class ExecutionContext:
                 f"{self.interp.max_call_depth} frames while calling "
                 f"@{fn.name} (runaway recursion?)"
             )
-        self.stack.append(Frame(fn, args, self.stack_ptr))
+        frame = self._new_frame(fn, args)
+        self.stack.append(frame)
+        return frame
+
+    def _new_frame(self, fn: Function, args: list[Any]) -> Frame:
+        return Frame(fn, args, self.stack_ptr)
 
     @property
     def frame(self) -> Frame:

@@ -265,6 +265,25 @@ class TestGuardrailParity:
         ):
             run_source(source, exec_engine=exec_engine, max_call_depth=64)
 
+    @pytest.mark.parametrize("optimize", [False, True], ids=["O0", "O1"])
+    def test_indirect_recursion_limit_parity(self, exec_engine, optimize):
+        from repro.interp.interpreter import InterpreterError
+
+        source = (
+            "int (*fp)(int);\n"
+            "int f(int n) { return fp(n + 1); }\n"
+            "int main() { fp = f; return f(0); }\n"
+        )
+        with pytest.raises(InterpreterError) as info:
+            run_source(
+                source, exec_engine=exec_engine, max_call_depth=64,
+                optimize=optimize,
+            )
+        assert str(info.value) == (
+            "guest call depth exceeded the limit of 64 frames while "
+            "calling @f (runaway recursion?)"
+        )
+
 
 class TestGuestCalls:
     """Guest-to-guest calls on each engine, checked against literal
