@@ -5,7 +5,7 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test perfbench-test conformance fuzz fuzz-smoke fuzz-cache \
-	fuzz-exec cache-bench exec-bench fault-sweep service-chaos \
+	fuzz-exec fuzz-exec-threads fuzz-service cache-bench exec-bench fault-sweep service-chaos \
 	storage-chaos net-chaos service-bench check-all
 
 # Tier-1: the unit/integration/property pytest suite.
@@ -48,6 +48,19 @@ fuzz-exec:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.testing.fuzz --exec \
 	    --count $(FUZZ_COUNT) --seed $(FUZZ_SEED) \
 	    --reproducer-dir fuzz-reproducers
+
+# The same oracle with teams of four, which give members more room to
+# run ahead of the lockstep clock than the default three.
+fuzz-exec-threads:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.testing.fuzz --exec \
+	    --num-threads 4 --count 50 --seed 1001 \
+	    --reproducer-dir fuzz-reproducers
+
+# Service-oracle fuzzing: every seed's answer through the worker pipe
+# must equal the in-process pipeline's.
+fuzz-service:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.testing.fuzz --service \
+	    --count 50 --seed 1
 
 # Cold-vs-warm latency benchmark -> BENCH_cache.json.
 cache-bench:
@@ -109,6 +122,6 @@ service-bench:
 	    $(BENCH_ARGS)
 
 # Everything CI runs, in one shot.
-check-all: test perfbench-test conformance fuzz-smoke fuzz-exec fault-sweep \
-	service-chaos storage-chaos net-chaos cache-bench exec-bench \
-	service-bench
+check-all: test perfbench-test conformance fuzz-smoke fuzz-cache fuzz-exec \
+	fuzz-exec-threads fuzz-service fault-sweep service-chaos \
+	storage-chaos net-chaos cache-bench exec-bench service-bench
