@@ -4,7 +4,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test perfbench-test conformance fuzz fuzz-smoke fuzz-cache \
+.PHONY: test perfbench-test conformance verify-each fuzz fuzz-smoke fuzz-cache \
 	fuzz-exec fuzz-exec-threads fuzz-service cache-bench exec-bench fault-sweep service-chaos \
 	storage-chaos net-chaos service-bench check-all
 
@@ -20,6 +20,19 @@ perfbench-test:
 # lit/FileCheck conformance suite (tests/conformance/**).
 conformance:
 	$(PYTHON) tools/lit_runner.py tests/conformance
+
+# Verify the IR after every mid-end pass (-O1 -verify-each) for every
+# example and conformance input in both OpenMP representations; the
+# diagnostics/ inputs are meant not to compile.
+verify-each:
+	@for f in examples/*.c $$(find tests/conformance -name '*.c' \
+	    -not -path '*/diagnostics/*' | sort); do \
+	  for mode in "" -fopenmp-enable-irbuilder; do \
+	    PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.driver.cli \
+	      -O1 -verify-each $$mode "$$f" > /dev/null || { \
+	        echo "verify-each failed: $$f $$mode"; exit 1; }; \
+	  done; \
+	done
 
 # Metamorphic differential fuzzer, fixed seeds for reproducibility.
 # Override: make fuzz FUZZ_COUNT=500 FUZZ_SEED=100
@@ -122,6 +135,6 @@ service-bench:
 	    $(BENCH_ARGS)
 
 # Everything CI runs, in one shot.
-check-all: test perfbench-test conformance fuzz-smoke fuzz-cache fuzz-exec \
+check-all: test perfbench-test conformance verify-each fuzz-smoke fuzz-cache fuzz-exec \
 	fuzz-exec-threads fuzz-service fault-sweep service-chaos \
 	storage-chaos net-chaos cache-bench exec-bench service-bench

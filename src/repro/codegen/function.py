@@ -887,7 +887,7 @@ class CodeGenFunction:
             from repro.ir.values import ConstantFP
 
             return self.builder.fcmp(
-                FCmpPred.ONE, value, ConstantFP(ty, 0.0), "tobool"
+                FCmpPred.UNE, value, ConstantFP(ty, 0.0), "tobool"
             )
         if isinstance(ty, ir_ty.PointerType):
             from repro.ir.values import ConstantPointerNull
@@ -942,7 +942,7 @@ class CodeGenFunction:
                 e.BinaryOperatorKind.LE: FCmpPred.OLE,
                 e.BinaryOperatorKind.GE: FCmpPred.OGE,
                 e.BinaryOperatorKind.EQ: FCmpPred.OEQ,
-                e.BinaryOperatorKind.NE: FCmpPred.ONE,
+                e.BinaryOperatorKind.NE: FCmpPred.UNE,
             }[expr.opcode]
             return self.builder.fcmp(pred, lhs, rhs, "cmp")
         signed = operand_qt.is_signed_integer()

@@ -117,6 +117,8 @@ from repro.interp.interpreter import (
     InterpreterError,
     ThreadState,
     Trap,
+    fp_to_int,
+    round_f32,
 )
 from repro.ir.instructions import (
     AllocaInst,
@@ -174,12 +176,6 @@ _INT_STRUCTS = {
 }
 _F32 = struct.Struct("<f")
 _F64 = struct.Struct("<d")
-_F32_RT = struct.Struct("f")
-
-
-def _f32(value: float) -> float:
-    """Round-trip through single precision (the interpreter's idiom)."""
-    return _F32_RT.unpack(_F32_RT.pack(value))[0]
 
 
 def _div0() -> None:
@@ -216,7 +212,8 @@ _RUN_GLOBALS = {
     "_div0": _div0,
     "_fdiv0": _fdiv0,
     "_frem": _frem,
-    "_f32": _f32,
+    "_f32": round_f32,
+    "_fptoi": fp_to_int,
     **{f"_u{bits}": c.unpack_from for bits, c in _INT_STRUCTS.items()},
     **{f"_p{bits}": c.pack_into for bits, c in _INT_STRUCTS.items()},
     "_uf32": _F32.unpack_from,
@@ -683,7 +680,8 @@ class ClosureCompiler:
         )
         if kind.is_float_op:
             fragment = (
-                _float_binop_text, kind, (d, a, b), (None, x, y), (), ()
+                _float_binop_text, (kind, inst.type),
+                (d, a, b), (None, x, y), (), (),
             )
         else:
             assert isinstance(inst.type, IntType)
@@ -1113,7 +1111,7 @@ _ICMP_SYMBOLS = {
     ICmpPred.UGT: ">", ICmpPred.UGE: ">=",
 }
 _FCMP_SYMBOLS = {
-    FCmpPred.OEQ: "==", FCmpPred.ONE: "!=",
+    FCmpPred.OEQ: "==", FCmpPred.UNE: "!=",
     FCmpPred.OLT: "<", FCmpPred.OLE: "<=",
     FCmpPred.OGT: ">", FCmpPred.OGE: ">=",
 }
@@ -1131,12 +1129,17 @@ def _signed(expr: str, ty: IntType) -> str:
     return f"(({expr} & {ty.mask}) ^ {half}) - {half}"
 
 
-def _float_binop_text(kind: BinOp, r, i, o, at) -> str:
+def _float_binop_text(shape: tuple, r, i, o, at) -> str:
+    kind, ty = shape
     d, x, y = r
+    #: an f32 result is rounded to single precision; fmod is exact
+    rounded = "_f32({})" if ty.bits == 32 else "{}"
     if kind in _FLOAT_SYMBOLS:
-        return f"{d} = {x} {_FLOAT_SYMBOLS[kind]} {y}"
+        value = f"{x} {_FLOAT_SYMBOLS[kind]} {y}"
+        return f"{d} = {rounded.format(value)}"
     if kind == BinOp.FDIV:
-        return f"r = {y}\n{d} = {x} / r if r != 0.0 else _fdiv0({x})"
+        quotient = rounded.format(f"{x} / r")
+        return f"r = {y}\n{d} = {quotient} if r != 0.0 else _fdiv0({x})"
     # frem: math.fmod raises on infinities
     return f"{at}{d} = _frem({x}, {y})"
 
@@ -1208,6 +1211,9 @@ def _icmp_text(shape: tuple, r, i, o, at) -> str:
 
 def _fcmp_text(pred: FCmpPred, r, i, o, at) -> str:
     d, x, y = r
+    if pred == FCmpPred.ONE:
+        # ordered: false when an operand is NaN, unlike Python's !=
+        return f"{d} = 1 if {x} < {y} or {x} > {y} else 0"
     return f"{d} = 1 if {x} {_FCMP_SYMBOLS[pred]} {y} else 0"
 
 
@@ -1224,9 +1230,11 @@ def _cast_text(shape: tuple, r, i, o, at) -> str:
         return f"{d} = {x} & {dst_ty.mask}"
     if kind == CastOp.SEXT:
         return f"{d} = ({_signed(x, src_ty)}) & {dst_ty.mask}"
-    if kind in (CastOp.FPTOSI, CastOp.FPTOUI) or (
-        kind in (CastOp.PTRTOINT, CastOp.INTTOPTR, CastOp.BITCAST)
-        and isinstance(dst_ty, IntType)
+    if kind in (CastOp.FPTOSI, CastOp.FPTOUI):
+        # inf and nan trap
+        return f"{at}{d} = _fptoi({x}) & {dst_ty.mask}"
+    if kind in (CastOp.PTRTOINT, CastOp.INTTOPTR, CastOp.BITCAST) and (
+        isinstance(dst_ty, IntType)
     ):
         # int() raises on inf and nan
         return f"{at}{d} = int({x}) & {dst_ty.mask}"

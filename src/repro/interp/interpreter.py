@@ -11,6 +11,8 @@ teams are additional ``ExecutionContext`` instances stepped round-robin by
 from __future__ import annotations
 
 import enum
+import math
+import struct
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -93,6 +95,24 @@ class DeadlockError(InterpreterError):
 
 class Trap(Exception):
     """Guest program trap (abort, unreachable, assertion failure)."""
+
+
+_F32 = struct.Struct("f")
+
+
+def round_f32(value: float) -> float:
+    """*value* rounded to single precision (inf past its range)."""
+    return _F32.unpack(_F32.pack(value))[0]
+
+
+def fp_to_int(value: float) -> int:
+    """*value* truncated to an integer, which ``fptosi``/``fptoui`` then
+    wrap to their width; inf and NaN have no integer value, so
+    converting them traps."""
+    try:
+        return int(value)
+    except (OverflowError, ValueError):
+        raise Trap("conversion of inf or NaN to an integer") from None
 
 
 class ThreadState(enum.Enum):
@@ -494,19 +514,19 @@ class ExecutionContext:
         rhs = self.value_of(inst.rhs)
         if op.is_float_op:
             if op == BinOp.FADD:
-                return lhs + rhs
-            if op == BinOp.FSUB:
-                return lhs - rhs
-            if op == BinOp.FMUL:
-                return lhs * rhs
-            if op == BinOp.FDIV:
+                result = lhs + rhs
+            elif op == BinOp.FSUB:
+                result = lhs - rhs
+            elif op == BinOp.FMUL:
+                result = lhs * rhs
+            elif op == BinOp.FDIV:
                 if rhs == 0.0:
-                    return float("inf") if lhs > 0 else float("-inf") if lhs < 0 else float("nan")
-                return lhs / rhs
-            if op == BinOp.FREM:
-                import math
-
-                return math.fmod(lhs, rhs) if rhs != 0 else float("nan")
+                    result = float("inf") if lhs > 0 else float("-inf") if lhs < 0 else float("nan")
+                else:
+                    result = lhs / rhs
+            else:
+                result = math.fmod(lhs, rhs) if rhs != 0 else float("nan")
+            return round_f32(result) if inst.type.bits == 32 else result
         ty = inst.type
         assert isinstance(ty, IntType)
         sa, sb = ty.to_signed(lhs), ty.to_signed(rhs)
@@ -578,7 +598,8 @@ class ExecutionContext:
         rhs = self.value_of(inst.rhs)
         result = {
             FCmpPred.OEQ: lhs == rhs,
-            FCmpPred.ONE: lhs != rhs,
+            FCmpPred.ONE: lhs < rhs or lhs > rhs,
+            FCmpPred.UNE: lhs != rhs,
             FCmpPred.OLT: lhs < rhs,
             FCmpPred.OLE: lhs <= rhs,
             FCmpPred.OGT: lhs > rhs,
@@ -601,33 +622,17 @@ class ExecutionContext:
                 dst_ty, IntType
             )
             return dst_ty.wrap(src_ty.to_signed(value))
-        if op == CastOp.FPTOSI:
+        if op in (CastOp.FPTOSI, CastOp.FPTOUI):
             assert isinstance(dst_ty, IntType)
-            return dst_ty.wrap(int(value))
-        if op == CastOp.FPTOUI:
-            assert isinstance(dst_ty, IntType)
-            return dst_ty.wrap(int(value))
-        if op == CastOp.SITOFP:
-            assert isinstance(src_ty, IntType)
-            result = float(src_ty.to_signed(value))
-            if isinstance(dst_ty, FloatType) and dst_ty.bits == 32:
-                import struct as _s
-
-                result = _s.unpack("f", _s.pack("f", result))[0]
-            return result
-        if op == CastOp.UITOFP:
+            return dst_ty.wrap(fp_to_int(value))
+        if op in (CastOp.SITOFP, CastOp.UITOFP, CastOp.FPEXT, CastOp.FPTRUNC):
+            if op == CastOp.SITOFP:
+                assert isinstance(src_ty, IntType)
+                value = src_ty.to_signed(value)
             result = float(value)
             if isinstance(dst_ty, FloatType) and dst_ty.bits == 32:
-                import struct as _s
-
-                result = _s.unpack("f", _s.pack("f", result))[0]
+                return round_f32(result)
             return result
-        if op in (CastOp.FPEXT, CastOp.FPTRUNC):
-            if isinstance(dst_ty, FloatType) and dst_ty.bits == 32:
-                import struct as _s
-
-                return _s.unpack("f", _s.pack("f", value))[0]
-            return float(value)
         if op in (CastOp.PTRTOINT, CastOp.INTTOPTR, CastOp.BITCAST):
             if isinstance(dst_ty, IntType):
                 return dst_ty.wrap(int(value))

@@ -11,6 +11,9 @@ The subset needed to make the paper's code-generation story *executable*:
 * an :class:`~repro.ir.irbuilder.IRBuilder` that inserts after the
   previously inserted instruction and simplifies expressions on the fly
   (constant folding), as described in §1.3,
+* the one constant folder (``fold_binop``, ``fold_icmp``, ``fold_cast``,
+  ``fold_select``, ``fold_instruction`` in :mod:`repro.ir.irbuilder`)
+  behind both the IRBuilder and the mid-end ``constant-fold`` pass,
 * a verifier and a ``.ll``-style printer.
 """
 

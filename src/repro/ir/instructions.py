@@ -142,11 +142,14 @@ class FCmpPred(enum.Enum):
     __hash__ = object.__hash__  # a hot dictionary key
 
     OEQ = "oeq"
+    #: ordered and unequal: false when an operand is NaN
     ONE = "one"
     OLT = "olt"
     OLE = "ole"
     OGT = "ogt"
     OGE = "oge"
+    #: unordered or unequal: C's ``!=``, true when an operand is NaN
+    UNE = "une"
 
 
 class FCmpInst(Instruction):

@@ -4,11 +4,14 @@ Offers convenience functions to create any instruction, inserts them after
 the previously inserted instruction, and simplifies expressions on the fly
 — constant folding "avoids creating instructions that would later be
 optimized away anyway".  The OpenMPIRBuilder (:mod:`repro.ompirbuilder`)
-builds on top of it.
+builds on top of it.  The constant folder it folds with (``fold_*``, at
+the end of this module) is also the mid-end ``constant-fold`` pass's.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Callable, Optional, Sequence
 
 from repro.ir.instructions import (
@@ -37,11 +40,9 @@ from repro.ir.instructions import (
 from repro.ir.module import BasicBlock, Function, Module
 from repro.ir.types import (
     FloatType,
-    FunctionType,
     IntType,
     IRType,
     i1,
-    ptr,
     void_t,
 )
 from repro.ir.values import (
@@ -154,84 +155,12 @@ class IRBuilder:
     def binop(
         self, op: BinOp, lhs: Value, rhs: Value, name: str = ""
     ) -> Value:
-        folded = self._fold_binop(op, lhs, rhs)
-        if folded is not None:
+        folded = fold_binop(op, lhs, rhs)
+        if folded is None:
+            folded = _identity(op, lhs, rhs)
+        if folded is not None and self.folding_enabled:
             return folded
         return self._insert(BinaryInst(op, lhs, rhs, name or op.value))
-
-    def _fold_binop(
-        self, op: BinOp, lhs: Value, rhs: Value
-    ) -> Value | None:
-        if not self.folding_enabled:
-            return None
-        # Constant-constant folding.
-        if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
-            ty = lhs.type
-            a, b = lhs.value, rhs.value
-            sa, sb = lhs.signed_value, rhs.signed_value
-            try:
-                result = {
-                    BinOp.ADD: lambda: a + b,
-                    BinOp.SUB: lambda: a - b,
-                    BinOp.MUL: lambda: a * b,
-                    BinOp.AND: lambda: a & b,
-                    BinOp.OR: lambda: a | b,
-                    BinOp.XOR: lambda: a ^ b,
-                    BinOp.SHL: lambda: a << (b % ty.bits),
-                    BinOp.LSHR: lambda: a >> (b % ty.bits),
-                    BinOp.ASHR: lambda: sa >> (b % ty.bits),
-                    BinOp.UDIV: lambda: a // b if b else None,
-                    BinOp.UREM: lambda: a % b if b else None,
-                    BinOp.SDIV: lambda: _sdiv(sa, sb) if b else None,
-                    BinOp.SREM: lambda: _srem(sa, sb) if b else None,
-                }[op]()
-            except KeyError:
-                return None
-            if result is None:
-                return None
-            return ConstantInt(ty, result)
-        if isinstance(lhs, ConstantFP) and isinstance(rhs, ConstantFP):
-            a, b = lhs.value, rhs.value
-            table = {
-                BinOp.FADD: lambda: a + b,
-                BinOp.FSUB: lambda: a - b,
-                BinOp.FMUL: lambda: a * b,
-                BinOp.FDIV: lambda: a / b if b else None,
-            }
-            fn = table.get(op)
-            if fn is not None:
-                result = fn()
-                if result is not None:
-                    return ConstantFP(lhs.type, result)
-            return None
-        # Algebraic identities.
-        if isinstance(rhs, ConstantInt):
-            if rhs.value == 0 and op in (
-                BinOp.ADD,
-                BinOp.SUB,
-                BinOp.OR,
-                BinOp.XOR,
-                BinOp.SHL,
-                BinOp.LSHR,
-                BinOp.ASHR,
-            ):
-                return lhs
-            if rhs.value == 1 and op in (
-                BinOp.MUL,
-                BinOp.SDIV,
-                BinOp.UDIV,
-            ):
-                return lhs
-            if rhs.value == 0 and op == BinOp.MUL:
-                return rhs
-        if isinstance(lhs, ConstantInt):
-            if lhs.value == 0 and op in (BinOp.ADD, BinOp.OR, BinOp.XOR):
-                return rhs
-            if lhs.value == 1 and op == BinOp.MUL:
-                return rhs
-            if lhs.value == 0 and op == BinOp.MUL:
-                return lhs
-        return None
 
     # Shorthands ---------------------------------------------------------
     def add(self, lhs: Value, rhs: Value, name: str = "add") -> Value:
@@ -252,29 +181,9 @@ class IRBuilder:
     def icmp(
         self, pred: ICmpPred, lhs: Value, rhs: Value, name: str = "cmp"
     ) -> Value:
-        if (
-            self.folding_enabled
-            and isinstance(lhs, ConstantInt)
-            and isinstance(rhs, ConstantInt)
-        ):
-            a, b = (
-                (lhs.signed_value, rhs.signed_value)
-                if pred.is_signed
-                else (lhs.value, rhs.value)
-            )
-            result = {
-                ICmpPred.EQ: a == b,
-                ICmpPred.NE: a != b,
-                ICmpPred.SLT: a < b,
-                ICmpPred.SLE: a <= b,
-                ICmpPred.SGT: a > b,
-                ICmpPred.SGE: a >= b,
-                ICmpPred.ULT: a < b,
-                ICmpPred.ULE: a <= b,
-                ICmpPred.UGT: a > b,
-                ICmpPred.UGE: a >= b,
-            }[pred]
-            return ConstantInt(i1, int(result))
+        folded = fold_icmp(pred, lhs, rhs)
+        if folded is not None and self.folding_enabled:
+            return folded
         return self._insert(ICmpInst(pred, lhs, rhs, name))
 
     def fcmp(
@@ -295,29 +204,9 @@ class IRBuilder:
             CastOp.SEXT,
         ):
             return value
-        if self.folding_enabled and isinstance(value, ConstantInt):
-            if op == CastOp.TRUNC and isinstance(to_type, IntType):
-                return ConstantInt(to_type, value.value)
-            if op == CastOp.ZEXT and isinstance(to_type, IntType):
-                return ConstantInt(to_type, value.value)
-            if op == CastOp.SEXT and isinstance(to_type, IntType):
-                return ConstantInt(to_type, value.signed_value)
-            if op in (CastOp.SITOFP, CastOp.UITOFP) and isinstance(
-                to_type, FloatType
-            ):
-                src = (
-                    value.signed_value
-                    if op == CastOp.SITOFP
-                    else value.value
-                )
-                return ConstantFP(to_type, float(src))
-        if self.folding_enabled and isinstance(value, ConstantFP):
-            if op in (CastOp.FPEXT, CastOp.FPTRUNC) and isinstance(
-                to_type, FloatType
-            ):
-                return ConstantFP(to_type, value.value)
-            if op == CastOp.FPTOSI and isinstance(to_type, IntType):
-                return ConstantInt(to_type, int(value.value))
+        folded = fold_cast(op, value, to_type)
+        if folded is not None and self.folding_enabled:
+            return folded
         return self._insert(
             CastInst(op, value, to_type, name or op.value)
         )
@@ -377,10 +266,9 @@ class IRBuilder:
         true_block: BasicBlock,
         false_block: BasicBlock,
     ) -> Instruction:
-        if self.folding_enabled and isinstance(condition, ConstantInt):
-            return self.br(
-                true_block if condition.value else false_block
-            )
+        target = fold_select(condition, true_block, false_block)
+        if target is not None and self.folding_enabled:
+            return self.br(target)
         return self._insert(
             CondBranchInst(condition, true_block, false_block)
         )
@@ -409,8 +297,9 @@ class IRBuilder:
         false_value: Value,
         name: str = "select",
     ) -> Value:
-        if self.folding_enabled and isinstance(condition, ConstantInt):
-            return true_value if condition.value else false_value
+        folded = fold_select(condition, true_value, false_value)
+        if folded is not None and self.folding_enabled:
+            return folded
         return self._insert(
             SelectInst(condition, true_value, false_value, name)
         )
@@ -432,10 +321,153 @@ class IRBuilder:
         )
 
 
-def _sdiv(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
+def _identity(op: BinOp, lhs: Value, rhs: Value) -> Value | None:
+    """The operand or constant an algebraic identity (``x + 0``,
+    ``x * 1``, ``0 * x``, ...) reduces *op* to; the IRBuilder's own
+    simplification, which the constant-fold pass does not share."""
+    if isinstance(rhs, ConstantInt):
+        if rhs.value == 0 and op in (
+            BinOp.ADD, BinOp.SUB, BinOp.OR, BinOp.XOR,
+            BinOp.SHL, BinOp.LSHR, BinOp.ASHR,
+        ):
+            return lhs
+        if rhs.value == 1 and op in (BinOp.MUL, BinOp.SDIV, BinOp.UDIV):
+            return lhs
+        if rhs.value == 0 and op == BinOp.MUL:
+            return rhs
+    if isinstance(lhs, ConstantInt):
+        if lhs.value == 0 and op in (BinOp.ADD, BinOp.OR, BinOp.XOR):
+            return rhs
+        if lhs.value == 1 and op == BinOp.MUL:
+            return rhs
+        if lhs.value == 0 and op == BinOp.MUL:
+            return lhs
+    return None
 
 
-def _srem(a: int, b: int) -> int:
-    return a - _sdiv(a, b) * b
+# ======================================================================
+# The constant folder
+# ======================================================================
+# One definition of which instructions over constants fold and to what,
+# shared by the IRBuilder (while it builds) and the constant-fold pass
+# (once operands became constant), as LLVM's ConstantFolder and
+# ConstantFoldInstruction share ConstantFold.cpp.  A fold whose run-time
+# evaluation fails is declined: division by zero, ``fdiv`` by +-0.0 and
+# ``fptosi`` of inf or NaN stay instructions and fail only if they run.
+
+#: int binop -> its value from the operands' unsigned values ``a``,
+#: ``b``, signed values ``sa``, ``sb`` and bit width ``n``
+_INT_FOLDS: dict[BinOp, Callable[[int, int, int, int, int], int]] = {
+    BinOp.ADD: lambda a, b, sa, sb, n: a + b,
+    BinOp.SUB: lambda a, b, sa, sb, n: a - b,
+    BinOp.MUL: lambda a, b, sa, sb, n: a * b,
+    BinOp.AND: lambda a, b, sa, sb, n: a & b,
+    BinOp.OR: lambda a, b, sa, sb, n: a | b,
+    BinOp.XOR: lambda a, b, sa, sb, n: a ^ b,
+    BinOp.SHL: lambda a, b, sa, sb, n: a << (b % n),
+    BinOp.LSHR: lambda a, b, sa, sb, n: a >> (b % n),
+    BinOp.ASHR: lambda a, b, sa, sb, n: sa >> (b % n),
+    BinOp.UDIV: lambda a, b, sa, sb, n: a // b,
+    BinOp.UREM: lambda a, b, sa, sb, n: a % b,
+    # C truncates: the quotient rounds toward zero and the remainder
+    # takes the dividend's sign
+    BinOp.SDIV: lambda a, b, sa, sb, n: (
+        abs(sa) // abs(sb) * (1 if (sa < 0) == (sb < 0) else -1)
+    ),
+    BinOp.SREM: lambda a, b, sa, sb, n: (
+        abs(sa) % abs(sb) * (-1 if sa < 0 else 1)
+    ),
+}
+_DIVISIONS = (BinOp.UDIV, BinOp.UREM, BinOp.SDIV, BinOp.SREM)
+_FP_FOLDS = {
+    BinOp.FADD: operator.add,
+    BinOp.FSUB: operator.sub,
+    BinOp.FMUL: operator.mul,
+    BinOp.FDIV: operator.truediv,
+}
+_ICMP_FOLDS = {
+    ICmpPred.EQ: operator.eq,
+    ICmpPred.NE: operator.ne,
+    ICmpPred.SLT: operator.lt,
+    ICmpPred.SLE: operator.le,
+    ICmpPred.SGT: operator.gt,
+    ICmpPred.SGE: operator.ge,
+    ICmpPred.ULT: operator.lt,
+    ICmpPred.ULE: operator.le,
+    ICmpPred.UGT: operator.gt,
+    ICmpPred.UGE: operator.ge,
+}
+
+
+def fold_binop(op: BinOp, lhs: Value, rhs: Value) -> Constant | None:
+    """*op* over two constants as a constant, or None."""
+    if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
+        fold = _INT_FOLDS.get(op)
+        if fold is None or (op in _DIVISIONS and not rhs.value):
+            return None
+        sa, sb = lhs.signed_value, rhs.signed_value
+        value = fold(lhs.value, rhs.value, sa, sb, lhs.type.bits)
+        return ConstantInt(lhs.type, value)
+    if isinstance(lhs, ConstantFP) and isinstance(rhs, ConstantFP):
+        fold = _FP_FOLDS.get(op)
+        if fold is None or (op == BinOp.FDIV and not rhs.value):
+            return None
+        return ConstantFP(lhs.type, fold(lhs.value, rhs.value))
+    return None
+
+
+def fold_icmp(pred: ICmpPred, lhs: Value, rhs: Value) -> ConstantInt | None:
+    """*pred* over two integer constants as an i1 constant, or None."""
+    if not (isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt)):
+        return None
+    if pred.is_signed:
+        lhs_value, rhs_value = lhs.signed_value, rhs.signed_value
+    else:
+        lhs_value, rhs_value = lhs.value, rhs.value
+    return ConstantInt(i1, _ICMP_FOLDS[pred](lhs_value, rhs_value))
+
+
+def fold_cast(op: CastOp, value: Value, to_type: IRType) -> Constant | None:
+    """*value* cast to *to_type* as a constant, or None."""
+    to_int = isinstance(to_type, IntType)
+    to_float = isinstance(to_type, FloatType)
+    if isinstance(value, ConstantInt):
+        if to_int and op in (CastOp.TRUNC, CastOp.ZEXT):
+            return ConstantInt(to_type, value.value)
+        if to_int and op == CastOp.SEXT:
+            return ConstantInt(to_type, value.signed_value)
+        if op == CastOp.SITOFP and to_float:
+            return ConstantFP(to_type, float(value.signed_value))
+        if op == CastOp.UITOFP and to_float:
+            return ConstantFP(to_type, float(value.value))
+    elif isinstance(value, ConstantFP):
+        if op in (CastOp.FPEXT, CastOp.FPTRUNC) and to_float:
+            return ConstantFP(to_type, value.value)
+        if op == CastOp.FPTOSI and to_int and math.isfinite(value.value):
+            return ConstantInt(to_type, int(value.value))
+    return None
+
+
+def fold_select(
+    condition: Value, true_value: Value, false_value: Value
+) -> Value | None:
+    """The value a constant *condition* picks (a select's operand or a
+    conditional branch's target), or None."""
+    if isinstance(condition, ConstantInt):
+        return true_value if condition.value else false_value
+    return None
+
+
+def fold_instruction(inst: Instruction) -> Value | None:
+    """The value *inst* folds to, or None."""
+    if isinstance(inst, BinaryInst):
+        return fold_binop(inst.op, inst.lhs, inst.rhs)
+    if isinstance(inst, ICmpInst):
+        return fold_icmp(inst.pred, inst.lhs, inst.rhs)
+    if isinstance(inst, CastInst):
+        return fold_cast(inst.op, inst.value, inst.type)
+    if isinstance(inst, SelectInst):
+        return fold_select(
+            inst.condition, inst.true_value, inst.false_value
+        )
+    return None

@@ -3,101 +3,24 @@
 The IRBuilder folds during construction (paper §1.3); this pass re-folds
 instructions whose operands *became* constant — e.g. the per-copy exit
 checks left behind by full unrolling once phi chains were resolved.
+Both fold by the one set of rules in :mod:`repro.ir.irbuilder`
+(:func:`~repro.ir.irbuilder.fold_instruction`); the pass adds only the
+sweep to a fixed point and the folding of constant conditional branches,
+not the IRBuilder's algebraic identities.
 """
 
 from __future__ import annotations
 
-from repro.ir.instructions import (
-    BinaryInst,
-    BinOp,
-    BranchInst,
-    CastInst,
-    CastOp,
-    CondBranchInst,
-    ICmpInst,
-    ICmpPred,
-    Instruction,
-    SelectInst,
-)
+from repro.ir.instructions import BranchInst, CondBranchInst, Instruction
+from repro.ir.irbuilder import fold_instruction, fold_select
 from repro.ir.module import Function
-from repro.ir.types import IntType
 from repro.ir.utils import replace_all_uses_map, resolve_replacement
-from repro.ir.values import ConstantInt, Value
+from repro.ir.values import Value
 from repro.midend.pass_manager import (
     FunctionAnalysisManager,
     FunctionPass,
     PreservedAnalyses,
 )
-
-
-def _fold_instruction(inst) -> Value | None:
-    if isinstance(inst, BinaryInst) and isinstance(
-        inst.lhs, ConstantInt
-    ) and isinstance(inst.rhs, ConstantInt):
-        ty = inst.type
-        assert isinstance(ty, IntType)
-        a, b = inst.lhs.value, inst.rhs.value
-        sa, sb = inst.lhs.signed_value, inst.rhs.signed_value
-        op = inst.op
-        try:
-            result = {
-                BinOp.ADD: lambda: a + b,
-                BinOp.SUB: lambda: a - b,
-                BinOp.MUL: lambda: a * b,
-                BinOp.AND: lambda: a & b,
-                BinOp.OR: lambda: a | b,
-                BinOp.XOR: lambda: a ^ b,
-                BinOp.SHL: lambda: a << (b % ty.bits),
-                BinOp.LSHR: lambda: a >> (b % ty.bits),
-                BinOp.ASHR: lambda: sa >> (b % ty.bits),
-                BinOp.UDIV: lambda: a // b if b else None,
-                BinOp.UREM: lambda: a % b if b else None,
-            }[op]()
-        except KeyError:
-            return None
-        if result is None:
-            return None
-        return ConstantInt(ty, result)
-    if isinstance(inst, ICmpInst) and isinstance(
-        inst.lhs, ConstantInt
-    ) and isinstance(inst.rhs, ConstantInt):
-        pred = inst.pred
-        a, b = (
-            (inst.lhs.signed_value, inst.rhs.signed_value)
-            if pred.is_signed
-            else (inst.lhs.value, inst.rhs.value)
-        )
-        result = {
-            ICmpPred.EQ: a == b,
-            ICmpPred.NE: a != b,
-            ICmpPred.SLT: a < b,
-            ICmpPred.SLE: a <= b,
-            ICmpPred.SGT: a > b,
-            ICmpPred.SGE: a >= b,
-            ICmpPred.ULT: a < b,
-            ICmpPred.ULE: a <= b,
-            ICmpPred.UGT: a > b,
-            ICmpPred.UGE: a >= b,
-        }[pred]
-        return ConstantInt(IntType(1), int(result))
-    if isinstance(inst, CastInst) and isinstance(
-        inst.value, ConstantInt
-    ):
-        dst = inst.type
-        if isinstance(dst, IntType):
-            if inst.op in (CastOp.TRUNC, CastOp.ZEXT):
-                return ConstantInt(dst, inst.value.value)
-            if inst.op == CastOp.SEXT:
-                return ConstantInt(dst, inst.value.signed_value)
-    if isinstance(inst, SelectInst) and isinstance(
-        inst.condition, ConstantInt
-    ):
-        return (
-            inst.true_value
-            if inst.condition.value
-            else inst.false_value
-        )
-    return None
 
 
 class ConstantFoldPass(FunctionPass):
@@ -126,7 +49,7 @@ class ConstantFoldPass(FunctionPass):
                                 new = resolve_replacement(folds, op)
                                 if new is not inst:
                                     inst.replace_operand(op, new)
-                    folded = _fold_instruction(inst)
+                    folded = fold_instruction(inst)
                     if folded is not None:
                         folds[id(inst)] = (inst, folded)
                         inst.parent = None
@@ -137,17 +60,17 @@ class ConstantFoldPass(FunctionPass):
                     ]
                 # Fold constant conditional branches.
                 term = block.terminator
-                if isinstance(term, CondBranchInst) and isinstance(
-                    term.condition, ConstantInt
-                ):
-                    target = (
-                        term.true_block
-                        if term.condition.value
-                        else term.false_block
+                target = (
+                    fold_select(
+                        term.condition, term.true_block, term.false_block
                     )
+                    if isinstance(term, CondBranchInst)
+                    else None
+                )
+                if target is not None:
                     dead_target = (
                         term.false_block
-                        if term.condition.value
+                        if target is term.true_block
                         else term.true_block
                     )
                     for phi in dead_target.phis():

@@ -120,12 +120,28 @@ class _Outcome:
     error_detail: str = ""
 
 
-def _run_config(
-    config: Config, source: str, num_threads: int, fuel: int
-) -> _Outcome:
+def _failure(exc: Exception) -> _Outcome:
+    """The outcome of a configuration whose compile or run raised
+    *exc*."""
     from repro.core.crash_recovery import InternalCompilerError
     from repro.interp import ExecutionTimeout
 
+    if isinstance(exc, CompilationError):
+        kind = "ice" if exc.ice else "compile-error"
+        return _Outcome(error=kind, error_detail=str(exc))
+    if isinstance(exc, ExecutionTimeout):
+        return _Outcome(error="timeout", error_detail=str(exc))
+    if isinstance(exc, InternalCompilerError):
+        return _Outcome(error="ice", error_detail=str(exc))
+    # any other escape is itself a finding
+    return _Outcome(
+        error="ice", error_detail=f"{type(exc).__name__}: {exc}"
+    )
+
+
+def _run_config(
+    config: Config, source: str, num_threads: int, fuel: int
+) -> _Outcome:
     if config.via_service:
         return _run_config_via_service(config, source, num_threads, fuel)
     if config.exec_engine != "interp":
@@ -138,18 +154,8 @@ def _run_config(
                     error="cache-divergence", error_detail=mismatch
                 )
         result = config.run(source, num_threads, fuel)
-    except CompilationError as exc:
-        kind = "ice" if exc.ice else "compile-error"
-        return _Outcome(error=kind, error_detail=str(exc))
-    except ExecutionTimeout as exc:
-        return _Outcome(error="timeout", error_detail=str(exc))
-    except InternalCompilerError as exc:
-        return _Outcome(error="ice", error_detail=str(exc))
-    except Exception as exc:  # any escape is itself a finding
-        return _Outcome(
-            error="ice",
-            error_detail=f"{type(exc).__name__}: {exc}",
-        )
+    except Exception as exc:
+        return _failure(exc)
     code = result.exit_code if isinstance(result.exit_code, int) else 0
     return _Outcome(stdout=result.stdout, exit_code=code)
 
@@ -163,9 +169,7 @@ def _engine_outcome(
 ) -> tuple[_Outcome, Optional[dict]]:
     """Run one configuration on one engine; outcome plus the execution
     profile fingerprint (None unless the run completed)."""
-    from repro.core.crash_recovery import InternalCompilerError
     from repro.exec import profile_fingerprint
-    from repro.interp import ExecutionTimeout
 
     try:
         result = config.run(
@@ -175,21 +179,8 @@ def _engine_outcome(
             exec_engine=engine,
             profile_detail=True,
         )
-    except CompilationError as exc:
-        kind = "ice" if exc.ice else "compile-error"
-        return _Outcome(error=kind, error_detail=str(exc)), None
-    except ExecutionTimeout as exc:
-        return _Outcome(error="timeout", error_detail=str(exc)), None
-    except InternalCompilerError as exc:
-        return _Outcome(error="ice", error_detail=str(exc)), None
     except Exception as exc:
-        return (
-            _Outcome(
-                error="ice",
-                error_detail=f"{type(exc).__name__}: {exc}",
-            ),
-            None,
-        )
+        return _failure(exc), None
     code = result.exit_code if isinstance(result.exit_code, int) else 0
     return (
         _Outcome(stdout=result.stdout, exit_code=code),

@@ -232,6 +232,27 @@ for _pred in (
     )
 CASES.append(
     Case(
+        "fcmp-une",
+        [double_t, double_t],
+        lambda b, a, fn, buf: b.fcmp(FCmpPred.UNE, a[0], a[1]),
+    )
+)
+for _pred in FCmpPred:
+    CASES.append(
+        Case(
+            f"fcmp-{_pred.value}-nan",
+            [double_t],
+            lambda b, a, fn, buf, p=_pred: b.fcmp(
+                p, a[0], ConstantFP(double_t, float("nan"))
+            ),
+        )
+    )
+for _kind in (BinOp.FADD, BinOp.FSUB, BinOp.FMUL, BinOp.FDIV, BinOp.FREM):
+    CASES.append(
+        Case(f"{_kind.value}-f32-reg", [float_t, float_t], _binop(_kind))
+    )
+CASES.append(
+    Case(
         "select",
         [i1, i32, i32],
         lambda b, a, fn, buf: b.select(a[0], a[1], a[2]),
@@ -679,3 +700,35 @@ def test_missing_incoming_raises_only_when_taken():
     assert code.entry.ops[1].may_raise
     assert code.entry.local_runs[1] is None
 
+
+
+def test_fcmp_predicates_order_nan_as_llvm_does():
+    """Both engines: the ordered predicates are false when an operand
+    is NaN, ``une`` is true."""
+    expected = {
+        FCmpPred.OEQ: lambda x, y: x == y,
+        FCmpPred.ONE: lambda x, y: x < y or x > y,
+        FCmpPred.OLT: lambda x, y: x < y,
+        FCmpPred.OLE: lambda x, y: x <= y,
+        FCmpPred.OGT: lambda x, y: x > y,
+        FCmpPred.OGE: lambda x, y: x >= y,
+        FCmpPred.UNE: lambda x, y: not x == y,
+    }
+    assert set(expected) == set(FCmpPred)
+    module = Module("fcmp")
+    b = IRBuilder(module)
+    for pred in FCmpPred:
+        fn = module.add_function(
+            pred.value, FunctionType(i1, [double_t, double_t])
+        )
+        b.set_insert_point(fn.append_block("entry"))
+        b.ret(b.fcmp(pred, fn.args[0], fn.args[1]))
+    nan = float("nan")
+    operands = [(1.0, 2.0), (2.0, 2.0), (nan, 2.0), (1.0, nan), (nan, nan)]
+    for engine in ("interp", "closures"):
+        interp = create_interpreter(module, engine=engine)
+        for pred, truth in expected.items():
+            for x, y in operands:
+                assert interp.run(pred.value, [x, y]) == int(truth(x, y)), (
+                    engine, pred, x, y,
+                )
