@@ -105,6 +105,15 @@ def round_f32(value: float) -> float:
     return _F32.unpack(_F32.pack(value))[0]
 
 
+def fdiv_by_zero(lhs: float, rhs: float) -> float:
+    """``lhs / rhs`` for a zero *rhs*, as IEEE 754 defines it: NaN when
+    *lhs* is zero or NaN, else an infinity whose sign is the product of
+    the operands' signs (``1.0 / -0.0`` is ``-inf``)."""
+    if lhs != lhs or lhs == 0.0:
+        return math.nan
+    return math.copysign(math.inf, lhs) * math.copysign(1.0, rhs)
+
+
 def fp_to_int(value: float) -> int:
     """*value* truncated to an integer, which ``fptosi``/``fptoui`` then
     wrap to their width; inf and NaN have no integer value, so
@@ -520,10 +529,7 @@ class ExecutionContext:
             elif op == BinOp.FMUL:
                 result = lhs * rhs
             elif op == BinOp.FDIV:
-                if rhs == 0.0:
-                    result = float("inf") if lhs > 0 else float("-inf") if lhs < 0 else float("nan")
-                else:
-                    result = lhs / rhs
+                result = lhs / rhs if rhs != 0.0 else fdiv_by_zero(lhs, rhs)
             else:
                 result = math.fmod(lhs, rhs) if rhs != 0 else float("nan")
             return round_f32(result) if inst.type.bits == 32 else result
@@ -625,10 +631,13 @@ class ExecutionContext:
         if op in (CastOp.FPTOSI, CastOp.FPTOUI):
             assert isinstance(dst_ty, IntType)
             return dst_ty.wrap(fp_to_int(value))
-        if op in (CastOp.SITOFP, CastOp.UITOFP, CastOp.FPEXT, CastOp.FPTRUNC):
+        if op in (CastOp.SITOFP, CastOp.UITOFP):
+            assert isinstance(src_ty, IntType)
+            assert isinstance(dst_ty, FloatType)
             if op == CastOp.SITOFP:
-                assert isinstance(src_ty, IntType)
                 value = src_ty.to_signed(value)
+            return dst_ty.from_int(value)
+        if op in (CastOp.FPEXT, CastOp.FPTRUNC):
             result = float(value)
             if isinstance(dst_ty, FloatType) and dst_ty.bits == 32:
                 return round_f32(result)

@@ -437,9 +437,9 @@ def fold_cast(op: CastOp, value: Value, to_type: IRType) -> Constant | None:
         if to_int and op == CastOp.SEXT:
             return ConstantInt(to_type, value.signed_value)
         if op == CastOp.SITOFP and to_float:
-            return ConstantFP(to_type, float(value.signed_value))
+            return ConstantFP(to_type, to_type.from_int(value.signed_value))
         if op == CastOp.UITOFP and to_float:
-            return ConstantFP(to_type, float(value.value))
+            return ConstantFP(to_type, to_type.from_int(value.value))
     elif isinstance(value, ConstantFP):
         if op in (CastOp.FPEXT, CastOp.FPTRUNC) and to_float:
             return ConstantFP(to_type, value.value)

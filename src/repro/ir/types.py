@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence
 
 
@@ -86,6 +87,10 @@ class IntType(IRType):
         return value
 
 
+#: single-precision codec (rounds a double to nearest, ties to even)
+_F32 = struct.Struct("<f")
+
+
 class FloatType(IRType):
     _cache: dict[int, "FloatType"] = {}
 
@@ -103,6 +108,26 @@ class FloatType(IRType):
 
     def size_bytes(self) -> int:
         return self.bits // 8
+
+    def from_int(self, value: int) -> float:
+        """The integer *value* converted to this type, rounded once to
+        nearest, ties to even (``sitofp``/``uitofp``).  An integer wider
+        than a double's 53-bit significand is first rounded to a
+        float's 24 bits here, since rounding it to double and then to
+        float could round twice."""
+        if self.bits == 64:
+            return float(value)
+        magnitude = abs(value)
+        if magnitude >= 1 << 53:
+            shift = magnitude.bit_length() - 24
+            kept = magnitude >> shift
+            dropped = magnitude - (kept << shift)
+            half = 1 << (shift - 1)
+            if dropped > half or (dropped == half and kept & 1):
+                kept += 1
+            magnitude = kept << shift
+            value = -magnitude if value < 0 else magnitude
+        return _F32.unpack(_F32.pack(float(value)))[0]
 
 
 class PointerType(IRType):

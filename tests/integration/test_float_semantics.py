@@ -10,6 +10,10 @@ O1, through the CLI; expected outputs are GCC 12's.
   message, not an internal compiler error; a constant one compiles.
 * C's ``!=`` on floating operands and a float's truth value are
   ``fcmp une``, which is true when an operand is NaN.
+* Dividing by a zero gives an infinity whose sign is the product of the
+  operands' signs, so ``1.0 / -0.0`` is ``-inf``; ``0.0 / 0.0`` is NaN.
+* An integer wider than a double's significand converts to ``float``
+  with one rounding, folded at compile time or at run time.
 """
 
 from __future__ import annotations
@@ -72,6 +76,38 @@ int main(void) {
 """
 
 
+SIGNED_ZERO_DIVISOR = """
+int printf(const char *fmt, ...);
+int main(void) {
+  double z = -0.0;
+  double p = 0.0;
+  printf("%f %f\\n", 1.0 / z, -1.0 / z);
+  printf("%f %f\\n", 1.0 / p, -1.0 / p);
+  double n = p / p;
+  printf("%d\\n", n != n);
+  float fz = -0.0f;
+  printf("%f\\n", (double)(2.0f / fz));
+  return 0;
+}
+"""
+
+WIDE_INT_TO_FLOAT = """
+int printf(const char *fmt, ...);
+long wide = (1L << 54) + (1L << 30) + 1;
+unsigned long uwide = (1UL << 63) + (1UL << 39) + 1;
+int main(void) {
+  long v = (1L << 54) + (1L << 30) + 1;
+  float f = v;
+  float g = wide;
+  float h = uwide;
+  float k = -wide;
+  printf("%f %f\\n", (double)f, (double)g);
+  printf("%f %f\\n", (double)h, (double)k);
+  return 0;
+}
+"""
+
+
 def run(tmp_path, capsys, source, engine, optimize, representation):
     path = tmp_path / "prog.c"
     path.write_text(source)
@@ -119,3 +155,26 @@ def test_float_inequality_is_unordered(
         ).ir_text()
         assert ir.count("fcmp une double") == 2
         assert "fcmp one" not in ir
+
+
+def test_division_by_zero_takes_the_sign_of_the_zero(
+    tmp_path, capsys, engine, optimize, representation
+):
+    assert run(
+        tmp_path, capsys, SIGNED_ZERO_DIVISOR, engine, optimize,
+        representation,
+    ) == (EXIT_OK, "-inf inf\ninf -inf\n1\n-inf\n", "")
+
+
+def test_wide_integer_to_float_rounds_once(
+    tmp_path, capsys, engine, optimize, representation
+):
+    assert run(
+        tmp_path, capsys, WIDE_INT_TO_FLOAT, engine, optimize,
+        representation,
+    ) == (
+        EXIT_OK,
+        "18014400656965632.000000 18014400656965632.000000\n"
+        "9223373136366403584.000000 -18014400656965632.000000\n",
+        "",
+    )
