@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import math
+import struct
 from typing import TYPE_CHECKING, Optional
 
 from repro.ir.types import FloatType, IntType, IRType, ptr
 
 if TYPE_CHECKING:
     from repro.ir.module import Function
+
+_DOUBLE = struct.Struct("<d")
+_DOUBLE_BITS = struct.Struct("<Q")
 
 
 class Value:
@@ -57,15 +62,17 @@ class ConstantInt(Constant):
 class ConstantFP(Constant):
     def __init__(self, type: FloatType, value: float) -> None:
         super().__init__(type)
-        import struct
-
         if type.bits == 32:
             # Round-trip through single precision.
             value = struct.unpack("f", struct.pack("f", value))[0]
         self.value = value
 
     def ref(self) -> str:
-        return f"{self.value:e}"
+        """``%e`` for a finite value; LLVM spells infinities and NaNs by
+        the bits of the double, such as ``0x7FF0000000000000``."""
+        if math.isfinite(self.value):
+            return f"{self.value:e}"
+        return f"0x{_DOUBLE_BITS.unpack(_DOUBLE.pack(self.value))[0]:016X}"
 
     def __eq__(self, other: object) -> bool:
         return (

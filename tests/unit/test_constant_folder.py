@@ -249,4 +249,4 @@ def test_constant_fptosi_of_inf_compiles(optimize, irbuilder):
     result = compile_source(
         OVERFLOWING_CAST, optimize=optimize, enable_irbuilder=irbuilder
     )
-    assert "fptosi double inf to i32" in result.ir_text()
+    assert "fptosi double 0x7FF0000000000000 to i32" in result.ir_text()

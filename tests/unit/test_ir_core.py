@@ -274,3 +274,32 @@ class TestLoopMetadata:
         md = loop_metadata(unroll_enable=True)
         assert md.distinct
         assert md.operands[0] is md
+
+
+class TestConstantFPSpelling:
+    """Finite constants print as ``%e``; infinities and NaNs as LLVM
+    spells them, by the bits of the double."""
+
+    @pytest.mark.parametrize("ty", [double_t, float_t], ids=str)
+    def test_non_finite_constants_print_their_bits(self, ty):
+        from repro.ir.values import ConstantFP
+
+        assert ConstantFP(ty, float("inf")).ref() == "0x7FF0000000000000"
+        assert ConstantFP(ty, float("-inf")).ref() == "0xFFF0000000000000"
+        assert ConstantFP(ty, float("nan")).ref() == "0x7FF8000000000000"
+
+    def test_finite_constants_keep_their_spelling(self):
+        from repro.ir.values import ConstantFP
+
+        assert ConstantFP(double_t, 0.1).ref() == "1.000000e-01"
+        assert ConstantFP(double_t, -0.0).ref() == "-0.000000e+00"
+        assert ConstantFP(float_t, 3.0).ref() == "3.000000e+00"
+
+    def test_folded_inf_in_printed_ir(self):
+        from repro.pipeline import compile_source
+
+        ir = compile_source(
+            "int main(void) { return (int)(1e308 * 10.0); }"
+        ).ir_text()
+        assert "fptosi double 0x7FF0000000000000 to i32" in ir
+        assert " inf" not in ir
