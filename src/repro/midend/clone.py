@@ -43,11 +43,16 @@ def clone_instruction(
     inst: Instruction,
     value_map: ValueMap,
     block_map: BlockMap,
+    fn: Function | None = None,
+    suffix: str = "",
 ) -> Instruction:
     """Clone one instruction, remapping operands and branch targets.
 
     Phi nodes are cloned with remapped incoming values/blocks; callers
-    that resolve phis away must handle them before calling this.
+    that resolve phis away must handle them before calling this.  With
+    *fn*, a named clone is named like its cloned block: the original
+    name plus *suffix*, made unique in *fn*, so the printed IR defines
+    each value name once.
     """
     r = lambda v: remap(v, value_map)
     rb = lambda b: remap_block(b, block_map)
@@ -112,6 +117,8 @@ def clone_instruction(
     else:  # pragma: no cover
         raise NotImplementedError(type(inst).__name__)
     clone.metadata = dict(inst.metadata)
+    if fn is not None and clone.name:
+        clone.name = fn.unique_name(f"{inst.name}{suffix}")
     value_map[id(inst)] = clone
     return clone
 
@@ -147,7 +154,9 @@ def clone_blocks(
                     "phi in skipped block must be pre-seeded"
                 )
                 continue
-            clone = clone_instruction(inst, value_map, block_map)
+            clone = clone_instruction(
+                inst, value_map, block_map, fn, suffix
+            )
             if isinstance(inst, PhiInst):
                 phis.append((inst, clone))
             new_block.append(clone)

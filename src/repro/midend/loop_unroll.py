@@ -598,13 +598,15 @@ class LoopUnrollPass(FunctionPass):
 
         for inst in header.instructions:
             main_header.append(
-                clone_instruction(inst, main_map, main_block_map)
+                clone_instruction(
+                    inst, main_map, main_block_map, fn, ".unrolled"
+                )
             )
         cloned_cmp = main_map[id(iv.compare)]
         assert isinstance(cloned_cmp, ICmpInst)
         offset = ConstantInt(iv.load.type, (factor - 1) * iv.step)  # type: ignore[arg-type]
         bumped = BinaryInst(
-            BinOp.ADD, cloned_cmp.lhs, offset, "unroll.guard"
+            BinOp.ADD, cloned_cmp.lhs, offset, fn.unique_name("unroll.guard")
         )
         idx = main_header.instructions.index(cloned_cmp)
         main_header.insert(idx, bumped)
