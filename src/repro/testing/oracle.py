@@ -12,6 +12,7 @@ invariant carried in the ``trips=N`` stdout line).
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -46,7 +47,9 @@ class Config:
     program: stdout, exit code, error classification and the execution
     profile (total/per-thread retired instructions, barrier/fork
     accounting, per-block counts) must all match, or the run reports an
-    ``exec-divergence``.
+    ``exec-divergence``.  Both engines then run again on a fuel drawn
+    inside the reference's instruction count, and must run out of it
+    on the same instruction with the same scheduler snapshot.
     """
 
     name: str
@@ -247,7 +250,42 @@ def _run_config_dual_engine(
             error_detail="execution profile differs:\n"
             + "\n".join(diffs),
         )
+    total = ref_fp["total_instructions"]
+    if total > 1:
+        # Its own stream, keyed by the program: the generator's draws
+        # stay as they were.
+        fuel = random.Random(f"exec-fuel:{source}").randrange(1, total)
+        ref_stop = _fuel_stop(config, source, num_threads, fuel, "interp")
+        out_stop = _fuel_stop(
+            config, source, num_threads, fuel, config.exec_engine
+        )
+        if out_stop != ref_stop:
+            return _Outcome(
+                error="exec-divergence",
+                error_detail=(
+                    f"outcome at fuel {fuel} of {total} differs:\n"
+                    f"interp:   {ref_stop!r}\n"
+                    f"{config.exec_engine}: {out_stop!r}"
+                ),
+            )
     return out
+
+
+def _fuel_stop(
+    config: Config, source: str, num_threads: int, fuel: int, engine: str
+) -> tuple:
+    """How a run on *engine* ends on *fuel*: the guardrail's message
+    and rendered scheduler snapshot, or whatever else happened."""
+    from repro.interp import ExecutionTimeout
+
+    try:
+        result = config.run(source, num_threads, fuel, exec_engine=engine)
+    except ExecutionTimeout as exc:
+        snapshot = exc.snapshot.render() if exc.snapshot else None
+        return ("timeout", str(exc), snapshot)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+    return ("completed", result.stdout, result.exit_code)
 
 
 #: one cache shared across a campaign's seeds, like a developer's

@@ -16,7 +16,7 @@ from repro.testing import (
     generate_program,
     shrink_source,
 )
-from repro.testing.fuzz import run_campaign
+from repro.testing.fuzz import closure_configs, run_campaign
 
 
 class TestGenerator:
@@ -68,6 +68,41 @@ class TestOracle:
             "}\n"
         )
         assert check_source(src) is None
+
+    AGREEING_LOOP = (
+        "int main(void) {\n"
+        "  int sum = 0;\n"
+        "  #pragma omp unroll partial(3)\n"
+        "  for (int i = 0; i < 40; i += 1)\n"
+        "    sum += i * 3 - 1;\n"
+        '  printf("%d\\n", sum);\n'
+        "  return 0;\n"
+        "}\n"
+    )
+
+    def test_engine_oracle_agrees_at_a_drawn_fuel(self):
+        assert check_source(
+            self.AGREEING_LOOP, configs=closure_configs()
+        ) is None
+
+    def test_engine_oracle_catches_a_fuel_overrun(self, monkeypatch):
+        """A closure engine that retires one instruction past its fuel
+        completes the program like the reference, but stops one
+        instruction later at the drawn fuel."""
+        from repro.exec.engine import ClosureContext
+
+        original = ClosureContext.run_to_completion
+
+        def overrun(self, fuel=None):
+            return original(self, None if fuel is None else fuel + 1)
+
+        monkeypatch.setattr(ClosureContext, "run_to_completion", overrun)
+        divergence = check_source(
+            self.AGREEING_LOOP, configs=closure_configs()
+        )
+        assert divergence is not None
+        assert divergence.kind == "exec-divergence"
+        assert "outcome at fuel" in divergence.detail
 
     def test_order_sensitive_body_diverges_vs_stripped(self):
         """A 2-d tile legally reorders iterations; printing the order
