@@ -1,6 +1,6 @@
 """The closure compiler: optimized IR -> pre-compiled Python closures.
 
-One closure per *instruction*, one :class:`BlockCode` per basic block.
+One op per *instruction*, one :class:`BlockCode` per basic block.
 Operands are resolved at compile time to dense register-file slots —
 constants (including global and function addresses, which are fixed per
 interpreter instance) live in a constant pool appended to the register
@@ -69,18 +69,24 @@ inlines — integer and float binops, ``icmp``/``fcmp``/``select``, scalar
 casts, scalar loads and stores, folded ``gep``s and branches with their
 phi copies — as a *fragment*: its printer, its *shape* (op kind,
 predicate and operand types), its register slots, immediates and
-objects.  Two things are printed from a fragment:
+objects.  The fragment is all the compiler builds for such an op:
 
-* the op's single-step closure: its printer and shape printed once per
-  process with every operand a parameter (a *template*, such as
-  ``regs[r0] = (regs[r1] + regs[r2]) & 4294967295``), and bound per op
-  with ``FunctionType(code, globals, None, (slots..., nxt))``, so ops of
-  one shape share one code object;
-* the op's text in a trace, printed on the trace's first call with
-  operands spelled ``regs[<slot>]``, integer constants as literals and
-  float constants left in their pool slot (``inf`` and ``nan`` have no
+* a trace prints the op's text on the trace's first call with operands
+  spelled ``regs[<slot>]``, integer constants as literals and float
+  constants left in their pool slot (``inf`` and ``nan`` have no
   literal).  A branch prints only its phi copy when the trace follows
-  it, its side exit or its lap count otherwise.
+  it, its side exit or its lap count otherwise;
+* the op's entry in :attr:`BlockCode.ops` is :func:`_first_step` until
+  the op is first single-stepped (team lockstep, the fuel boundary or
+  an armed fault injector), which binds its single-step closure and
+  puts it in its place: the printer and shape printed once per process
+  with every operand a parameter (a *template*, such as ``regs[r0] =
+  (regs[r1] + regs[r2]) & 4294967295``), bound with
+  ``FunctionType(code, globals, None, (slots..., nxt))``, so ops of one
+  shape share one code object.  Most ops only ever retire in traces and
+  are never bound;
+* :meth:`CompiledFunction.describe` prints it on demand with operands
+  spelled ``r<slot>``.
 
 An op the printer does not inline (``alloca``, aggregate loads and
 stores, the generic ``gep``, ``switch``, ``ret``, calls and compile-time
@@ -103,8 +109,8 @@ Scheduling stays exactly what one-instruction-per-``step()`` lockstep
 produces: the runtime's observable semantics (round-robin interleaving,
 FIFO dynamic dispatch, ``critical`` spin order, printf ordering, fuel
 exhaustion point) only ever see non-local instructions, and those still
-retire one at a time in lockstep order.  Compiling one closure per
-instruction removes the per-step operand dispatch (``isinstance``
+retire one at a time in lockstep order.  Compiling each instruction
+ahead of time removes the per-step operand dispatch (``isinstance``
 chains, ``id()``-keyed register dicts, ``value_of`` constant
 re-evaluation) that dominates the tree walker; the traces remove the
 per-instruction and per-block trips through the dispatch loop and the
@@ -165,6 +171,7 @@ from repro.ir.instructions import (
     UnreachableInst,
 )
 from repro.ir.module import BasicBlock, Function
+from repro.ir.printer import ModulePrinter
 from repro.ir.types import (
     ArrayType,
     FloatType,
@@ -257,9 +264,13 @@ _TRACE_SOURCE: dict[tuple, str] = {}
 _BLOCK_SHAPES: dict[tuple, int] = {}
 _SHAPE_NUMBERS = itertools.count()
 
-#: (printer, shape) -> code object of the op template, filled on first
-#: use; shapes are op kinds, predicates and types, so it stays small
+#: (printer, shape) -> code object of the op template, filled when an
+#: op of that shape is first single-stepped; shapes are op kinds,
+#: predicates and types, so it stays small
 _TEMPLATES: dict[tuple, CodeType] = {}
+
+#: the (printer, shape) pairs whose printer is known to print
+_PRINTABLE: set[tuple] = set()
 
 #: the only globals generated run code sees: fixed helpers and codecs
 _RUN_GLOBALS = {
@@ -309,7 +320,7 @@ class BlockCode:
     check."""
 
     __slots__ = (
-        "block", "ops", "entry_index", "descs", "fragments", "shape",
+        "block", "ops", "entry_index", "fragments", "shape",
         "exits", "whole", "runs", "local_runs",
     )
 
@@ -318,9 +329,6 @@ class BlockCode:
         self.ops: list[Callable] = []
         #: index execution enters at after a jump (skips leading phis)
         self.entry_index = 0
-        #: deterministic per-op descriptions (the "dispatch table" the
-        #: determinism property test asserts on)
-        self.descs: list[str] = []
         #: per op: its fragment, or None when a run calls its closure
         self.fragments: list[tuple | None] = []
         #: :func:`_block_shape` of the fragments, once a trace needs it
@@ -375,7 +383,15 @@ class CompiledFunction:
 
     def describe(self) -> str:
         """Deterministic text rendering of the dispatch table; byte-equal
-        for byte-equal input IR (same IR -> same dispatch table)."""
+        for byte-equal input IR (same IR -> same dispatch table).  One
+        line per op: an inlined op as its printer's text with operands
+        ``r<slot>`` and blocks ``%<name>``, a compile-time raiser as the
+        exception it raises, any other op as its instruction's IR."""
+        names: dict[int, str] = {}
+        for bc in self.blocks.values():
+            names[id(bc)] = f"%{bc.block.name}"
+            names[id(bc.ops)] = f"%{bc.block.name}.ops"
+        ir = ModulePrinter()
         lines = [
             f"function @{self.fn.name}: {self.n_values} value slot(s), "
             f"{len(self.consts)} constant(s)"
@@ -385,9 +401,24 @@ class CompiledFunction:
             lines.append(
                 f"  block %{block.name} (entry at {code.entry_index}):"
             )
-            lines.extend(
-                f"    [{i}] {desc}" for i, desc in enumerate(code.descs)
-            )
+            for i, inst in enumerate(block.instructions):
+                fragment = code.fragments[i]
+                exc = getattr(code.ops[i], "exc", None)
+                if fragment is not None:
+                    printer, shape, slots, _, imms, objects = fragment
+                    text = printer(
+                        shape, [f"r{slot}" for slot in slots],
+                        [str(imm) for imm in imms],
+                        [names.get(id(o)) or repr(o) for o in objects], "",
+                    )
+                    text = "; ".join(
+                        line.strip() for line in text.split("\n")
+                    ).replace(":; ", ": ")
+                elif exc is not None:
+                    text = f"raise {type(exc).__name__}: {exc}"
+                else:
+                    text = ir.print_instruction(inst)
+                lines.append(f"    [{i}] {text}")
         return "\n".join(lines)
 
 
@@ -472,13 +503,6 @@ class ClosureCompiler:
             return slot, 0
         return slot, None
 
-    def _ref(self, v) -> str:
-        """Stable operand spelling for dispatch-table descriptions."""
-        try:
-            return v.ref()
-        except Exception:  # pragma: no cover - defensive
-            return "<operand>"
-
     # ------------------------------------------------------------------
     # Block compilation
     # ------------------------------------------------------------------
@@ -487,26 +511,33 @@ class ClosureCompiler:
     ) -> None:
         bc = code.blocks[id(block)]
         phis = 0
-        #: per op: its fragment, or None to call the closure
-        srcs = bc.fragments
+        fragments = bc.fragments
         for index, inst in enumerate(block.instructions):
             if isinstance(inst, PhiInst) and phis == index:
                 phis += 1
             try:
-                op, desc, src = self._compile_inst(code, block, inst, index)
+                op = self._compile_inst(code, block, inst, index)
+                if op.__class__ is tuple and op[:2] not in _PRINTABLE:
+                    # A shape its printer cannot print fails here, not
+                    # when a trace or single step first prints it.
+                    _template_source(op)
+                    _PRINTABLE.add(op[:2])
             except Exception as exc:
                 # Parity: the interpreter evaluates lazily, so anything
-                # we cannot compile must fail only when executed.
+                # we cannot compile must fail only when executed.  Its
+                # ``exc`` keeps it out of local runs and describes it.
                 op = _raiser(exc)
-                desc = f"raise {type(exc).__name__}: {exc}"
-                src = None
+                op.exc = exc
+            if op.__class__ is tuple:
+                fragments.append(op)
+                op = _first_step
+            else:
+                fragments.append(None)
             bc.ops.append(op)
-            bc.descs.append(desc)
-            srcs.append(src)
         bc.entry_index = phis
-        if srcs and srcs[-1] is not None:
+        if fragments and fragments[-1] is not None:
             last = block.instructions[-1]
-            shape = srcs[-1][1]
+            shape = fragments[-1][1]
             if isinstance(last, BranchInst):
                 edges = ((last.target, shape),)
             elif isinstance(last, CondBranchInst):
@@ -528,7 +559,8 @@ class ClosureCompiler:
         ops = bc.ops
         n = len(ops)
         local = [
-            _is_local(inst, op, private) for inst, op in zip(insts, ops)
+            _is_local(inst, fragment or op, private)
+            for inst, op, fragment in zip(insts, ops, bc.fragments)
         ]
         stops = [
             isinstance(inst, (CallInst, ReturnInst, UnreachableInst))
@@ -575,24 +607,19 @@ class ClosureCompiler:
         n = end - start
 
         def build(ctx, frame, limit):
-            fn = self.run_function(bc, bc.fragments, start, end, local)
+            fn = self.run_function(bc, start, end, local)
             table[start] = (fn, n)
             return fn(ctx, frame, limit)
 
         return build, n
 
     def run_function(
-        self,
-        bc: BlockCode,
-        srcs: list,
-        start: int,
-        end: int,
-        local: bool = False,
+        self, bc: BlockCode, start: int, end: int, local: bool = False
     ) -> Callable:
         """The generated function ``run(ctx, frame, limit)`` of the
-        trace that starts with ops *start* .. *end* - 1 of *bc*, whose
-        fragments are *srcs* (see :func:`_trace`); it returns how many
-        ops it retired, and ``run.path`` is its path.  Its text depends
+        trace that starts with ops *start* .. *end* - 1 of *bc* (see
+        :func:`_trace`); it returns how many ops it retired, and
+        ``run.path`` is its path.  Its text depends
         only on the fragments and the trace's edge structure, so that
         is the code's key: a key seen before, in this program or
         another, binds its code with no printing.  The objects fragment
@@ -603,42 +630,21 @@ class ClosureCompiler:
         objects = [memory.data, memory.fault, path]
         key: list = [local, loops]
         for j, (block, first, n) in enumerate(path):
-            if j == 0 and srcs is not block.fragments:
-                shape, objs, offsets = _block_shape(block, srcs)
-            else:
-                if block.shape is None:
-                    block.shape = _block_shape(block, block.fragments)
-                shape, objs, offsets = block.shape
+            if block.shape is None:
+                block.shape = _block_shape(block)
+            shape, objs, offsets = block.shape
             objects.extend(objs[offsets[first]:offsets[first + n]])
             key.append((first, n, plans[j], shape))
         key = tuple(key)
         source = _TRACE_SOURCE.get(key)
         if source is None:
-            source = _trace_source(srcs, path, plans, loops, local)
+            source = _trace_source(path, plans, loops, local)
             if len(_TRACE_SOURCE) >= RUN_CODE_CAP:
                 del _TRACE_SOURCE[next(iter(_TRACE_SOURCE))]
             _TRACE_SOURCE[key] = source
         fn = FunctionType(_factory_code(source), _RUN_GLOBALS)(*objects)
         fn.path = path
         return fn
-
-    def _bind(self, fragment: tuple, nxt: int | None) -> Callable:
-        """The single-step closure of *fragment*: the template of its
-        printer and shape (:func:`_template_source`) with the
-        fragment's slots, immediates and objects, the memory and the
-        next index as default arguments."""
-        printer, shape, slots, _, imms, objects = fragment
-        code = _TEMPLATES.get((printer, shape))
-        if code is None:
-            code = _factory_code(_template_source(fragment))
-            _TEMPLATES[printer, shape] = code
-        args = slots + imms + objects
-        if printer in _MEMORY_PRINTERS:
-            memory = self.interp.memory
-            args += (memory.data, memory.fault)
-        if printer not in _JUMP_PRINTERS:
-            args += (nxt,)
-        return FunctionType(code, _RUN_GLOBALS, None, args)
 
     # ------------------------------------------------------------------
     # Instruction compilation
@@ -650,51 +656,34 @@ class ClosureCompiler:
         inst: Instruction,
         index: int,
     ):
-        """``(closure, description, fragment)`` for *inst*.  The
-        fragment ``(printer, shape, slots, literals, immediates,
-        objects)`` is what :meth:`run_function` prints and
-        :meth:`_bind` binds; it is None for an op the printer does not
-        inline, whose closure a run calls."""
+        """*inst*'s fragment ``(printer, shape, slots, literals,
+        immediates, objects)``, which :meth:`run_function` prints and
+        :func:`_bind` binds, or for an op the printer does not inline
+        its closure, which a run calls."""
         nxt = index + 1
-        if isinstance(inst, BinaryInst):
-            return self._compile_binop(code, inst, nxt)
-        if isinstance(inst, ICmpInst):
+        if isinstance(inst, (BinaryInst, ICmpInst, FCmpInst)):
             d = code.slots[id(inst)]
             a, x = self._operand(code, inst.lhs)
             b, y = self._operand(code, inst.rhs)
-            fragment = (
-                _icmp_text, (inst.pred, inst.lhs.type),
-                (d, a, b), (None, x, y), (), (),
-            )
-            return (
-                self._bind(fragment, nxt),
-                f"r{d} = icmp {inst.pred.value} r{a}, r{b}",
-                fragment,
-            )
-        if isinstance(inst, FCmpInst):
-            d = code.slots[id(inst)]
-            a, x = self._operand(code, inst.lhs)
-            b, y = self._operand(code, inst.rhs)
-            fragment = (_fcmp_text, inst.pred, (d, a, b), (None, x, y), (), ())
-            return (
-                self._bind(fragment, nxt),
-                f"r{d} = fcmp {inst.pred.value} r{a}, r{b}",
-                fragment,
-            )
+            if isinstance(inst, ICmpInst):
+                printer, shape = _icmp_text, (inst.pred, inst.lhs.type)
+            elif isinstance(inst, FCmpInst):
+                printer, shape = _fcmp_text, inst.pred
+            elif inst.op.is_float_op:
+                printer, shape = _float_binop_text, (inst.op, inst.type)
+            else:
+                assert isinstance(inst.type, IntType)
+                printer, shape = _int_binop_text, (inst.op, inst.type)
+            return (printer, shape, (d, a, b), (None, x, y), (), ())
         if isinstance(inst, CastInst):
             d = code.slots[id(inst)]
             s, x = self._operand(code, inst.value)
-            fragment = (
+            return (
                 _cast_text, (inst.op, inst.value.type, inst.type),
                 (d, s), (None, x), (), (),
             )
-            return (
-                self._bind(fragment, nxt),
-                f"r{d} = {inst.op.value} r{s} to {inst.type}",
-                fragment,
-            )
         if isinstance(inst, AllocaInst):
-            return (*self._compile_alloca(code, inst, nxt), None)
+            return self._compile_alloca(code, inst, nxt)
         if isinstance(inst, LoadInst):
             return self._compile_load(code, inst, nxt)
         if isinstance(inst, StoreInst):
@@ -702,74 +691,33 @@ class ClosureCompiler:
         if isinstance(inst, GEPInst):
             return self._compile_gep(code, inst, nxt)
         if isinstance(inst, BranchInst):
-            fragment = self._edge(code, block, inst.target)
-            return (
-                self._jump(fragment), f"br -> %{inst.target.name}", fragment
-            )
+            return self._edge(code, block, inst.target)
         if isinstance(inst, CondBranchInst):
             return self._compile_condbr(code, block, inst)
         if isinstance(inst, SwitchInst):
-            return (*self._compile_switch(code, block, inst), None)
+            return self._compile_switch(code, block, inst)
         if isinstance(inst, ReturnInst):
-            return (*self._compile_ret(code, inst), None)
+            return self._compile_ret(code, inst)
         if isinstance(inst, UnreachableInst):
-            return (
-                _raiser(Trap("reached 'unreachable' instruction")),
-                "unreachable",
-                None,
-            )
+            return _raiser(Trap("reached 'unreachable' instruction"))
         if isinstance(inst, SelectInst):
             d = code.slots[id(inst)]
             c, sc = self._operand(code, inst.condition)
             t, st = self._operand(code, inst.true_value)
             f, sf = self._operand(code, inst.false_value)
-            fragment = (
-                _select_text, None, (d, c, t, f), (None, sc, st, sf), (), ()
-            )
             return (
-                self._bind(fragment, nxt),
-                f"r{d} = select r{c} ? r{t} : r{f}",
-                fragment,
+                _select_text, None, (d, c, t, f), (None, sc, st, sf), (), ()
             )
         if isinstance(inst, PhiInst):
             # Never retired: edges resolve phis and jump past them.
-            return (
-                _raiser(
-                    InterpreterError(
-                        "phi encountered outside block entry"
-                    )
-                ),
-                f"phi {self._ref(inst)} (resolved on edges)",
-                None,
+            return _raiser(
+                InterpreterError("phi encountered outside block entry")
             )
         if isinstance(inst, CallInst):
-            return (*self._compile_call(code, inst, nxt), None)
+            return self._compile_call(code, inst, nxt)
         raise InterpreterError(
             f"unhandled instruction {type(inst).__name__}"
         )
-
-    # ------------------------------------------------------------------
-    def _compile_binop(self, code, inst: BinaryInst, nxt: int):
-        d = code.slots[id(inst)]
-        a, x = self._operand(code, inst.lhs)
-        b, y = self._operand(code, inst.rhs)
-        kind = inst.op
-        desc = (
-            f"r{d} = {kind.value} r{a}, r{b}  "
-            f"; {self._ref(inst.lhs)}, {self._ref(inst.rhs)}"
-        )
-        if kind.is_float_op:
-            fragment = (
-                _float_binop_text, (kind, inst.type),
-                (d, a, b), (None, x, y), (), (),
-            )
-        else:
-            assert isinstance(inst.type, IntType)
-            fragment = (
-                _int_binop_text, (kind, inst.type),
-                (d, a, b), (None, x, y), (), (),
-            )
-        return self._bind(fragment, nxt), desc, fragment
 
     # ------------------------------------------------------------------
     def _compile_alloca(self, code, inst: AllocaInst, nxt: int):
@@ -785,7 +733,7 @@ class ClosureCompiler:
                 frame.regs[d] = addr
                 frame.index = nxt
 
-            return op, f"r{d} = alloca {inst.allocated_type} ({size}B)"
+            return op
         c = self._slot(code, inst.array_size)
 
         def op(
@@ -798,17 +746,15 @@ class ClosureCompiler:
             frame.regs[d] = addr
             frame.index = nxt
 
-        return op, f"r{d} = alloca {inst.allocated_type} x r{c}"
+        return op
 
     # ------------------------------------------------------------------
     def _compile_load(self, code, inst: LoadInst, nxt: int):
         d = code.slots[id(inst)]
         p, lp = self._operand(code, inst.pointer)
         ty = inst.type
-        desc = f"r{d} = load {ty}, r{p}"
         if _is_scalar(ty):
-            fragment = (_load_text, ty, (d, p), (None, lp), (), ())
-            return self._bind(fragment, nxt), desc, fragment
+            return (_load_text, ty, (d, p), (None, lp), (), ())
         # Aggregate or exotic width: defer to Memory.load for the exact
         # error behaviour.
         load = self.interp.memory.load
@@ -818,16 +764,14 @@ class ClosureCompiler:
             regs[d] = load(ty, regs[p])
             frame.index = nxt
 
-        return op, desc, None
+        return op
 
     def _compile_store(self, code, inst: StoreInst, nxt: int):
         v, lv = self._operand(code, inst.value)
         p, lp = self._operand(code, inst.pointer)
         ty = inst.value.type
-        desc = f"store {ty} r{v} -> r{p}"
         if _is_scalar(ty):
-            fragment = (_store_text, ty, (v, p), (lv, lp), (), ())
-            return self._bind(fragment, nxt), desc, fragment
+            return (_store_text, ty, (v, p), (lv, lp), (), ())
         store = self.interp.memory.store
 
         def op(ctx, frame, v=v, p=p, store=store, ty=ty, nxt=nxt):
@@ -835,7 +779,7 @@ class ClosureCompiler:
             store(ty, regs[p], regs[v])
             frame.index = nxt
 
-        return op, desc, None
+        return op
 
     # ------------------------------------------------------------------
     def _compile_gep(self, code, inst: GEPInst, nxt: int):
@@ -844,10 +788,6 @@ class ClosureCompiler:
         ty = inst.element_type
         el_size = ty.size_bytes()
         first = inst.indices[0]
-        desc = (
-            f"r{d} = gep {ty}, r{p} + "
-            f"[{', '.join(self._ref(i) for i in inst.indices)}]"
-        )
         # Fold when every step is constant (struct field access,
         # constant array indices).
         if all(isinstance(i, ConstantInt) for i in inst.indices):
@@ -866,15 +806,13 @@ class ClosureCompiler:
                     raise InterpreterError(
                         f"gep into non-aggregate type {walk_ty}"
                     )
-            fragment = (_gep_text, None, (d, p), (None, lp), (off,), ())
-            return self._bind(fragment, nxt), desc, fragment
+            return (_gep_text, None, (d, p), (None, lp), (off,), ())
         if len(inst.indices) == 1:
             i0, li = self._operand(code, first)
-            fragment = (
+            return (
                 _gep_text, first.type,
                 (d, p, i0), (None, lp, li), (el_size,), (),
             )
-            return self._bind(fragment, nxt), desc, fragment
         # Generic fallback mirroring ExecutionContext._gep exactly.
         idx_slots = [self._slot(code, i) for i in inst.indices]
         idx_types = [i.type for i in inst.indices]
@@ -909,7 +847,7 @@ class ClosureCompiler:
             regs[d] = addr
             frame.index = nxt
 
-        return op, desc, None
+        return op
 
     # ------------------------------------------------------------------
     # Control flow
@@ -944,14 +882,6 @@ class ClosureCompiler:
             (None,) * len(dests) + tuple(literals), (), (tbc, tbc.ops),
         )
 
-    def _jump(self, edge: tuple) -> Callable:
-        """The closure that takes *edge*; an op whose edge raises is not
-        thread-local."""
-        op = self._bind(edge, None)
-        if edge[1] is None:
-            op.may_raise = True
-        return op
-
     def _compile_condbr(self, code, block, inst: CondBranchInst):
         c, literal = self._operand(code, inst.condition)
         _, taken, tslots, tlits, _, tobjects = self._edge(
@@ -960,34 +890,22 @@ class ClosureCompiler:
         _, other, fslots, flits, _, fobjects = self._edge(
             code, block, inst.false_block
         )
-        fragment = (
+        return (
             _condbr_text, (taken, other),
             (c, *tslots, *fslots), (literal, *tlits, *flits),
             (), tobjects + fobjects,
         )
-        op = self._bind(fragment, None)
-        if taken is None or other is None:
-            op.may_raise = True
-        return op, (
-            f"br r{c} ? %{inst.true_block.name} : "
-            f"%{inst.false_block.name}"
-        ), fragment
 
     def _compile_switch(self, code, block, inst: SwitchInst):
         c = self._slot(code, inst.condition)
-        default_edge = self._jump(self._edge(code, block, inst.default))
-        table = {}
+        default = self._edge(code, block, inst.default)
+        edges = {}
         for case_value, target in inst.cases:
             # First matching case wins, like the interpreter's scan.
-            table.setdefault(
-                case_value, self._jump(self._edge(code, block, target))
-            )
+            edges.setdefault(case_value, self._edge(code, block, target))
+        default_edge = _bind(default, None)
+        table = {value: _bind(edge, None) for value, edge in edges.items()}
         ty = inst.condition.type
-        desc = (
-            f"switch r{c} "
-            f"[{', '.join(str(v) for v, _ in inst.cases)}] "
-            f"default %{inst.default.name}"
-        )
         if isinstance(ty, IntType):
             mask = ty.mask
             half = 1 << (ty.bits - 1)
@@ -1007,12 +925,10 @@ class ClosureCompiler:
             ):
                 table.get(frame.regs[c], default_edge)(ctx, frame)
 
-        if any(
-            getattr(edge, "may_raise", False)
-            for edge in (default_edge, *table.values())
-        ):
+        if any(edge[1] is None for edge in (default, *edges.values())):
+            # an edge that raises keeps the switch out of local runs
             op.may_raise = True
-        return op, desc
+        return op
 
     def _compile_ret(self, code, inst: ReturnInst):
         if inst.value is not None:
@@ -1033,7 +949,7 @@ class ClosureCompiler:
                     caller.regs[rd] = value
                 caller.index = frame.ret_index
 
-            return op, f"ret r{v}"
+            return op
 
         def op(ctx, frame, _DONE=_DONE):
             stack = ctx.stack
@@ -1049,7 +965,7 @@ class ClosureCompiler:
                 caller.regs[rd] = None
             caller.index = frame.ret_index
 
-        return op, "ret void"
+        return op
 
     # ------------------------------------------------------------------
     # Calls
@@ -1078,12 +994,6 @@ class ClosureCompiler:
             # call actually runs).
             native = interp.native_for(callee)
             if native is not None:
-                desc = (
-                    f"{'call' if dst is None else f'r{dst} = call'} "
-                    f"native @{name}"
-                    f"({', '.join(f'r{s}' for s in arg_slots)})"
-                )
-
                 def op(
                     ctx, frame, native=native, interp=interp,
                     arg_slots=arg_slots, convs=convs, dst=dst, nxt=nxt,
@@ -1102,13 +1012,9 @@ class ClosureCompiler:
                         regs[dst] = result
                     frame.index = nxt
 
-                return op, desc
+                return op
             callee_code = interp.code_for(callee)
             depth = interp.max_call_depth
-            desc = (
-                f"{'call' if dst is None else f'r{dst} = call'} "
-                f"@{name}({', '.join(f'r{s}' for s in arg_slots)})"
-            )
 
             def op(
                 ctx, frame, callee_code=callee_code,
@@ -1132,14 +1038,10 @@ class ClosureCompiler:
                 frame_new.ret_index = nxt
                 stack.append(frame_new)
 
-            return op, desc
+            return op
         # Indirect call: resolve the target at run time, like the
         # interpreter (invalid address traps, undefined extern raises).
         cslot = self._slot(code, callee)
-        desc = (
-            f"{'call' if dst is None else f'r{dst} = call'} "
-            f"*r{cslot}({', '.join(f'r{s}' for s in arg_slots)})"
-        )
 
         def op(
             ctx, frame, interp=interp, cslot=cslot,
@@ -1171,7 +1073,7 @@ class ClosureCompiler:
             frame_new.ret_dst = dst
             frame_new.ret_index = nxt
 
-        return op, desc
+        return op
 
 
 # ---------------------------------------------------------------------------
@@ -1442,17 +1344,47 @@ def _template_source(fragment: tuple) -> str:
     return f"def op({', '.join(params)}):\n{_indent(text)}\n"
 
 
-def _block_shape(bc: BlockCode, srcs: list) -> tuple:
-    """``(number, objects, offsets)`` for the fragments *srcs* of the
-    first ops of *bc*: the number standing for their shapes (each
-    fragment without its objects, or None for a called closure), the
-    objects a trace of them binds in op order, and where each op's
-    objects start.  Traces of one function overlap, so a block's is
-    worked out once and a trace's key is a few numbers."""
+def _bind(fragment: tuple, nxt: int | None, memory=None) -> Callable:
+    """The single-step closure of *fragment*: the template of its
+    printer and shape (:func:`_template_source`) with the fragment's
+    slots, immediates and objects, *memory*'s data and fault handler
+    (when the op touches memory) and the next index (when it does not
+    jump) as default arguments."""
+    printer, shape, slots, _, imms, objects = fragment
+    code = _TEMPLATES.get((printer, shape))
+    if code is None:
+        code = _factory_code(_template_source(fragment))
+        _TEMPLATES[printer, shape] = code
+    args = slots + imms + objects
+    if printer in _MEMORY_PRINTERS:
+        args += (memory.data, memory.fault)
+    if printer not in _JUMP_PRINTERS:
+        args += (nxt,)
+    return FunctionType(code, _RUN_GLOBALS, None, args)
+
+
+def _first_step(ctx, frame) -> None:
+    """An inlined op's entry in ``BlockCode.ops`` until it is first
+    single-stepped: bind the op's closure, put it in its place in the
+    same list, and run it."""
+    index = frame.index
+    op = frame.ops[index] = _bind(
+        frame.bc.fragments[index], index + 1, ctx.interp.memory
+    )
+    op(ctx, frame)
+
+
+def _block_shape(bc: BlockCode) -> tuple:
+    """``(number, objects, offsets)`` for the fragments of *bc*: the
+    number standing for their shapes (each fragment without its
+    objects, or None for a called closure), the objects a trace of them
+    binds in op order, and where each op's objects start.  Traces of
+    one function overlap, so a block's is worked out once and a trace's
+    key is a few numbers."""
     shapes = []
     objects: list = []
     offsets = []
-    for i, src in enumerate(srcs):
+    for i, src in enumerate(bc.fragments):
         offsets.append(len(objects))
         if src is None:
             shapes.append(None)
@@ -1517,12 +1449,9 @@ def _trace(bc: BlockCode, start: int, end: int, local: bool):
     return tuple(path), plans, False
 
 
-def _trace_source(
-    srcs: list, path: tuple, plans: list, loops: bool, local: bool
-) -> str:
+def _trace_source(path: tuple, plans: list, loops: bool, local: bool) -> str:
     """Source of the factory ``make(data, fault, path, ...)`` of the
-    trace *path*/*plans* (see :func:`_trace`); *srcs* are the first
-    block's fragments.  Its ``run(ctx, frame, limit)`` retires at most
+    trace *path*/*plans* (see :func:`_trace`).  Its ``run(ctx, frame, limit)`` retires at most
     *limit* ops (one lap of the path by default) and returns how many:
     it starts a lap only when the whole lap fits.  Followed edges are a
     phi copy and nothing else; a side exit stores ``frame.bc``/
@@ -1547,7 +1476,7 @@ def _trace_source(
         return lambda stores: f"{stores}\nreturn {done.format(count)}"
 
     for j, (bc, start, n) in enumerate(path):
-        fragments = srcs if j == 0 else bc.fragments
+        fragments = bc.fragments
         for i in range(start, start + n):
             count += 1
             at = "" if local else f"k = {count}; "
@@ -1625,7 +1554,6 @@ def _raiser(exc: BaseException):
     def op(ctx, frame, exc=exc):
         raise exc
 
-    op.may_raise = True
     return op
 
 
@@ -1642,10 +1570,17 @@ _LOCAL_CASTS = frozenset({CastOp.ZEXT, CastOp.SEXT, CastOp.TRUNC})
 
 
 def _is_local(inst: Instruction, op, private: set[int]) -> bool:
-    """Whether *op* (compiled from *inst*) touches nothing but its
-    frame's registers and private stack slots (ids in *private*) and
-    cannot raise — may it join a thread-local run?"""
-    if getattr(op, "may_raise", False):
+    """Whether *op*, the fragment or closure compiled from *inst*,
+    touches nothing but its frame's registers and private stack slots
+    (ids in *private*) and cannot raise — may it join a thread-local
+    run?  An edge whose phi count is None raises."""
+    if op.__class__ is tuple:
+        printer, shape = op[:2]
+        if printer is _edge_text and shape is None or (
+            printer is _condbr_text and None in shape
+        ):
+            return False
+    elif hasattr(op, "exc") or hasattr(op, "may_raise"):
         return False
     if isinstance(inst, (LoadInst, StoreInst)):
         return id(inst.pointer) in private

@@ -58,9 +58,13 @@ instructions it may retire and charges what it returns:
 * detailed profiles charge each block of a trace its own count when the
   trace exits or raises (:func:`repro.exec.compiler.charge_trace`).
 
-Single steps, the fuel boundary and an armed fault injector use the
-per-op closures: an armed injector forces per-instruction stepping,
-because the fault sweep counts ``interp-step`` hits.
+Everything else single-steps through ``BlockCode.ops``: team lockstep
+steps each non-local instruction, the serial loop steps calls, ``ret``
+and what is left at the fuel boundary, and an armed fault injector
+steps every instruction, because the fault sweep counts
+``interp-step`` hits.  An inlined op is bound to its single-step
+closure on its first such step (:func:`repro.exec.compiler._first_step`),
+so a serial program binds none unless it nears the end of its fuel.
 
 Known (documented) divergence: when *malformed* IR falls off the end of
 a block, the closure engine counts that final fetch as a retired
@@ -108,17 +112,6 @@ class ClosureContext(ExecutionContext):
     # ------------------------------------------------------------------
     def _new_frame(self, fn: Function, args: list[Any]) -> ClosureFrame:
         return ClosureFrame(self.interp.code_for(fn), args, self.stack_ptr)
-
-    # ------------------------------------------------------------------
-    def value_of(self, v) -> Any:
-        """Compatibility shim for natives/debug hooks that resolve IR
-        values against the current frame (registers live in slots)."""
-        frame = self.stack[-1] if self.stack else None
-        if frame is not None:
-            slot = frame.code.slots.get(id(v))
-            if slot is not None:
-                return frame.regs[slot]
-        return super().value_of(v)
 
     # ------------------------------------------------------------------
     # Stepping

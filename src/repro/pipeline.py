@@ -257,7 +257,6 @@ def _codegen(
     result: CompileResult,
     filename: str,
     enable_irbuilder: bool,
-    verify: bool,
     strict: bool,
 ) -> bool:
     """Stage 3: CodeGen, then the verifier on an error-free module.
@@ -271,8 +270,7 @@ def _codegen(
     ).emit_translation_unit(result.translation_unit)
     if not _proceed(result, strict):
         return False
-    if verify:
-        _verify(result.module, filename)
+    _verify(result.module, filename)
     return True
 
 
@@ -281,7 +279,6 @@ def _midend(
     remarks: Optional[RemarkEmitter],
     instrument: Optional[PassInstrumentation],
     filename: str,
-    verify: bool = True,
 ) -> None:
     """Stage 4: the mid-end pass pipeline (whose LoopUnroll does the
     paper's partial-unroll duplication), then the verifier."""
@@ -290,8 +287,7 @@ def _midend(
     default_pass_pipeline(remarks=remarks, instrument=instrument).run(
         module, instrument
     )
-    if verify:
-        _verify(module, filename)
+    _verify(module, filename)
 
 
 def compile_source(
@@ -303,7 +299,6 @@ def compile_source(
     defines: dict[str, str] | None = None,
     include_paths: list[str] | None = None,
     virtual_files: dict[str, str] | None = None,
-    verify: bool = True,
     strict: bool = True,
     error_limit: int = 0,
     crash_reproducer_dir: str | None = None,
@@ -327,8 +322,7 @@ def compile_source(
     ``llvm.loop.unroll.*`` metadata emitted for the paper's unroll
     directive); ``instrument`` threads a
     :class:`~repro.instrument.PassInstrumentation` through it.
-    ``verify`` runs the IR verifier after CodeGen and after the
-    mid-end.
+    The IR verifier runs after CodeGen and after the mid-end.
 
     With ``strict=True`` a :class:`CompilationError` is raised when any
     error diagnostic was produced.  Every phase runs under a crash
@@ -358,9 +352,7 @@ def compile_source(
         if (
             _proceed(result, strict)
             and not syntax_only
-            and _codegen(
-                result, filename, enable_irbuilder, verify, strict
-            )
+            and _codegen(result, filename, enable_irbuilder, strict)
             and optimize
         ):
             _midend(
@@ -368,7 +360,6 @@ def compile_source(
                 result.diagnostics.remarks,
                 instrument,
                 filename,
-                verify,
             )
     result.stats = STATS.delta_since(before)
     return result
@@ -574,7 +565,7 @@ def compile_source_cached(
         # store below, so failures are never cached.
         result = _parse(diags, tokens, filename, enable_irbuilder)
         _proceed(result, strict=True)
-        _codegen(result, filename, enable_irbuilder, True, strict=True)
+        _codegen(result, filename, enable_irbuilder, strict=True)
         diag_text = result.diagnostics_text()
         ir = result.ir_text()
         store(k_cg, "codegen", ir, diag_text)
@@ -713,6 +704,22 @@ class RequestOutcome:
         return self.kind == "ok"
 
 
+def failure_kind(exc: BaseException) -> str:
+    """The :class:`RequestOutcome` kind of a compile or run that raised
+    *exc*: ``compile-error``, ``guest-error``, ``timeout`` or ``ice``."""
+    from repro.interp import ExecutionTimeout
+    from repro.interp.interpreter import InterpreterError, Trap
+    from repro.runtime.team import TeamError
+
+    if isinstance(exc, CompilationError):
+        return "ice" if exc.ice else "compile-error"
+    if isinstance(exc, ExecutionTimeout):
+        return "timeout"
+    if isinstance(exc, (Trap, InterpreterError, MemoryError_, TeamError)):
+        return "guest-error"
+    return "ice"
+
+
 def execute_request(
     source: str,
     *,
@@ -747,8 +754,6 @@ def execute_request(
     """
     from repro.core.crash_recovery import InternalCompilerError
     from repro.instrument.faultinject import InjectedFault
-    from repro.interp.interpreter import InterpreterError, Trap
-    from repro.runtime.team import TeamError
 
     enable_irbuilder = mode == "irbuilder"
     before = STATS.counter_values()
@@ -798,25 +803,17 @@ def execute_request(
         )
         return finish("ok", output=result.ir_text(), exit_code=0)
     except CompilationError as exc:
-        kind = "ice" if exc.ice else "compile-error"
-        return finish(kind, diagnostics=exc.diagnostics_text)
+        return finish(failure_kind(exc), diagnostics=exc.diagnostics_text)
     except InternalCompilerError as exc:
         return finish("ice", detail=exc.render())
     except InjectedFault as exc:
         # A service-level fault site fired outside any recovery scope.
         return finish("ice", detail=str(exc))
     except Exception as exc:
-        from repro.interp import ExecutionTimeout
-
-        if isinstance(exc, ExecutionTimeout):
-            return finish("timeout", detail=str(exc))
-        if isinstance(
-            exc, (Trap, InterpreterError, MemoryError_, TeamError)
-        ):
-            return finish("guest-error", detail=str(exc))
-        return finish(
-            "ice", detail=f"{type(exc).__name__}: {exc}"
-        )
+        kind = failure_kind(exc)
+        if kind == "ice":
+            return finish(kind, detail=f"{type(exc).__name__}: {exc}")
+        return finish(kind, detail=str(exc))
 
 
 @dataclass

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.pipeline import CompilationError, run_source
+from repro.pipeline import CompilationError, failure_kind, run_source
 from repro.testing.generator import GeneratedProgram
 
 #: retired-instruction budget per run; generated programs are tiny, so
@@ -119,27 +119,25 @@ class Divergence:
 class _Outcome:
     stdout: Optional[str] = None
     exit_code: Optional[int] = None
-    error: Optional[str] = None  # "compile-error" / "timeout" / "ice"
+    #: "compile-error" / "guest-error" / "timeout" / "ice" (see
+    #: :func:`repro.pipeline.failure_kind`)
+    error: Optional[str] = None
     error_detail: str = ""
 
 
 def _failure(exc: Exception) -> _Outcome:
     """The outcome of a configuration whose compile or run raised
-    *exc*."""
+    *exc*, classified as the compile service classifies it."""
     from repro.core.crash_recovery import InternalCompilerError
     from repro.interp import ExecutionTimeout
 
-    if isinstance(exc, CompilationError):
-        kind = "ice" if exc.ice else "compile-error"
+    kind = failure_kind(exc)
+    if isinstance(
+        exc, (CompilationError, ExecutionTimeout, InternalCompilerError)
+    ):
         return _Outcome(error=kind, error_detail=str(exc))
-    if isinstance(exc, ExecutionTimeout):
-        return _Outcome(error="timeout", error_detail=str(exc))
-    if isinstance(exc, InternalCompilerError):
-        return _Outcome(error="ice", error_detail=str(exc))
-    # any other escape is itself a finding
-    return _Outcome(
-        error="ice", error_detail=f"{type(exc).__name__}: {exc}"
-    )
+    # a guest failure, or an escape that is itself a finding
+    return _Outcome(error=kind, error_detail=f"{type(exc).__name__}: {exc}")
 
 
 def _run_config(
@@ -404,7 +402,8 @@ def _run_config_via_service(
         )
         return _Outcome(stdout=response.output, exit_code=code)
     if response.status == STATUS_ERROR:
-        kind = "compile-error" if response.diagnostics else "ice"
+        # the service answers both user-side failures with an error
+        kind = "compile-error" if response.diagnostics else "guest-error"
         return _Outcome(
             error=kind,
             error_detail=response.diagnostics or response.detail,

@@ -16,7 +16,11 @@ printer with literal slots.  These tests pin that:
   identically on both engines, and no name reaches the generated
   source; each run's code object is filed under a digest of its
   source instead;
-* the process-wide code table never grows past its bound.
+* the process-wide code table never grows past its bound;
+* an op is bound to its template only when it is single-stepped, once:
+  a serial kernel binds none, a team binds exactly the ops lockstep
+  steps, and an op its printer cannot print fails only when it runs;
+* ``describe_code()`` prints one line per op.
 """
 
 from __future__ import annotations
@@ -59,8 +63,13 @@ from repro.ir.instructions import (
 )
 from repro.ir.types import FloatType
 from repro.ir.values import ConstantFP, ConstantInt, ConstantPointerNull
+from repro.pipeline import compile_source
 
 pytestmark = pytest.mark.exec_differential
+
+REPO_ROOT = os.path.dirname(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+)
 
 EXAMPLES = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -121,9 +130,11 @@ class Case:
         interp = ClosureInterpreter(module)
         code = interp.code_for(fn)
         bc = code.blocks[id(entry)]
-        op, _, src = interp._compiler._compile_inst(code, entry, inst, 0)
-        assert src is not None, f"{self.name} is not inlined"
-        run = interp._compiler.run_function(bc, [src], 0, 1)
+        index = entry.instructions.index(inst)
+        src = interp._compiler._compile_inst(code, entry, inst, index)
+        assert src.__class__ is tuple, f"{self.name} is not inlined"
+        op = compiler._bind(src, index + 1, interp.memory)
+        run = interp._compiler.run_function(bc, index, index + 1)
         return interp, code, op, run, interp.global_address(buf_gv)
 
 
@@ -620,7 +631,11 @@ def template_module() -> tuple[Module, object]:
 
 def test_ops_of_one_shape_share_their_template():
     module, fn = template_module()
-    ops = ClosureInterpreter(module).code_for(fn).entry.ops
+    interp = ClosureInterpreter(module)
+    ops = [
+        compiler._bind(fragment, i + 1, interp.memory)
+        for i, fragment in enumerate(interp.code_for(fn).entry.fragments)
+    ]
     # r2 = add r0, r1 and r3 = add r2, <98765>: one code object, two
     # bindings
     assert ops[0].__code__ is ops[1].__code__
@@ -635,11 +650,12 @@ def test_template_sources_hold_no_slot_constant_or_name():
     seen = 0
     for block in fn.blocks:
         for index, inst in enumerate(block.instructions):
-            op, _, fragment = interp._compiler._compile_inst(
+            fragment = interp._compiler._compile_inst(
                 code, block, inst, index
             )
-            if fragment is None:
+            if fragment.__class__ is not tuple:
                 continue
+            op = compiler._bind(fragment, index + 1, interp.memory)
             seen += 1
             source = compiler._template_source(fragment)
             assert op.__code__ is compiler._TEMPLATES[fragment[:2]]
@@ -670,6 +686,140 @@ def test_importing_the_pipeline_compiles_no_template():
     assert out.stdout.split() == ["0", "0"]
 
 
+def _kernel(name: str, seed: int):
+    """The run-kernels kernel *name* at *seed* (``perfbench/inputs.py``)."""
+    sys.path.append(os.path.join(REPO_ROOT, "perfbench"))
+    import inputs
+
+    return next(k for k in inputs.kernels(seed) if k.name == name)
+
+
+def test_a_serial_kernel_binds_no_single_step():
+    """Traces retire every op of a serial kernel, so no op template is
+    ever compiled."""
+    probe = (
+        "import sys\n"
+        f"sys.path.append({os.path.join(REPO_ROOT, 'perfbench')!r})\n"
+        "import inputs\n"
+        "from repro.exec import compiler, create_interpreter\n"
+        "from repro.pipeline import compile_source\n"
+        "[k] = [k for k in inputs.kernels(1) if k.name == 'reduction']\n"
+        "interp = create_interpreter("
+        "compile_source(k.source, optimize=True).module)\n"
+        "interp.run('main', [])\n"
+        "assert interp.output() == k.expected_stdout\n"
+        "print(len(compiler._TEMPLATES))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.split() == ["0"]
+
+
+def test_only_single_stepped_ops_are_bound(monkeypatch):
+    """In a team, the ops lockstep single-steps are bound on their first
+    step and reuse that closure after; every other inlined op keeps the
+    shared first-step entry, and no op list is replaced."""
+    from repro.exec.engine import ClosureContext
+    from repro.interp.interpreter import ThreadState
+
+    kernel = _kernel("worksharing", 11)
+    module = compile_source(kernel.source, optimize=True).module
+    interp = ClosureInterpreter(module)
+    interp.omp.num_threads = kernel.num_threads
+    blocks = [
+        bc
+        for fn in module.functions.values()
+        if not fn.is_declaration
+        for bc in interp.code_for(fn).blocks.values()
+    ]
+    lists = [bc.ops for bc in blocks]
+    steps = {}
+    binds = []
+    step = ClosureContext.step
+    bind = compiler._bind
+
+    def counted_step(ctx):
+        frame = ctx.stack[-1]
+        if ctx.state is ThreadState.RUNNABLE and (
+            frame.bc.fragments[frame.index] is not None
+        ):
+            key = (id(frame.ops), frame.index)
+            steps[key] = steps.get(key, 0) + 1
+        step(ctx)
+
+    def counted_bind(*args):
+        binds.append(args)
+        return bind(*args)
+
+    monkeypatch.setattr(ClosureContext, "step", counted_step)
+    monkeypatch.setattr(compiler, "_bind", counted_bind)
+    assert interp.run("main", []) == 0
+    assert interp.output() == kernel.expected_stdout
+    assert all(bc.ops is ops for bc, ops in zip(blocks, lists))
+    bound = {
+        (id(bc.ops), i)
+        for bc in blocks
+        for i, fragment in enumerate(bc.fragments)
+        if fragment is not None and bc.ops[i] is not compiler._first_step
+    }
+    assert bound and bound == set(steps)
+    assert len(binds) == len(bound) < sum(steps.values())
+
+
+def test_describe_code_has_one_line_per_op():
+    """``describe_code()`` prints every op of every block, an inlined
+    op through its printer, and an op that failed to compile as the
+    exception it raises."""
+    module, fn = template_module()
+    bad = module.add_function("bad", FunctionType(i32, [i32]))
+    b = IRBuilder(module)
+    b.folding_enabled = False
+    b.set_insert_point(bad.append_block("entry"))
+    b.ret(b.add(fn.args[0], ConstantInt(i32, 1)))
+    table = ClosureInterpreter(module).describe_code()
+    ops = [line for line in table.splitlines() if line.startswith("    [")]
+    assert len(ops) == sum(
+        len(block.instructions)
+        for f in (fn, bad)
+        for block in f.blocks
+    )
+    assert "r2 = (r0 + r1) & 4294967295" in table
+    assert (
+        f"raise InterpreterError: use of value %{fn.args[0].name} "
+        "before definition in @bad"
+    ) in table
+    assert "0x" not in table
+
+
+def test_an_op_its_printer_cannot_print_raises_only_when_run():
+    """A malformed op whose printer fails on its shape (a ``trunc`` to
+    a float type) fails only when it executes: the ops before it retire
+    and their store lands, as on the reference engine."""
+    module = Module("unprintable")
+    gv = module.add_global("g", i32, None)
+    fn = module.add_function("main", FunctionType(i32, [i64]))
+    b = IRBuilder(module)
+    b.folding_enabled = False
+    b.set_insert_point(fn.append_block("entry"))
+    x = b.add(b.cast(CastOp.TRUNC, fn.args[0], i32), ConstantInt(i32, 1))
+    b.store(x, gv)
+    b.cast(CastOp.TRUNC, fn.args[0], double_t)
+    b.ret(x)
+    outcomes = []
+    for engine in ("interp", "closures"):
+        interp = create_interpreter(module, engine=engine)
+        with pytest.raises(Exception):
+            interp.run("main", [5])
+        outcomes.append((
+            interp.instruction_count,
+            interp.memory.read_bytes(interp.global_address(gv), 4),
+        ))
+    assert outcomes[0] == outcomes[1] == (4, b"\x06\0\0\0")
+
+
 def test_missing_incoming_raises_only_when_taken():
     """An edge into a phi with no incoming value raises the reference
     interpreter's error when (and only when) it is taken, and keeps its
@@ -697,7 +847,7 @@ def test_missing_incoming_raises_only_when_taken():
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] == "phi %phi has no incoming for entry"
     code = ClosureInterpreter(module).code_for(fn)
-    assert code.entry.ops[1].may_raise
+    assert None in code.entry.fragments[1][1]
     assert code.entry.local_runs[1] is None
 
 

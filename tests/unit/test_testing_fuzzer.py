@@ -139,6 +139,60 @@ class TestOracle:
     def test_reference_config_is_stripped(self):
         assert DEFAULT_CONFIGS[-1].strip_omp_transforms
 
+    def test_guest_failures_are_guest_errors(self):
+        """A trap or runtime failure of the guest is a ``guest-error``,
+        as the compile service classifies it, not an ICE; any other
+        escape still is one."""
+        from repro.interp import MemoryError_
+        from repro.interp.interpreter import InterpreterError, Trap
+        from repro.pipeline import execute_request, run_source
+        from repro.runtime.team import TeamError
+        from repro.testing.oracle import _failure
+
+        for exc in (
+            Trap("division by zero"),
+            InterpreterError("fell off"),
+            MemoryError_("out of bounds"),
+            TeamError("deadlock"),
+        ):
+            outcome = _failure(exc)
+            assert outcome.error == "guest-error"
+            assert outcome.error_detail == f"{type(exc).__name__}: {exc}"
+        assert _failure(ValueError("boom")).error == "ice"
+        src = "int main(void) { int z = 0; return 7 / z; }\n"
+        assert execute_request(src, action="run").kind == "guest-error"
+        with pytest.raises(Exception) as info:
+            run_source(src)
+        assert _failure(info.value).error == "guest-error"
+
+    def test_service_errors_without_diagnostics_are_guest_errors(
+        self, monkeypatch
+    ):
+        """The service answers a guest failure with ``error`` and no
+        diagnostics: the oracle reads that as a ``guest-error``, and an
+        error with diagnostics as a compile error."""
+        from repro import service
+        from repro.service import STATUS_ERROR, CompileResponse
+        from repro.testing.oracle import Config, _run_config_via_service
+
+        for diagnostics, kind in (
+            ("", "guest-error"), ("<input>:1:1: error: x", "compile-error")
+        ):
+            response = CompileResponse(
+                request_id="r", status=STATUS_ERROR,
+                diagnostics=diagnostics, detail="division by zero",
+            )
+
+            class Service:
+                def process_batch(self, requests, response=response):
+                    return [response]
+
+            monkeypatch.setattr(service, "shared_service", Service)
+            outcome = _run_config_via_service(
+                Config("service", via_service=True), "", 1, 1000
+            )
+            assert outcome.error == kind
+
 
 class TestShrinker:
     def test_drops_irrelevant_lines(self):

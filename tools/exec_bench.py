@@ -13,11 +13,14 @@ compiled once per kernel, so the closure engine's compile overhead is
 charged against it.  The closure engine keeps one process-wide table of
 compiled run code (:mod:`repro.exec.compiler`), so its repeats are warm:
 each kernel also records ``closures_cold_ms``, its first closure run
-after that table is emptied.  The cold figure is reported; the gate
-reads the warm p50s.  Every sample is sanity-checked: both engines must
-produce identical stdout and retire identical instruction counts, or
-the benchmark aborts (a benchmark that races two engines producing
-different answers measures nothing).
+after that table is emptied, and ``closures_setup_ms``, the p50 of the
+closure engine's set-up alone: engine construction plus the closure
+compile of every defined function, with no run and a warm table.  The
+cold and set-up figures are reported; the gate reads the warm p50s.
+Every sample is sanity-checked: both engines must produce identical
+stdout and retire identical instruction counts, or the benchmark
+aborts (a benchmark that races two engines producing different answers
+measures nothing).
 
 Exit status 1 when ``--min-speedup`` is given and the geometric-mean
 p50 speedup falls below it.
@@ -160,6 +163,10 @@ SIZES = {
 }
 
 
+#: closure set-up samples per kernel (each takes about a millisecond)
+SETUP_SAMPLES = 25
+
+
 def _compile_kernel(source: str):
     return compile_source(source, optimize=True).module
 
@@ -174,6 +181,17 @@ def _sample(module, engine: str, num_threads: int):
     elapsed_ms = (time.perf_counter_ns() - start) / 1e6
     assert exit_code == 0, f"kernel exited {exit_code} under {engine}"
     return elapsed_ms, interp.output(), interp.instruction_count
+
+
+def _setup_ms(module) -> float:
+    """Closure engine set-up alone: engine construction plus the
+    closure compile of every defined function, no run."""
+    start = time.perf_counter_ns()
+    interp = create_interpreter(module, engine="closures")
+    for fn in module.functions.values():
+        if not fn.is_declaration:
+            interp.code_for(fn)
+    return (time.perf_counter_ns() - start) / 1e6
 
 
 def run_bench(repeats: int, smoke: bool) -> dict:
@@ -195,6 +213,9 @@ def run_bench(repeats: int, smoke: bool) -> dict:
                         f"expected {reference!r}"
                     )
                 samples[engine].append(ms)
+        setup_ms = percentile(
+            [_setup_ms(module) for _ in range(SETUP_SAMPLES)], 50
+        )
         interp_stats, closure_stats = (
             {
                 "p50": round(percentile(ms, 50), 4),
@@ -212,6 +233,7 @@ def run_bench(repeats: int, smoke: bool) -> dict:
                 "interp_ms": interp_stats,
                 "closures_ms": closure_stats,
                 "closures_cold_ms": round(cold_ms, 4),
+                "closures_setup_ms": round(setup_ms, 4),
                 "speedup_p50": round(
                     interp_stats["p50"]
                     / max(closure_stats["p50"], 1e-6),
@@ -228,7 +250,8 @@ def run_bench(repeats: int, smoke: bool) -> dict:
             f"exec-bench: {name:<18} n={n:<6} "
             f"{reference[1]:>8} insts | interp p50 "
             f"{interp_stats['p50']:>9.2f}ms | closures p50 "
-            f"{closure_stats['p50']:>8.2f}ms (cold {cold_ms:>8.2f}ms) | "
+            f"{closure_stats['p50']:>8.2f}ms (cold {cold_ms:>8.2f}ms, "
+            f"setup {setup_ms:>5.2f}ms) | "
             f"{entries[-1]['speedup_p50']:>5.2f}x"
         )
     speedups = [e["speedup_p50"] for e in entries]
