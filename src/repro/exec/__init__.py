@@ -15,14 +15,42 @@ instruction dispatch:
 
 :func:`create_interpreter` is the single selection point used by the
 pipeline, the differential oracle and the benchmark harness.
+
+The closure engine's statistics (``exec.*``) are registered here, so a
+process that only merges them, such as a service parent whose workers
+run the programs, still describes them.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
+from repro.instrument import STATS, get_statistic
 from repro.interp.interpreter import Interpreter
 from repro.ir.module import Module
+
+#: calls into generated traces, counted by the engine's two loops
+DISPATCHES = get_statistic(
+    "exec", "trace-dispatches", "Calls into generated traces"
+)
+#: inlined ops bound to a single-step closure on their first step
+BINDS = get_statistic(
+    "exec", "first-step-binds",
+    "Inlined ops bound to their single-step closure",
+)
+#: each generated trace or op-template source compiled, by its length:
+#: the count is how many, the sum their bytes.  A histogram, not a
+#: statistic, because it depends on what the process ran before (the
+#: code table is process-wide), and a request's statistics do not.
+SOURCE_BYTES = STATS.histogram(
+    "exec.source-bytes",
+    "Bytes of each generated source compiled",
+    buckets=(256, 512, 1024, 2048, 4096, 8192, 16384),
+)
+COMPILE_SECONDS = STATS.histogram(
+    "exec.source-compile-seconds",
+    "compile() time of each newly generated source",
+)
 
 #: engine names accepted by ``-fexec=`` and ``create_interpreter``
 ENGINES = ("interp", "closures")
