@@ -74,14 +74,13 @@ from repro.instrument import (
     disable_time_trace,
     enable_time_trace,
 )
-from repro.interp import (
-    DeadlockError,
-    ExecutionTimeout,
-    InterpreterError,
-    MemoryError_,
-    Trap,
+from repro.interp import DeadlockError, ExecutionTimeout
+from repro.pipeline import (
+    GUEST_ERRORS,
+    CompilationError,
+    compile_source,
+    run_source,
 )
-from repro.pipeline import CompilationError, compile_source, run_source
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -531,8 +530,6 @@ def _drive(
     compiler error (EX_SOFTWARE), 124 = timeout or fuel exhaustion.  The
     ordering matters: ExecutionTimeout and DeadlockError subclass
     InterpreterError."""
-    from repro.runtime.team import TeamError
-
     try:
         return _drive_one(
             args, source, filename, defines, invocation, cache
@@ -557,7 +554,7 @@ def _drive(
         if err.snapshot is not None:
             print(err.snapshot.render(), file=sys.stderr)
         return EXIT_USER_ERROR
-    except (Trap, InterpreterError, MemoryError_, TeamError) as err:
+    except GUEST_ERRORS as err:
         print(f"miniclang: error: {err}", file=sys.stderr)
         return EXIT_USER_ERROR
     except Exception as err:  # last-resort driver-level containment
