@@ -797,7 +797,8 @@ def test_describe_code_has_one_line_per_op():
 def test_an_op_its_printer_cannot_print_raises_only_when_run():
     """A malformed op whose printer fails on its shape (a ``trunc`` to
     a float type) fails only when it executes: the ops before it retire
-    and their store lands, as on the reference engine."""
+    and their store lands, and both engines raise one error naming the
+    op."""
     module = Module("unprintable")
     gv = module.add_global("g", i32, None)
     fn = module.add_function("main", FunctionType(i32, [i64]))
@@ -811,13 +812,18 @@ def test_an_op_its_printer_cannot_print_raises_only_when_run():
     outcomes = []
     for engine in ("interp", "closures"):
         interp = create_interpreter(module, engine=engine)
-        with pytest.raises(Exception):
+        with pytest.raises(Exception) as info:
             interp.run("main", [5])
         outcomes.append((
             interp.instruction_count,
             interp.memory.read_bytes(interp.global_address(gv), 4),
+            type(info.value).__name__,
+            str(info.value),
         ))
-    assert outcomes[0] == outcomes[1] == (4, b"\x06\0\0\0")
+    assert outcomes[0] == outcomes[1] == (
+        4, b"\x06\0\0\0",
+        "InterpreterError", "cannot evaluate trunc from i64 to double",
+    )
 
 
 def test_missing_incoming_raises_only_when_taken():
