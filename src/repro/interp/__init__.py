@@ -20,6 +20,7 @@ from repro.interp.interpreter import (
     Interpreter,
     InterpreterError,
     SchedulerSnapshot,
+    TeamError,
     ThreadSnapshot,
     Trap,
     scheduler_snapshot,
@@ -35,6 +36,7 @@ __all__ = [
     "MemoryError_",
     "MemoryLimitExceeded",
     "SchedulerSnapshot",
+    "TeamError",
     "ThreadSnapshot",
     "Trap",
     "scheduler_snapshot",

@@ -17,6 +17,7 @@ from repro.interp.interpreter import (
     DeadlockError,
     ExecutionContext,
     ExecutionTimeout,
+    TeamError,
     ThreadState,
     scheduler_snapshot,
 )
@@ -29,10 +30,6 @@ _DEADLOCKS = get_statistic(
 
 if TYPE_CHECKING:
     from repro.runtime.kmp import OpenMPRuntime
-
-
-class TeamError(Exception):
-    pass
 
 
 class Team:
