@@ -243,9 +243,6 @@ class CapturedDecl(Decl):
         self.nothrow = nothrow
         self.is_implicit = True
 
-    def add_param(self, p: ImplicitParamDecl) -> None:
-        self.params.append(p)
-
 
 class LabelDecl(NamedDecl):
     pass

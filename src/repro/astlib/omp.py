@@ -68,9 +68,6 @@ class OMPExecutableDirective(Stmt):
     def has_clause(self, clause_type) -> bool:
         return self.get_clause(clause_type) is not None
 
-    def has_associated_stmt(self) -> bool:
-        return self.associated_stmt is not None
-
     @property
     def captured_stmt(self) -> CapturedStmt | None:
         if isinstance(self.associated_stmt, CapturedStmt):
@@ -358,9 +355,6 @@ class OMPLoopTransformationDirective(OMPLoopBasedDirective):
         (paper §2.2).
         """
         return self._transformed_stmt
-
-    def set_transformed_stmt(self, stmt: Stmt | None) -> None:
-        self._transformed_stmt = stmt
 
     def shadow_children(self) -> Iterable[Optional[Stmt]]:
         out = []

@@ -52,10 +52,6 @@ class StmtVisitorBase(_DispatchVisitor):
             return None
         return self._dispatch(stmt, *args)
 
-    def visit_children(self, stmt: Stmt, *args):
-        for child in stmt.children():
-            self.visit(child, *args)
-
 
 class DeclVisitor(_DispatchVisitor):
     def visit(self, decl: Optional[Decl], *args):

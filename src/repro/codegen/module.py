@@ -247,11 +247,3 @@ class CodeGenModule:
             gv.initializer_bytes = payload
             self._strings[text] = gv
         return gv
-
-    # ------------------------------------------------------------------
-    # External declarations referenced by name (builtins)
-    # ------------------------------------------------------------------
-    def declare_external(
-        self, name: str, fn_type: ir_ty.FunctionType
-    ) -> Function:
-        return self.module.add_function(name, fn_type)

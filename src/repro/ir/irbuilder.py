@@ -49,7 +49,6 @@ from repro.ir.values import (
     Constant,
     ConstantFP,
     ConstantInt,
-    ConstantPointerNull,
     UndefValue,
     Value,
 )
@@ -65,12 +64,6 @@ class InsertPoint:
     @classmethod
     def at_end(cls, block: BasicBlock) -> "InsertPoint":
         return cls(block, len(block.instructions))
-
-    @classmethod
-    def before_terminator(cls, block: BasicBlock) -> "InsertPoint":
-        if block.terminator is not None:
-            return cls(block, len(block.instructions) - 1)
-        return cls.at_end(block)
 
 
 class IRBuilder:
@@ -136,9 +129,6 @@ class IRBuilder:
 
     def const_fp(self, type: FloatType, value: float) -> ConstantFP:
         return ConstantFP(type, value)
-
-    def const_null(self) -> ConstantPointerNull:
-        return ConstantPointerNull()
 
     def undef(self, type: IRType) -> UndefValue:
         return UndefValue(type)

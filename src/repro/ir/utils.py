@@ -6,18 +6,6 @@ from repro.ir.module import BasicBlock, Function
 from repro.ir.values import Value
 
 
-def replace_all_uses(fn: Function, old: Value, new: Value) -> int:
-    """Replace every operand use of *old* with *new* in *fn*; *new*
-    itself keeps its operands.
-
-    Returns the number of instructions updated.  The IR keeps no use
-    lists, so each call walks every instruction of *fn*: a caller
-    replacing many values calls :func:`replace_all_uses_map` once
-    instead of this once per value.
-    """
-    return replace_all_uses_map(fn, {id(old): new})
-
-
 def replace_all_uses_map(fn: Function, replacements: dict[int, Value]) -> int:
     """Replace every operand use of each value whose id is a key of
     *replacements* with the mapped value, in one walk over *fn*.  An

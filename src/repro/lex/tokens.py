@@ -124,16 +124,6 @@ class TokenKind(enum.Enum):
     def is_keyword(self) -> bool:
         return self.name.startswith("KW_")
 
-    def is_annotation(self) -> bool:
-        return self.name.startswith("ANNOT_")
-
-    def is_literal(self) -> bool:
-        return self in (
-            TokenKind.NUMERIC_CONSTANT,
-            TokenKind.CHAR_CONSTANT,
-            TokenKind.STRING_LITERAL,
-        )
-
 
 #: identifier text -> keyword kind (applied by the lexer, like clang's
 #: IdentifierTable).  ``_Bool`` maps onto ``bool``.
@@ -255,9 +245,6 @@ class Token:
 
     def is_(self, kind: TokenKind) -> bool:
         return self.kind == kind
-
-    def is_not(self, kind: TokenKind) -> bool:
-        return self.kind != kind
 
     def is_one_of(self, *kinds: TokenKind) -> bool:
         return self.kind in kinds

@@ -133,12 +133,6 @@ class LoopInfo:
                 if not loop.contains(pred):
                     stack.append(pred)
 
-    def loop_for_header(self, header: BasicBlock) -> Loop | None:
-        for loop in self.loops:
-            if loop.header is header:
-                return loop
-        return None
-
     def innermost_first(self) -> list[Loop]:
         """Loops sorted by block count ascending (inner loops have fewer
         blocks than the loops containing them)."""

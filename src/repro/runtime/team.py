@@ -215,10 +215,3 @@ class Team:
             f"{spinners}",
             scheduler_snapshot(interp),
         )
-
-    # ------------------------------------------------------------------
-    def context_for_gtid(self, gtid: int) -> ExecutionContext:
-        for ctx in self.contexts:
-            if ctx.gtid == gtid:
-                return ctx
-        raise TeamError(f"no team member with gtid {gtid}")

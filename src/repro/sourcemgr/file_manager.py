@@ -41,8 +41,6 @@ class FileManager:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def add_search_path(self, path: str) -> None:
-        self.search_paths.append(path)
 
     def register_virtual_file(self, name: str, text: str) -> FileEntry:
         """Register an in-memory file; later lookups of *name* find it."""
@@ -88,9 +86,3 @@ class FileManager:
                 buf = MemoryBuffer(entry.name, fh.read())
             self._buffers[entry.name] = buf
         return buf
-
-    def get_buffer_for_name(self, name: str) -> MemoryBuffer | None:
-        entry = self.get_file(name)
-        if entry is None:
-            return None
-        return self.get_buffer(entry)

@@ -3,10 +3,11 @@ engines, and the C library natives follow C.
 
 A native computes with C-signed values; the call stores its integer
 result wrapped to the call's type.  An entry point's host arguments are
-wrapped the same way.  ``putchar(c)`` returns ``(unsigned char)c``, and
+wrapped the same way.  ``putchar(c)`` returns ``(unsigned char)c``.
 printf's ``%u``/``%x``/``%X`` read as many bits as the length modifier
-says.  The expected outputs are GCC 12's (``putchar`` writes its byte
-as one character of the captured text).
+says, and ``%d``/``%i`` with ``hh`` or ``h`` wrap their argument to 8
+or 16 bits and sign-extend it.  The expected outputs are GCC 12's
+(``putchar`` writes its byte as one character of the captured text).
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ int main(void) {
 }
 """
 
+SIGNED_FORMATS = r"""
+int main(void) {
+  printf("%hhd %hd %hhi %hi %d\n", 300, 70000, 200, 40000, -5);
+  return 0;
+}
+"""
+
 PUTCHAR_RESULT = r"""
 int main(void) {
   int r = putchar(-1);
@@ -45,6 +53,7 @@ CASES = {
         "255 65535 2c FFFE ffffffffffffffff 18446744073709551615\n",
     ),
     "putchar-result": (PUTCHAR_RESULT, "\xff0 255 255"),
+    "signed-formats": (SIGNED_FORMATS, "44 4464 -56 -25536 -5\n"),
 }
 
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compilation-cache benchmark: cold vs warm latency over a corpus.
 
-Replays the ``examples/`` sources plus a slice of the fuzzer's
-generated corpus through :func:`repro.pipeline.compile_source_cached`
-three ways per source and optimization level:
+Replays perfbench's compile-corpus inputs of workload seed ``SEED``
+(the examples, the conformance sources and generated programs) through
+:func:`repro.pipeline.compile_source_cached` three ways per source and
+optimization level:
 
 * **cold** — empty cache, the full pipeline runs;
 * **warm** — immediate repeat, served from the in-memory tier
@@ -16,19 +17,18 @@ Reports p50/p95/mean latency per path and the per-source cold/warm
 speedup distribution (nearest-rank percentiles from
 ``perfbench/stats.py``), and writes the whole table to ``BENCH_cache.json``
 (the CI artifact that seeds the perf trajectory).  Exit status 1 when
-``--min-speedup`` (default off) is not met by the p50 speedup.
+``--min-speedup`` (default off) is not met by the p50 speedup, and
+the benchmark aborts if an input does not compile.
 
 Usage::
 
     PYTHONPATH=src python tools/cache_bench.py \
-        [--fuzz-seeds 30] [--repeats 5] [--out BENCH_cache.json] \
-        [--min-speedup 10]
+        [--repeats 5] [--out BENCH_cache.json] [--min-speedup 10]
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import shutil
@@ -46,8 +46,11 @@ from repro.pipeline import (  # noqa: E402
     CompilationError,
     compile_source_cached,
 )
-from repro.testing.generator import generate_program  # noqa: E402
+import inputs  # noqa: E402
 from stats import median, percentile  # noqa: E402
+
+#: workload seed of the corpus
+SEED = 1
 
 
 def _summary(values: list[float]) -> dict:
@@ -58,48 +61,33 @@ def _summary(values: list[float]) -> dict:
     }
 
 
-def collect_corpus(fuzz_seeds: int) -> list[tuple[str, str]]:
-    """(name, source) pairs: every example plus generated programs."""
-    corpus: list[tuple[str, str]] = []
-    for path in sorted(
-        glob.glob(os.path.join(REPO_ROOT, "examples", "*.c"))
-    ):
-        with open(path, "r", encoding="utf-8") as fh:
-            corpus.append((os.path.basename(path), fh.read()))
-    for seed in range(1, fuzz_seeds + 1):
-        corpus.append(
-            (f"fuzz-seed-{seed}", generate_program(seed).source)
-        )
-    return corpus
-
-
 def _time_ms(fn) -> float:
     start = time.perf_counter_ns()
     fn()
     return (time.perf_counter_ns() - start) / 1e6
 
 
-def run_bench(
-    fuzz_seeds: int, repeats: int, cache_dir: str
-) -> dict:
-    corpus = collect_corpus(fuzz_seeds)
+def run_bench(repeats: int, cache_dir: str) -> dict:
+    corpus = inputs.compile_corpus(REPO_ROOT, SEED)
     entries = []
     cache = CompilationCache(cache_dir)
-    for name, source in corpus:
+    for item in corpus:
         for optimize in (False, True):
-            label = f"{name}@O{int(optimize)}"
+            label = f"{item.name}@O{int(optimize)}"
             try:
                 cold_ms = _time_ms(
                     lambda: compile_source_cached(
-                        source, cache, optimize=optimize
+                        item.source, cache, optimize=optimize
                     )
                 )
-            except CompilationError:
-                continue  # fuzz corpus noise: skip invalid programs
+            except CompilationError as exc:
+                raise SystemExit(
+                    f"cache-bench: {label} does not compile: {exc}"
+                )
             warm_samples = [
                 _time_ms(
                     lambda: compile_source_cached(
-                        source, cache, optimize=optimize
+                        item.source, cache, optimize=optimize
                     )
                 )
                 for _ in range(repeats)
@@ -119,7 +107,7 @@ def run_bench(
     disk_samples = [
         _time_ms(
             lambda: compile_source_cached(
-                corpus[i % len(corpus)][1], fresh
+                corpus[i % len(corpus)].source, fresh
             )
         )
         for i in range(min(len(corpus), 32))
@@ -127,12 +115,8 @@ def run_bench(
     report = {
         "tool": "cache_bench",
         "corpus": {
-            "examples": sum(
-                1 for n, _ in corpus if not n.startswith("fuzz-seed-")
-            ),
-            "fuzz": sum(
-                1 for n, _ in corpus if n.startswith("fuzz-seed-")
-            ),
+            "seed": SEED,
+            "inputs": len(corpus),
             "measured": len(entries),
         },
         "repeats": repeats,
@@ -150,7 +134,6 @@ def main(argv=None) -> int:
         prog="cache_bench",
         description="cold/warm compilation-cache latency benchmark",
     )
-    parser.add_argument("--fuzz-seeds", type=int, default=30)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", default="BENCH_cache.json")
     parser.add_argument(
@@ -172,7 +155,7 @@ def main(argv=None) -> int:
         prefix="miniclang-cache-bench-"
     )
     try:
-        report = run_bench(args.fuzz_seeds, args.repeats, cache_dir)
+        report = run_bench(args.repeats, cache_dir)
     finally:
         if args.cache_dir is None:
             shutil.rmtree(cache_dir, ignore_errors=True)
