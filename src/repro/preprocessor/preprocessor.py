@@ -584,7 +584,7 @@ class Preprocessor:
             )
             return
         buffer = self.fm.get_buffer(entry)
-        fid = self.sm.create_file_id(buffer, head.location)
+        fid = self.sm.create_file_id(buffer)
         self._levels.append(
             _IncludeLevel(Lexer(self.sm, fid, self.diags), entry.name)
         )
