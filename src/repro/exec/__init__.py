@@ -6,8 +6,8 @@ instruction dispatch:
 
 * ``closures`` — the production engine and the default
   (:class:`repro.exec.engine.ClosureInterpreter`), which lowers each
-  function to pre-compiled Python closures with operands resolved to
-  dense register slots;
+  function to generated Python code with operands resolved to dense
+  register slots;
 * ``interp`` — the reference tree-walking interpreter
   (:class:`repro.interp.interpreter.Interpreter`), run only when asked
   for: as the differential oracle's reference and behind
@@ -29,16 +29,17 @@ from repro.instrument import STATS, get_statistic
 from repro.interp.interpreter import Interpreter
 from repro.ir.module import Module
 
-#: calls into generated traces, counted by the engine's two loops
+#: calls into generated code, counted by the engine's two loops (the
+#: name predates the code's loop nests; ``BENCH_exec.json`` reads it)
 DISPATCHES = get_statistic(
-    "exec", "trace-dispatches", "Calls into generated traces"
+    "exec", "trace-dispatches", "Calls into generated code"
 )
 #: inlined ops bound to a single-step closure on their first step
 BINDS = get_statistic(
     "exec", "first-step-binds",
     "Inlined ops bound to their single-step closure",
 )
-#: each generated trace or op-template source compiled, by its length:
+#: each generated function or op-template source compiled, by its length:
 #: the count is how many, the sum their bytes.  A histogram, not a
 #: statistic, because it depends on what the process ran before (the
 #: code table is process-wide), and a request's statistics do not.
@@ -89,18 +90,12 @@ def profile_fingerprint(profile) -> dict:
         "fork_count": profile.fork_count,
         "barrier_episodes": profile.barrier_episodes,
         "threads": [
-            (
-                ctx.gtid,
-                ctx.thread_id,
-                ctx.instructions_retired,
-                ctx.barrier_waits,
-            )
+            (ctx.gtid, ctx.thread_id, ctx.instructions_retired,
+             ctx.barrier_waits)
             for ctx in profile.contexts
         ],
         "block_counts": {
             f"{fn}:{block}": count
-            for (fn, block), count in sorted(
-                profile.block_counts.items()
-            )
+            for (fn, block), count in sorted(profile.block_counts.items())
         },
     }

@@ -134,7 +134,7 @@ class Case:
         src = interp._compiler._compile_inst(code, entry, inst, index)
         assert src.__class__ is tuple, f"{self.name} is not inlined"
         op = compiler._bind(src, index + 1, interp.memory)
-        run = interp._compiler.run_function(bc, index, index + 1)
+        run = interp._compiler.run_functions([(bc, index, index + 1)], False)[0]
         return interp, code, op, run, interp.global_address(buf_gv)
 
 
