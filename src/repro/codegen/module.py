@@ -237,7 +237,9 @@ class CodeGenModule:
     def get_string_literal(self, text: str) -> GlobalVariable:
         gv = self._strings.get(text)
         if gv is None:
-            payload = text.encode("utf-8") + b"\x00"
+            # Sema holds a literal as one char per byte (a \u escape
+            # past 0xff has no byte, so it prints as "?")
+            payload = text.encode("latin-1", "replace") + b"\x00"
             name = self.module.unique_global_name(".str")
             gv = self.module.add_global(
                 name,

@@ -63,6 +63,7 @@ from repro.driver.options import (
     add_shared_flags,
     read_source,
     scan_f_flags,
+    write_guest_output,
     write_report,
 )
 from repro.instrument import (
@@ -634,7 +635,7 @@ def _drive_one(
                 ),
                 file=sys.stderr,
             )
-        sys.stdout.write(result.stdout)
+        write_guest_output(result.stdout)
         code = result.exit_code
         return int(code) & 0xFF if isinstance(code, int) else 0
 

@@ -117,6 +117,21 @@ def scan_f_flags(
     return remaining, values
 
 
+def write_guest_output(text: str) -> None:
+    """Write a guest program's output to stdout byte for byte: each
+    character of *text* is one byte the program wrote, so
+    ``putchar(255)`` writes the byte 0xff, as it does natively, not
+    that character's UTF-8 encoding."""
+    data = text.encode("latin-1", "replace")
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:  # a text-only stream stands in for stdout
+        sys.stdout.write(data.decode("latin-1"))
+        return
+    sys.stdout.flush()
+    buffer.write(data)
+    buffer.flush()
+
+
 def read_source(path: str) -> tuple[str, str]:
     """One driver input as ``(source, filename)``; ``-`` reads stdin.
     Raises OSError or UnicodeDecodeError for an unreadable file."""

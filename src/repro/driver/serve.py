@@ -44,6 +44,7 @@ from repro.driver.options import (
     add_shared_flags,
     read_source,
     scan_f_flags,
+    write_guest_output,
     write_report,
 )
 from repro.instrument.stats import STATS
@@ -529,7 +530,10 @@ def _run_batch(args, flags) -> int:
         if args.json_output:
             print(json.dumps(response.to_dict()))
         elif response.ok and response.output:
-            sys.stdout.write(response.output)
+            if request.action == "run":
+                write_guest_output(response.output)
+            else:
+                sys.stdout.write(response.output)
             if not response.output.endswith("\n"):
                 sys.stdout.write("\n")
         code = worst_exit_code(code, _response_exit_code(response))

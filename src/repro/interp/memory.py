@@ -149,7 +149,7 @@ class Memory:
             if b == 0:
                 break
             out.append(b)
-        return out.decode("utf-8", errors="replace")
+        return out.decode("latin-1")  # one char per byte
 
     # ------------------------------------------------------------------
     # Typed access

@@ -196,11 +196,6 @@ _FUNCTIONS_CHANGED = get_statistic(
 @dataclass
 class PassManager:
     passes: list[FunctionPass] = field(default_factory=list)
-    #: per-pass change counts from the last run (legacy view of
-    #: :attr:`last_run`, kept for tests/benchmarks)
-    last_run_changes: dict[str, int] = field(default_factory=dict)
-    #: full structured record of the last :meth:`run`
-    last_run: PipelineRunResult | None = None
     #: default instrumentation threaded through :meth:`run` (a per-call
     #: ``instrument`` argument overrides it)
     instrument: Optional[PassInstrumentation] = None
@@ -261,8 +256,6 @@ class PassManager:
                     _FUNCTIONS_CHANGED.inc()
                 if execution is not None:
                     instrument.finish(execution, fn, changed)
-        self.last_run = result
-        self.last_run_changes = result.changes_by_pass()
         return result
 
 
