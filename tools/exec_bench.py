@@ -18,8 +18,10 @@ after that table is emptied, and ``closures_setup_ms``, the p50 of the
 closure engine's set-up alone: engine construction plus the closure
 compile of every defined function, with no run and a warm table.  From
 the engine's ``exec.*`` statistics it records ``dispatches``, the calls
-into generated traces per closure run, and ``cold_source_bytes``, the
-generated source the cold run compiles.  The cold, set-up and counter
+into generated code per closure run (one per function and kind of run
+entered, plus the stops at deadline polls, since a loop nest runs in
+place), and ``cold_source_bytes``, the generated source the cold run
+compiles.  The cold, set-up and counter
 figures are reported; the gate reads the warm p50s.
 Every sample is sanity-checked: each run must print the kernel's
 expected stdout, and both engines must retire identical instruction
