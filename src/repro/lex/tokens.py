@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.sourcemgr.location import SourceLocation
 
@@ -242,6 +243,10 @@ class Token:
     at_line_start: bool = False
     has_leading_space: bool = False
     annotation_value: object = None
+    #: Names of the macros this token must not expand again (Prosser's
+    #: hide set, C11 6.10.3.4p2).  Only a token a macro expansion makes
+    #: sets its own; every other token shares this empty class default.
+    hide_set: ClassVar[frozenset[str]] = frozenset()
 
     def is_(self, kind: TokenKind) -> bool:
         return self.kind == kind

@@ -8,7 +8,8 @@ Implements the subset of the C preprocessor the reproduction needs:
 * conditional compilation ``#if/#ifdef/#ifndef/#elif/#else/#endif`` with a
   full constant-expression evaluator including ``defined(...)``,
 * ``#line``, ``#error``, ``#warning``,
-* ``#pragma omp ...`` — turned into the annotation-token sandwich
+* ``#pragma omp ...`` — its tokens macro-expanded, as OpenMP specifies,
+  and turned into the annotation-token sandwich
   ``ANNOT_PRAGMA_OPENMP <body tokens> ANNOT_PRAGMA_OPENMP_END`` exactly like
   clang, so that the Parser can treat an OpenMP directive as a statement
   introducer, and

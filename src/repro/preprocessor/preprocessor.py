@@ -4,10 +4,24 @@ Pull-model, as in clang (paper Fig. 1: the Parser steers, each ``lex()``
 call pulls from the include/macro stack below).  Responsibilities:
 
 * driving one :class:`~repro.lex.lexer.Lexer` per ``#include`` level,
-* macro definition/expansion (with recursion prevention),
+* macro definition/expansion,
 * conditional compilation,
 * converting ``#pragma omp`` into ``ANNOT_PRAGMA_OPENMP`` annotation tokens
   and ``#pragma clang loop`` into ``ANNOT_PRAGMA_LOOPHINT``.
+
+There is one macro expander, the loop of :meth:`Preprocessor.lex`.  An
+expansion goes back onto the pending queue in front of the rest of the
+input, and ``lex()`` examines a pending token exactly as it examines a
+source token, so the expansion is rescanned together with the tokens
+that follow it (C11 6.10.3.4p1): a function-like macro name at its end
+takes its arguments from the source.  Recursion stops by Prosser's hide
+sets: every token an expansion makes carries the names it must not
+expand again (``Token.hide_set``), the invocation's set plus the macro's
+name (for a function-like macro the invocation's set is first
+intersected with that of its closing ``)``).  Macro arguments, ``#if``
+and ``#elif`` lines and ``#pragma omp`` lines are expanded by the same
+loop run over a closed token list (:meth:`Preprocessor._expand_list`),
+which it cannot read past.
 """
 
 from __future__ import annotations
@@ -95,6 +109,18 @@ class _IncludeLevel:
         self.pushback.appendleft(tok)
 
 
+def _expanded(
+    tok: Token, loc: SourceLocation, hide_set: frozenset[str]
+) -> Token:
+    """The copy of *tok* an expansion makes: at the invocation's location,
+    hidden from *hide_set* as well as from its own hide set."""
+    out = Token(
+        tok.kind, tok.spelling, loc, has_leading_space=tok.has_leading_space
+    )
+    out.hide_set = hide_set | tok.hide_set
+    return out
+
+
 class Preprocessor:
     """See module docstring."""
 
@@ -111,8 +137,8 @@ class Preprocessor:
         self.options = options or PreprocessorOptions()
         self.macros: dict[str, MacroInfo] = {}
         self._levels: list[_IncludeLevel] = []
-        #: tokens produced by macro expansion / pragma annotation, pending
-        #: delivery to the parser.
+        #: tokens produced by macro expansion / pragma annotation, read
+        #: (and examined for macro names) before the rest of the input.
         self._pending: deque[Token] = deque()
         self._install_builtin_macros()
         for name, value in self.options.defines.items():
@@ -143,8 +169,9 @@ class Preprocessor:
             self.macros[magic] = info
 
     def define_from_string(self, name: str, value: str = "1") -> MacroInfo:
-        """Register a ``-DNAME=VALUE`` style definition."""
-        body = value if value != "" else "1"
+        """Register a ``-DNAME=VALUE`` style definition (``-DX=`` defines
+        ``X`` as empty)."""
+        body = value
         if "(" in name:
             # -D'F(x)=...' style; split head from parameter list.
             head, params_part = name.split("(", 1)
@@ -231,11 +258,12 @@ class Preprocessor:
         """Next fully preprocessed token for the parser."""
         while True:
             if self._pending:
-                return self._pending.popleft()
-            tok = self._raw_lex()
-            if tok.kind is TokenKind.HASH and tok.at_line_start:
-                self._handle_directive()
-                continue
+                tok = self._pending.popleft()
+            else:
+                tok = self._raw_lex()
+                if tok.kind is TokenKind.HASH and tok.at_line_start:
+                    self._handle_directive()
+                    continue
             if (
                 tok.kind is TokenKind.IDENTIFIER
                 and tok.spelling in self.macros
@@ -263,8 +291,10 @@ class Preprocessor:
         """Expand *tok* if it names a macro invocation.
 
         Returns True when an expansion took place (its tokens were pushed
-        onto the pending queue).
+        onto the pending queue, in front of the rest of the input).
         """
+        if tok.spelling in tok.hide_set:
+            return False
         info = self.macros[tok.spelling]
         if info.name == "__LINE__":
             line = self.sm.get_presumed_loc(tok.location).line
@@ -288,23 +318,45 @@ class Preprocessor:
             nxt = self._peek_raw_or_pending()
             if nxt.kind != TokenKind.L_PAREN:
                 return False  # not an invocation; plain identifier
-            args = self._parse_macro_args(info, tok)
-            if args is None:
+            parsed = self._parse_macro_args(info, tok)
+            if parsed is None:
                 return True  # error already reported
+            args, rparen = parsed
+            hide_set = tok.hide_set & rparen.hide_set
             expansion = self._substitute(info, args, tok.location)
         else:
-            expansion = [
-                Token(t.kind, t.spelling, tok.location) for t in info.replacement
-            ]
-        expansion = self._rescan(expansion, {info.name})
-        self._push_pending(expansion)
+            hide_set = tok.hide_set
+            expansion = info.replacement
+        hide_set = hide_set | {info.name}
+        self._push_pending(
+            [_expanded(t, tok.location, hide_set) for t in expansion]
+        )
         return True
+
+    def _expand_list(self, tokens: list[Token]) -> list[Token]:
+        """Macro-expand a closed token list: a macro argument, an
+        ``#if``/``#elif`` line or a ``#pragma omp`` line.
+
+        This is :meth:`lex`'s loop with *tokens* as its only input, so an
+        invocation at the end of the list cannot read past it.
+        """
+        if not any(t.spelling in self.macros for t in tokens):
+            return tokens  # nothing to expand: most pragmas and arguments
+        outer = self._pending, self._levels
+        self._pending, self._levels = deque(tokens), []
+        try:
+            out = []
+            while (tok := self.lex()).kind is not TokenKind.EOF:
+                out.append(tok)
+            return out
+        finally:
+            self._pending, self._levels = outer
 
     def _peek_raw_or_pending(self) -> Token:
         if self._pending:
             return self._pending[0]
         tok = self._raw_lex()
-        if tok.kind != TokenKind.EOF or len(self._levels) <= 1:
+        if self._levels:
             self._level.unlex(tok)
         return tok
 
@@ -315,8 +367,10 @@ class Preprocessor:
 
     def _parse_macro_args(
         self, info: MacroInfo, name_tok: Token
-    ) -> list[list[Token]] | None:
-        """Parse ``(arg, arg, ...)`` following a function-like macro name."""
+    ) -> tuple[list[list[Token]], Token] | None:
+        """Parse ``(arg, arg, ...)`` following a function-like macro name.
+
+        Returns the arguments and the closing ``)``."""
         lparen = self._next_raw_or_pending()
         assert lparen.kind == TokenKind.L_PAREN
         args: list[list[Token]] = [[]]
@@ -356,7 +410,7 @@ class Preprocessor:
                 name_tok.location,
             )
             return None
-        return args
+        return args, tok
 
     def _substitute(
         self,
@@ -364,7 +418,8 @@ class Preprocessor:
         args: list[list[Token]],
         loc: SourceLocation,
     ) -> list[Token]:
-        """Parameter substitution incl. ``#`` and ``##``."""
+        """Parameter substitution incl. ``#`` and ``##``; any other
+        parameter is replaced by its fully expanded argument."""
         out: list[Token] = []
         replacement = info.replacement
         i = 0
@@ -385,17 +440,10 @@ class Preprocessor:
                 i + 2 < len(replacement)
                 and replacement[i + 1].kind == TokenKind.HASHHASH
             ):
-                left = self._param_tokens(info, args, tok) or [
-                    Token(tok.kind, tok.spelling, loc)
-                ]
+                left = self._param_tokens(info, args, tok) or [tok]
                 rtok = replacement[i + 2]
-                right = self._param_tokens(info, args, rtok) or [
-                    Token(rtok.kind, rtok.spelling, loc)
-                ]
-                pasted = paste_tokens(
-                    left[-1] if left else Token(TokenKind.UNKNOWN, ""),
-                    right[0] if right else Token(TokenKind.UNKNOWN, ""),
-                )
+                right = self._param_tokens(info, args, rtok) or [rtok]
+                pasted = paste_tokens(left[-1], right[0])
                 if pasted is None:
                     self.diags.report(
                         Severity.ERROR,
@@ -410,13 +458,9 @@ class Preprocessor:
                 continue
             param = self._param_tokens(info, args, tok)
             if param is not None:
-                out.extend(
-                    Token(t.kind, t.spelling, loc, has_leading_space=t.has_leading_space)
-                    for t in self._rescan(param, set())
-                )
+                out.extend(self._expand_list(param))
             else:
-                out.append(Token(tok.kind, tok.spelling, loc,
-                                 has_leading_space=tok.has_leading_space))
+                out.append(tok)
             i += 1
         return out
 
@@ -436,79 +480,6 @@ class Preprocessor:
                 return varargs
             return None
         return args[idx] if idx < len(args) else []
-
-    def _rescan(
-        self, tokens: list[Token], hidden: set[str]
-    ) -> list[Token]:
-        """Re-examine an expansion for further macro names (recursion-safe)."""
-        out: list[Token] = []
-        i = 0
-        while i < len(tokens):
-            tok = tokens[i]
-            if (
-                tok.kind == TokenKind.IDENTIFIER
-                and tok.spelling in self.macros
-                and tok.spelling not in hidden
-            ):
-                info = self.macros[tok.spelling]
-                if not info.is_function_like:
-                    inner = [
-                        Token(t.kind, t.spelling, tok.location)
-                        for t in info.replacement
-                    ]
-                    out.extend(
-                        self._rescan(inner, hidden | {info.name})
-                    )
-                    i += 1
-                    continue
-                if (
-                    i + 1 < len(tokens)
-                    and tokens[i + 1].kind == TokenKind.L_PAREN
-                ):
-                    args, consumed = self._parse_args_from_list(
-                        info, tokens, i + 1
-                    )
-                    if args is not None:
-                        inner = self._substitute(info, args, tok.location)
-                        out.extend(
-                            self._rescan(inner, hidden | {info.name})
-                        )
-                        i = consumed
-                        continue
-            out.append(tok)
-            i += 1
-        return out
-
-    def _parse_args_from_list(
-        self, info: MacroInfo, tokens: list[Token], lparen_idx: int
-    ) -> tuple[list[list[Token]] | None, int]:
-        depth = 0
-        args: list[list[Token]] = [[]]
-        i = lparen_idx
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok.kind == TokenKind.L_PAREN:
-                depth += 1
-                if depth > 1:
-                    args[-1].append(tok)
-            elif tok.kind == TokenKind.R_PAREN:
-                depth -= 1
-                if depth == 0:
-                    nparams = len(info.params or [])
-                    if args == [[]] and nparams == 0:
-                        args = []
-                    if len(args) != nparams and not (
-                        info.is_variadic and len(args) >= nparams
-                    ):
-                        return None, lparen_idx
-                    return args, i + 1
-                args[-1].append(tok)
-            elif tok.kind == TokenKind.COMMA and depth == 1:
-                args.append([])
-            else:
-                args[-1].append(tok)
-            i += 1
-        return None, lparen_idx
 
     def _push_pending(self, tokens: list[Token]) -> None:
         self._pending.extendleft(reversed(tokens))
@@ -696,7 +667,7 @@ class Preprocessor:
                 continue
             resolved.append(tok)
             i += 1
-        expanded = self._rescan(resolved, set())
+        expanded = self._expand_list(resolved)
         return (
             PPExpressionEvaluator(expanded, self.diags).evaluate() != 0
         )
@@ -836,7 +807,9 @@ class Preprocessor:
                     head.location,
                 )
                 return
-            directive_tokens = body[1:]
+            # OpenMP "Directive Format": the tokens after `omp` are
+            # subject to macro replacement.
+            directive_tokens = self._expand_list(body[1:])
             if (
                 self.options.strip_omp_transforms
                 and directive_tokens
@@ -856,9 +829,7 @@ class Preprocessor:
             end = Token(
                 TokenKind.ANNOT_PRAGMA_OPENMP_END,
                 "",
-                (directive_tokens[-1].end_location()
-                 if directive_tokens
-                 else head.location),
+                body[-1].end_location() if len(body) > 1 else head.location,
             )
             self._push_pending([annot, end])
             return

@@ -109,6 +109,32 @@ def test_exec_bench_times_the_kernels_and_checks_their_output(monkeypatch):
     assert asked == [exec_bench.SEED]
 
 
+def test_exec_bench_cold_figure_is_the_median_of_cold_runs(monkeypatch):
+    """Each cold sample starts with every table of generated code empty,
+    so no earlier kernel's code, source or templates make it warm."""
+    kernel = next(
+        k for k in inputs.kernels(exec_bench.SEED) if k.name == "reduction"
+    )
+    monkeypatch.setattr(inputs, "kernels", lambda seed: [kernel])
+    compiler = exec_bench.compiler
+    tables = (compiler._RUN_CODE, compiler._RUN_SOURCE, compiler._TEMPLATES)
+    for table in tables:
+        monkeypatch.setitem(table, "left by an earlier kernel", None)
+    cold_ms = iter([5.0, 1.0, 4.0, 2.0, 3.0])
+    seen = []
+
+    def sample(module, engine, kernel):
+        seen.append((engine, [len(table) for table in tables]))
+        return next(cold_ms, 9.0), 100
+
+    monkeypatch.setattr(exec_bench, "_sample", sample)
+    monkeypatch.setattr(exec_bench, "_setup_ms", lambda module: 1.0)
+    report = exec_bench.run_bench(1)
+    assert exec_bench.COLD_SAMPLES == 5
+    assert seen[:5] == [("closures", [0, 0, 0])] * 5
+    assert report["entries"][0]["closures_cold_ms"] == 3.0
+
+
 def test_cache_bench_compiles_the_corpus(monkeypatch, tmp_path):
     asked = _fake_corpus(monkeypatch, ["int main(void) { return 0; }\n"])
     report = cache_bench.run_bench(1, str(tmp_path))

@@ -87,6 +87,24 @@ class TestResumeLevels:
             PROGRAM, enable_irbuilder=True
         )
 
+    def test_define_used_in_a_pragma_clause_is_keyed(self):
+        """``#pragma omp`` lines are macro-expanded, so a ``-D`` used
+        only in a clause changes the tokens and the IR."""
+        source = PROGRAM.replace("sizes(3)", "sizes(W)")
+        cache = CompilationCache()
+        three = compile_source_cached(source, cache, defines={"W": "3"})
+        four = compile_source_cached(source, cache, defines={"W": "4"})
+        assert not four.hit
+        assert three.stage_keys["preprocess"] != four.stage_keys[
+            "preprocess"
+        ]
+        assert three.key != four.key
+        assert three.ir_text == cold_ir(PROGRAM)
+        assert four.ir_text == cold_ir(
+            PROGRAM.replace("sizes(3)", "sizes(4)")
+        )
+        assert four.ir_text != three.ir_text
+
 
 class TestDiskTier:
     def test_exact_hit_across_cache_instances(self, tmp_path):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.diagnostics import DiagnosticsEngine, Severity
+from repro.lex.lexer import tokenize_string
 from repro.lex.tokens import TokenKind
 from repro.preprocessor import Preprocessor, PreprocessorOptions
 from repro.sourcemgr import FileManager, SourceManager
@@ -15,6 +16,7 @@ def preprocess(
     defines: dict | None = None,
     files: dict | None = None,
     openmp: bool = True,
+    strip_omp_transforms: bool = False,
 ):
     sm = SourceManager()
     fm = FileManager()
@@ -25,7 +27,11 @@ def preprocess(
         sm,
         fm,
         diags,
-        PreprocessorOptions(defines=defines or {}, openmp=openmp),
+        PreprocessorOptions(
+            defines=defines or {},
+            openmp=openmp,
+            strip_omp_transforms=strip_omp_transforms,
+        ),
     )
     pp.enter_source(source, "test.c")
     tokens = pp.lex_all()
@@ -36,6 +42,18 @@ def spellings(source: str, **kw) -> list[str]:
     tokens, diags = preprocess(source, **kw)
     assert not diags.has_errors(), diags.render_all()
     return [t.spelling for t in tokens if t.kind != K.EOF]
+
+
+def gcc_spellings(text: str) -> list[str]:
+    """The tokens of *text*, a line of ``gcc -E -P`` output."""
+    return [t.spelling for t in tokenize_string(text) if t.kind != K.EOF]
+
+
+def pragma_body(source: str, **kw) -> list[str]:
+    tokens, diags = preprocess(source, **kw)
+    assert not diags.has_errors(), diags.render_all()
+    annot = next(t for t in tokens if t.kind == K.ANNOT_PRAGMA_OPENMP)
+    return [t.spelling for t in annot.annotation_value]
 
 
 class TestObjectMacros:
@@ -114,6 +132,59 @@ class TestFunctionMacros:
     def test_args_with_parens(self):
         out = spellings("#define ID(x) x\nID((1, 2))")
         assert out == ["(", "1", ",", "2", ")"]
+
+
+#: source -> its ``gcc -E -P`` output, recorded from GCC 12.2
+GCC_EXPANSIONS = {
+    # a function-like name at the end of an expansion takes its
+    # arguments from the tokens that follow (C11 6.10.3.4p1)
+    "#define f(x) ((x) + 1)\n#define g f\ng(2)": "((2) + 1)",
+    "#define APPLY(m) m\n#define f(x) ((x) * 2)\nAPPLY(f)(4)": "((4) * 2)",
+    "#define CALL(m, v) m(v)\n#define f(x) ((x) * 2)\nCALL(f, 3)": (
+        "((3) * 2)"
+    ),
+    "#define f(a) a*g\n#define g(a) f(a)\nf(2)(9)": "2*9*g",
+    # an argument is expanded in isolation: `f` is not an invocation
+    # until the expansion is rescanned with the `(4)` that follows it
+    "#define ID(x) x\n#define f(x) [x]\nID(f)(4) ID(f)": "[4] f",
+    # mutual recursion stops at the name already being expanded
+    "#define a(x) b(x)\n#define b(x) a(x)\na(1) b(2)": "a(1) b(2)",
+    # an expanded argument keeps its spacing
+    "#define AB a  b\n#define STR(x) #x\n#define XSTR(x) STR(x)\n"
+    "XSTR(AB)": '"a b"',
+    # C11 6.10.3.5 EXAMPLE 3
+    "#define x 3\n#define f(a) f(x * (a))\n#undef x\n#define x 2\n"
+    "#define g f\n#define z z[0]\n#define h g(~\n#define m(a) a(w)\n"
+    "#define w 0,1\n#define t(a) a\n"
+    "f(y+1) + f(f(z)) % t(t(g)(0) + t)(1);\n"
+    "g(x+(3,4)-w) | h 5) & m\n(f)^m(m);": (
+        "f(2 * (y+1)) + f(2 * (f(2 * (z[0])))) % f(2 * (0)) + t(1); "
+        "f(2 * (2+(3,4)-0,1)) | f(2 * (~ 5)) & f(2 * (0,1))^m(0,1);"
+    ),
+    "#define F(x) ((x) > 0)\n#if F(1)\nyes\n#else\nno\n#endif": "yes",
+}
+
+
+class TestRescan:
+    @pytest.mark.parametrize(
+        "source", list(GCC_EXPANSIONS), ids=range(len(GCC_EXPANSIONS))
+    )
+    def test_expansion_matches_gcc(self, source):
+        assert spellings(source) == gcc_spellings(GCC_EXPANSIONS[source])
+
+    def test_arity_error_in_a_rescan_is_reported(self):
+        _, diags = preprocess(
+            "#define f(x, y) ((x) + (y))\n#define g f(1)\ng\n"
+        )
+        assert diags.error_count == 1
+        assert "macro 'f' expects 2 argument(s), got 1" in (
+            diags.render_all()
+        )
+
+    def test_empty_command_line_define(self):
+        assert spellings("int x = 5 X;", defines={"X": ""}) == [
+            "int", "x", "=", "5", ";",
+        ]
 
 
 class TestConditionals:
@@ -224,21 +295,46 @@ class TestPragmas:
         )
         assert diags.warning_count == 1
 
-    def test_macro_expansion_in_pragma_body_deferred(self):
-        # Tokens inside the pragma are captured raw; clause expressions
-        # are parsed (and names resolved) later by the parser.
-        tokens, _ = preprocess(
+    def test_macro_expansion_in_pragma_body(self):
+        # OpenMP "Directive Format": the tokens after `#pragma omp` are
+        # subject to macro replacement.
+        assert pragma_body(
             "#define W 8\n#pragma omp unroll partial(W)\n"
+        ) == ["unroll", "partial", "(", "8", ")"]
+
+    def test_pragma_clauses_expand_as_gcc_expands_them(self):
+        # `gcc -E -P -fopenmp` output, recorded from GCC 12.2
+        assert pragma_body(
+            "#define SQ(x) ((x)*(x))\n#define CHUNK 2\n"
+            "#pragma omp parallel for num_threads(SQ(2)) "
+            "schedule(static, CHUNK) reduction(+: acc)\n"
+        ) == gcc_spellings(
+            "parallel for num_threads(((2)*(2))) schedule(static, 2) "
+            "reduction(+: acc)"
         )
-        annot = next(
-            t for t in tokens if t.kind == K.ANNOT_PRAGMA_OPENMP
+
+    def test_function_like_macro_in_a_transform_clause(self):
+        assert pragma_body(
+            "#define SQ(x) ((x) * (x))\n#pragma omp tile sizes(SQ(2))\n"
+        ) == gcc_spellings("tile sizes(((2) * (2)))")
+
+    def test_pragma_end_is_the_last_source_token(self):
+        source = "#define W 8\n#pragma omp unroll partial(W)\nx;"
+        tokens, diags = preprocess(source)
+        end = next(
+            t for t in tokens if t.kind == K.ANNOT_PRAGMA_OPENMP_END
         )
-        assert [t.spelling for t in annot.annotation_value] == [
-            "unroll",
-            "partial",
-            "(",
-            "W",
-            ")",
+        ploc = diags.source_manager.get_presumed_loc(end.location)
+        # just past the `)` of the source line, not of the expansion
+        assert (ploc.line, ploc.column) == (2, 30)
+
+    def test_strip_decides_on_the_expanded_directive(self):
+        tokens, _ = preprocess(
+            "#define DIR unroll\n#pragma omp DIR partial(2)\nx;",
+            strip_omp_transforms=True,
+        )
+        assert [t.spelling for t in tokens if t.kind != K.EOF] == [
+            "x", ";",
         ]
 
     def test_clang_loop_pragma(self):

@@ -13,10 +13,12 @@ Each sample is the full execute latency — engine construction
 compiled once per kernel, so the closure engine's compile overhead is
 charged against it.  The closure engine keeps one process-wide table of
 compiled run code (:mod:`repro.exec.compiler`), so its repeats are warm:
-each kernel also records ``closures_cold_ms``, its first closure run
-after that table is emptied, and ``closures_setup_ms``, the p50 of the
-closure engine's set-up alone: engine construction plus the closure
-compile of every defined function, with no run and a warm table.  From
+each kernel also records ``closures_cold_ms``, the median of
+``COLD_SAMPLES`` closure runs, each after every table of generated code
+(run code, run source, single-step templates) is emptied, and
+``closures_setup_ms``, the p50 of the closure engine's set-up alone:
+engine construction plus the closure compile of every defined
+function, with no run and a warm table.  From
 the engine's ``exec.*`` statistics it records ``dispatches``, the calls
 into generated code per closure run (one per function and kind of run
 entered, plus the stops at deadline polls, since a loop nest runs in
@@ -58,7 +60,7 @@ from repro.exec import (  # noqa: E402
 )
 from repro.pipeline import compile_source  # noqa: E402
 import inputs  # noqa: E402
-from stats import geomean, percentile  # noqa: E402
+from stats import geomean, median, percentile  # noqa: E402
 
 #: workload seed of the kernels: the seed whose dispatches
 #: tests/unit/test_exec_counters.py pins
@@ -66,6 +68,9 @@ SEED = 11
 
 #: closure set-up samples per kernel (each takes about a millisecond)
 SETUP_SAMPLES = 25
+
+#: cold closure runs per kernel; ``closures_cold_ms`` is their median
+COLD_SAMPLES = 5
 
 
 def _sample(module, engine: str, kernel):
@@ -87,6 +92,17 @@ def _sample(module, engine: str, kernel):
     return elapsed_ms, interp.instruction_count
 
 
+def _cold_sample(module, kernel):
+    """One closure sample with every table of generated code emptied
+    first.  Returns (ms, insts, bytes of generated source compiled)."""
+    compiler._RUN_CODE.clear()
+    compiler._RUN_SOURCE.clear()
+    compiler._TEMPLATES.clear()
+    compiled = SOURCE_BYTES.labels().sum
+    ms, insts = _sample(module, "closures", kernel)
+    return ms, insts, int(SOURCE_BYTES.labels().sum - compiled)
+
+
 def _setup_ms(module) -> float:
     """Closure engine set-up alone: engine construction plus the
     closure compile of every defined function, no run."""
@@ -104,10 +120,9 @@ def run_bench(repeats: int) -> dict:
         name, n = kernel.name, inputs.KERNEL_SIZES[kernel.name]
         module = compile_source(kernel.source, optimize=True).module
         samples = {"interp": [], "closures": []}
-        compiler._RUN_CODE.clear()
-        compiled = SOURCE_BYTES.labels().sum
-        cold_ms, instructions = _sample(module, "closures", kernel)
-        cold_bytes = int(SOURCE_BYTES.labels().sum - compiled)
+        cold = [_cold_sample(module, kernel) for _ in range(COLD_SAMPLES)]
+        cold_ms = median([ms for ms, _, _ in cold])
+        _, instructions, cold_bytes = cold[0]
         for _ in range(repeats):
             for engine in ("interp", "closures"):
                 calls = DISPATCHES.value
